@@ -15,6 +15,17 @@ Profiles:
 
 Violations carry the offending node id.  Multi-input learning patterns
 (compositions of input proofs) are reported as flags, not failures.
+
+greedy_up is one pass over the node ids.  Path contexts, subtree pivot
+variables and the composite-input predicate are bitmasks and flags filled
+in beforehand, and the available learned clauses (the input-derived
+inference clauses with smaller ids) go into one append-only ClauseIndex
+after each node is checked.  Unit propagation runs only at nodes whose
+context is consistent and which are not input-derived nodes free of
+pivots on path variables.  At every other node the verdict does not
+depend on the propagation: an inconsistent context is flagged without
+it, and an input node resolving on no path variable passes whether or
+not propagation refutes its context.  Every leaf is such a node.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from ggtkit.proofs import (
     node_consumers,
     resolve_on_var,
 )
-from ggtkit.propagation import InconsistentAssignment, unit_propagate
+from ggtkit.propagation import ClauseIndex, unit_propagate
 
 VALID = "valid"
 REGULAR = "regular"
@@ -188,28 +199,6 @@ def _check_input_lemma(d: Derivation, report: CheckReport) -> None:
             )
 
 
-def _path_contexts(d: Derivation) -> list[frozenset[int]]:
-    """C+ per node: literals (and w-resolution phantoms) from node to root."""
-    parent: list[tuple[int, int] | None] = [None] * len(d.nodes)
-    for nd in d.nodes:
-        for slot, p in enumerate(nd.premises):
-            parent[p] = (nd.nid, slot)
-    order = sorted(range(len(d.nodes)), key=lambda i: -i)  # parents first in trees
-    cplus: list[frozenset[int] | None] = [None] * len(d.nodes)
-    for nid in order:
-        nd = d.nodes[nid]
-        if parent[nid] is None:
-            ctx: frozenset[int] = frozenset()
-        else:
-            pid, slot = parent[nid]
-            pnode = d.nodes[pid]
-            ctx = cplus[pid]
-            if pnode.rule == W_RESOLVE:
-                ctx = ctx | {_phantom_lit(d, pnode, slot)}
-        cplus[nid] = ctx | nd.clause_set()
-    return cplus
-
-
 def _phantom_lit(d: Derivation, w_node, slot: int) -> int:
     """Pivot literal attributed to premise `slot` of a w-resolution."""
     v = w_node.pivot
@@ -222,83 +211,87 @@ def _phantom_lit(d: Derivation, w_node, slot: int) -> int:
     return v if slot == 0 else -v  # both phantom; premise order fixes polarity
 
 
-def _composite_input(d: Derivation, root: int, is_input: list[bool]) -> bool:
-    """Every inference in the subtree has a leaf or input-derived premise."""
-    stack = [root]
-    while stack:
-        nid = stack.pop()
-        nd = d.nodes[nid]
-        if nd.rule in (AXIOM, LEMMA):
-            continue
-        ok = False
-        for p in nd.premises:
-            pr = d.nodes[p].rule
-            if pr in (AXIOM, LEMMA) or is_input[p]:
-                ok = True
-        if not ok:
-            return False
-        stack.extend(nd.premises)
-    return True
-
-
-def _subtree_pivot_vars(d: Derivation) -> list[set[int]]:
-    vars_below: list[set[int]] = [set() for _ in d.nodes]
-    for nd in d.nodes:
-        if nd.rule in _INFERENCES:
-            acc = {nd.pivot}
-            for p in nd.premises:
-                acc |= vars_below[p]
-            vars_below[nd.nid] = acc
-    return vars_below
+def _mask_vars(mask: int) -> list[int]:
+    """The variables whose bits are set in `mask`, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _check_greedy_up(d: Derivation, f: FormulaInstance, report: CheckReport) -> None:
     if d.shape != TREE:
         report.violations.append(Violation(GREEDY_UP, d.root, "profile needs a tree proof"))
         return
+    nodes = d.nodes
     is_input = input_subtrees(d)
-    cplus = _path_contexts(d)
-    pivots_in = _subtree_pivot_vars(d)
-    base = [nd.clause_set() for nd in d.nodes]
-    formula_clauses = list(f.clauses)
-    for nd in d.nodes:
-        ctx = cplus[nd.nid]
-        gamma = formula_clauses + [
-            base[i] for i in range(nd.nid) if is_input[i] and d.nodes[i].rule in _INFERENCES
-        ]
-        try:
-            result = unit_propagate(gamma, {-l for l in ctx})
-        except InconsistentAssignment:
+    # bottom-up: the pivot variables of each subtree, and whether every
+    # inference in it has an input-derived premise
+    pivots = [0] * len(nodes)
+    composite = [True] * len(nodes)
+    for nd in nodes:
+        if nd.rule in _INFERENCES:
+            p0, p1 = nd.premises
+            pivots[nd.nid] = 1 << nd.pivot | pivots[p0] | pivots[p1]
+            composite[nd.nid] = (is_input[p0] or is_input[p1]) and composite[p0] and composite[p1]
+    # top-down: the path context C+ as positive and negative variable masks;
+    # premises come before their consumer, and each has at most one in a tree
+    pos = [0] * len(nodes)
+    neg = [0] * len(nodes)
+    for nid in range(len(nodes) - 1, -1, -1):
+        nd = nodes[nid]
+        p, q = pos[nid], neg[nid]
+        for lit in nd.clause:
+            if lit > 0:
+                p |= 1 << lit
+            else:
+                q |= 1 << -lit
+        pos[nid], neg[nid] = p, q
+        for slot, child in enumerate(nd.premises):
+            pos[child], neg[child] = p, q
+            if nd.rule == W_RESOLVE:
+                lit = _phantom_lit(d, nd, slot)
+                if lit > 0:
+                    pos[child] |= 1 << lit
+                else:
+                    neg[child] |= 1 << -lit
+    gamma = ClauseIndex(f.clauses)
+    for nd in nodes:
+        nid = nd.nid
+        p, q = pos[nid], neg[nid]
+        bad = pivots[nid] & (p | q)
+        if p & q:
             report.flags.append(
-                f"node {nd.nid}: path context contains opposite literals; greedy test skipped"
+                f"node {nid}: path context contains opposite literals; greedy test skipped"
             )
-            continue
-        if result.conflict is None:
-            continue
-        ctx_vars = {abs(l) for l in ctx}
-        bad_pivots = sorted(v for v in pivots_in[nd.nid] if v in ctx_vars)
-        if is_input[nd.nid] and not bad_pivots:
-            continue
-        if bad_pivots:
-            report.violations.append(
-                Violation(
-                    GREEDY_UP,
-                    nd.nid,
-                    f"input refutation of the path context exists but the subderivation resolves on path variables {bad_pivots}",
+        # an input node resolving on no path variable passes either way
+        elif bad or not is_input[nid]:
+            assignment = [-v for v in _mask_vars(p)] + _mask_vars(q)
+            refuted = unit_propagate(gamma, assignment).conflict is not None
+            if refuted and bad:
+                report.violations.append(
+                    Violation(
+                        GREEDY_UP,
+                        nid,
+                        f"input refutation of the path context exists but the subderivation resolves on path variables {_mask_vars(bad)}",
+                    )
                 )
-            )
-        elif _composite_input(d, nd.nid, is_input):
-            report.flags.append(
-                f"node {nd.nid}: derived from a composition of input proofs (multi-clause learning pattern)"
-            )
-        else:
-            report.violations.append(
-                Violation(
-                    GREEDY_UP,
-                    nd.nid,
-                    "unit propagation refutes the path context but the subderivation is not input",
+            elif refuted and composite[nid]:
+                report.flags.append(
+                    f"node {nid}: derived from a composition of input proofs (multi-clause learning pattern)"
                 )
-            )
+            elif refuted:
+                report.violations.append(
+                    Violation(
+                        GREEDY_UP,
+                        nid,
+                        "unit propagation refutes the path context but the subderivation is not input",
+                    )
+                )
+        if is_input[nid] and nd.rule in _INFERENCES:
+            gamma.add(nd.clause)
 
 
 def check_proof(d: Derivation, f: FormulaInstance, profiles) -> CheckReport:

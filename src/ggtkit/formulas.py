@@ -201,11 +201,6 @@ def _triple_sort_key(n: int):
     return key
 
 
-def beta_count(pi: Bpo) -> int:
-    m = len(pi.minimals)
-    return m * (m - 1) * (m - 2) // 3
-
-
 def pi_witness_assignment(n: int, pi: Bpo) -> dict[int, bool] | None:
     """A satisfying assignment for GT_pi when pi is nonempty.
 

@@ -24,42 +24,74 @@ class PropagationResult:
     # (literal, forcing clause index) in propagation order
 
 
-def unit_propagate(clauses, assignment) -> PropagationResult:
-    """Propagate to fixpoint; report the first falsified clause if any.
+class ClauseIndex:
+    """Append-only clause list with an occurrence index.
 
-    `clauses` is an indexable of literal-sets; `assignment` an iterable of
-    true literals.  The implication record lists every forced literal with
-    the clause that forced it, which is enough to replay an input
-    derivation of the conflict (see replay_conflict).
+    `occurs[lit]` lists the ids of the clauses containing `lit`, so
+    propagation visits only clauses in which a literal has just become
+    false.  Clauses with fewer than two literals are unit or falsified
+    under every assignment; `short` lists them so each call starts there.
     """
+
+    def __init__(self, clauses=()):
+        self.clauses: list = []
+        self.occurs: dict[int, list[int]] = {}
+        self.short: list[int] = []
+        for clause in clauses:
+            self.add(clause)
+
+    def add(self, clause) -> None:
+        idx = len(self.clauses)
+        self.clauses.append(clause)
+        if len(clause) < 2:
+            self.short.append(idx)
+        for lit in clause:
+            self.occurs.setdefault(lit, []).append(idx)
+
+
+def unit_propagate(clauses, assignment) -> PropagationResult:
+    """Propagate to fixpoint; report a falsified clause if any.
+
+    `clauses` is a ClauseIndex or an indexable of literal-sets (indexed
+    afresh on each call); `assignment` an iterable of true literals.  The
+    conflict is an index into `clauses` (into its `.clauses` list for a
+    ClauseIndex).  The implication record lists
+    every forced literal with the clause that forced it, in the order they
+    were forced, which is enough to replay an input derivation of the
+    conflict (see replay_conflict).
+    """
+    index = clauses if isinstance(clauses, ClauseIndex) else ClauseIndex(clauses)
+    store, occurs = index.clauses, index.occurs
     truth = set(assignment)
     for lit in truth:
         if -lit in truth:
             raise InconsistentAssignment(f"assignment has {lit} and {-lit}")
     implications: list[tuple[int, int]] = []
-    changed = True
-    while changed:
-        changed = False
-        for idx, clause in enumerate(clauses):
+    queue = list(truth)
+    head = 0
+    pending = index.short  # first the clauses no false literal will reach
+    while True:
+        for idx in pending:
             unassigned = None
-            satisfied = False
             count = 0
-            for lit in clause:
+            for lit in store[idx]:
                 if lit in truth:
-                    satisfied = True
                     break
                 if -lit not in truth:
                     unassigned = lit
                     count += 1
-            if satisfied:
-                continue
-            if count == 0:
-                return PropagationResult(truth, idx, implications)
-            if count == 1:
+                    if count > 1:
+                        break
+            else:
+                if count == 0:
+                    return PropagationResult(truth, idx, implications)
                 truth.add(unassigned)
                 implications.append((unassigned, idx))
-                changed = True
-    return PropagationResult(truth, None, implications)
+                queue.append(unassigned)
+        if head == len(queue):
+            return PropagationResult(truth, None, implications)
+        pending = occurs.get(-queue[head], ())
+        head += 1
 
 
 def replay_conflict(clauses, result: PropagationResult) -> tuple[Clause, list[tuple[int, int]]]:

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
+from tests.greedy_reference import scan_unit_propagate
 from ggtkit.formulas import gen_ggt, gen_gt
 from ggtkit.literals import encode_lit, trans_clause
 from ggtkit.propagation import (
+    ClauseIndex,
     InconsistentAssignment,
     OracleScaleError,
     replay_conflict,
@@ -70,3 +74,47 @@ def test_gt3_does_not_entail_single_literal():
 def test_oracle_refuses_large_n():
     with pytest.raises(OracleScaleError):
         semantic_entails([], frozenset(), 6)
+
+
+def _random_clauses(rng: random.Random, nvars: int, count: int) -> list[frozenset]:
+    clauses = []
+    for _ in range(count):
+        vs = rng.sample(range(1, nvars + 1), min(nvars, rng.choice((1, 2, 2, 3, 3, 3, 4))))
+        clauses.append(frozenset(v if rng.random() < 0.5 else -v for v in vs))
+    if rng.random() < 0.05:
+        clauses.append(frozenset())
+    return clauses
+
+
+def test_unit_propagate_matches_scan_reference():
+    rng = random.Random(11)
+    conflicts = 0
+    for trial in range(600):
+        nvars = rng.randrange(3, 12)
+        clauses = _random_clauses(rng, nvars, rng.randrange(0, 3 * nvars))
+        vs = rng.sample(range(1, nvars + 1), rng.randrange(0, nvars // 2 + 1))
+        assignment = {v if rng.random() < 0.5 else -v for v in vs}
+        for store in (clauses, ClauseIndex(clauses)):
+            got = unit_propagate(store, assignment)
+            ref = scan_unit_propagate(clauses, assignment)
+            assert (got.conflict is None) == (ref.conflict is None), trial
+            if got.conflict is None:
+                assert got.assignment == ref.assignment, trial
+                continue
+            # the reported clause is falsified, and replaying its reasons
+            # refutes a part of the initial assignment
+            assert all(-lit in got.assignment for lit in clauses[got.conflict]), trial
+            learned, _ = replay_conflict(clauses, got)
+            assert all(-lit in assignment for lit in learned), trial
+        conflicts += got.conflict is not None
+    assert 100 < conflicts < 500
+
+
+def test_clause_index_grows_between_calls():
+    index = ClauseIndex([frozenset({1, 2}), frozenset({-2, 3})])
+    assert unit_propagate(index, {-1}).conflict is None
+    index.add(frozenset({-3, -2}))
+    result = unit_propagate(index, {-1})
+    assert result.conflict is not None and len(index.clauses) == 3
+    with pytest.raises(InconsistentAssignment):
+        unit_propagate(index, {3, -3})
