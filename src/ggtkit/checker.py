@@ -5,8 +5,9 @@ Profiles:
                occur in the formula; lemma refs repeat their target clause.
   regular      no variable is resolved twice along any root-to-leaf path,
                and no root-clause variable is ever a pivot.
-  pool         tree shape, regular, empty root clause, lemma targets
-               strictly earlier in postorder.
+  pool         tree shape, regular, empty root clause, every node but the
+               root a premise of some inference, lemma targets strictly
+               earlier in postorder.
   input_lemma  pool, plus every lemma target is derived by an input
                subderivation (each inference has a leaf premise).
   greedy_up    whenever unit propagation refutes the falsified path
@@ -33,16 +34,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ggtkit.formulas import FormulaInstance
+from ggtkit.literals import bits
 from ggtkit.proofs import (
     AXIOM,
     DEGEN_RESOLVE,
+    LEAF_RULES,
     LEMMA,
     RESOLVE,
     TREE,
     W_RESOLVE,
     Derivation,
     RuleError,
-    node_consumers,
+    below_pivot_masks,
+    input_step,
     resolve_on_var,
 )
 from ggtkit.propagation import ClauseIndex, unit_propagate
@@ -116,29 +120,8 @@ def _check_valid(d: Derivation, f: FormulaInstance, report: CheckReport) -> None
                 )
 
 
-def _below_pivot_masks(d: Derivation) -> list[int]:
-    """For each node, the variables resolved on strictly below it.
-
-    "Below" means on some path from the node toward the root; computed
-    over consumer edges, so it covers every root-to-leaf path in both
-    shapes.
-    """
-    consumers = node_consumers(d)
-    masks = [0] * len(d.nodes)
-    for nid in range(len(d.nodes) - 1, -1, -1):
-        acc = 0
-        for c in consumers[nid]:
-            cmask = masks[c]
-            piv = d.nodes[c].pivot
-            if piv is not None:
-                cmask |= 1 << piv
-            acc |= cmask
-        masks[nid] = acc
-    return masks
-
-
 def _check_regular(d: Derivation, report: CheckReport) -> None:
-    masks = _below_pivot_masks(d)
+    masks = below_pivot_masks([nd.premises for nd in d.nodes], [nd.pivot for nd in d.nodes])
     for nd in d.nodes:
         if nd.rule in _INFERENCES and masks[nd.nid] >> nd.pivot & 1:
             report.violations.append(
@@ -163,23 +146,30 @@ def _check_pool(d: Derivation, report: CheckReport) -> None:
         return
     if d.nodes[d.root].clause:
         report.violations.append(Violation(POOL, d.root, "root clause is not empty"))
+    used = [False] * len(d.nodes)
+    for nd in d.nodes:
+        for p in nd.premises:
+            used[p] = True
     for nd in d.nodes:
         if nd.rule == LEMMA and not (0 <= nd.target < nd.nid):
             report.violations.append(
                 Violation(POOL, nd.nid, f"lemma target {nd.target} not earlier in postorder")
             )
+        if not used[nd.nid] and nd.nid != d.root:
+            report.violations.append(Violation(POOL, nd.nid, "no inference uses this node"))
 
 
 def input_subtrees(d: Derivation) -> list[bool]:
     """Whether each node's subderivation is an input derivation."""
     is_input = [False] * len(d.nodes)
     for nd in d.nodes:
-        if nd.rule in (AXIOM, LEMMA):
+        if nd.rule in LEAF_RULES:
             is_input[nd.nid] = True
         else:
             p0, p1 = nd.premises
-            leafish = d.nodes[p0].rule in (AXIOM, LEMMA) or d.nodes[p1].rule in (AXIOM, LEMMA)
-            is_input[nd.nid] = leafish and is_input[p0] and is_input[p1]
+            is_input[nd.nid] = input_step(
+                d.nodes[p0].rule, is_input[p0], d.nodes[p1].rule, is_input[p1]
+            )
     return is_input
 
 
@@ -209,16 +199,6 @@ def _phantom_lit(d: Derivation, w_node, slot: int) -> int:
     if v in a1 or -v in a0:
         return -v if slot == 0 else v
     return v if slot == 0 else -v  # both phantom; premise order fixes polarity
-
-
-def _mask_vars(mask: int) -> list[int]:
-    """The variables whose bits are set in `mask`, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _check_greedy_up(d: Derivation, f: FormulaInstance, report: CheckReport) -> None:
@@ -268,14 +248,14 @@ def _check_greedy_up(d: Derivation, f: FormulaInstance, report: CheckReport) -> 
             )
         # an input node resolving on no path variable passes either way
         elif bad or not is_input[nid]:
-            assignment = [-v for v in _mask_vars(p)] + _mask_vars(q)
+            assignment = [-v for v in bits(p)] + list(bits(q))
             refuted = unit_propagate(gamma, assignment).conflict is not None
             if refuted and bad:
                 report.violations.append(
                     Violation(
                         GREEDY_UP,
                         nid,
-                        f"input refutation of the path context exists but the subderivation resolves on path variables {_mask_vars(bad)}",
+                        f"input refutation of the path context exists but the subderivation resolves on path variables {list(bits(bad))}",
                     )
                 )
             elif refuted and composite[nid]:

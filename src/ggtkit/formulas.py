@@ -19,6 +19,7 @@ from ggtkit.literals import (
     alpha_clause,
     encode_lit,
     make_clause,
+    min_first,
     num_vars,
     trans_clause,
 )
@@ -60,10 +61,7 @@ class GuardMap:
 
     def guard(self, i: int, j: int, k: int) -> tuple[int, int]:
         """Guard pair for the class of (i, j, k); invariant under rotation."""
-        for rot in ((i, j, k), (j, k, i), (k, i, j)):
-            if rot in self.table:
-                return self.table[rot]
-        raise KeyError(f"no guard entry for triple ({i},{j},{k})")
+        return self.table[min_first(i, j, k)]
 
 
 def _admissible_guards(n: int, triple: tuple[int, int, int]) -> list[tuple[int, int]]:
@@ -200,22 +198,3 @@ def _triple_sort_key(n: int):
 
     return key
 
-
-def pi_witness_assignment(n: int, pi: Bpo) -> dict[int, bool] | None:
-    """A satisfying assignment for GT_pi when pi is nonempty.
-
-    Puts one fixed non-minimal vertex j below every minimal vertex and
-    orders everything else against the canonical direction.
-    """
-    non_minimal = sorted(set(range(n)) - pi.minimals)
-    if not non_minimal:
-        return None
-    j = non_minimal[0]
-    assignment = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            assignment[encode_lit(a, b, n)] = False
-    for i in sorted(pi.minimals):
-        lit = encode_lit(j, i, n)
-        assignment[abs(lit)] = lit > 0
-    return assignment

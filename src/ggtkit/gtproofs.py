@@ -12,128 +12,139 @@ vertex's clause.  The final clause is exactly the negation of pi, every
 pivot is either a pair of minimal vertices or a pair (i, k) with i
 minimal, k non-minimal and i not below k, and no variable repeats along
 any path.
+
+The derivation is kept as one Skeleton: premises, pivots and axiom kinds
+in arrays, with clauses derived only on demand.  build_ppi_dag derives
+and checks them for the proof builders and the pool construction; the
+solver walks skeletons built straight from its trail, without clauses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ggtkit.bpo import Bpo, bpo_clause
 from ggtkit.formulas import GT, GT_PI, SizeError
-from ggtkit.literals import Clause, alpha_clause, clause_key, encode_lit, trans_clause
-from ggtkit.proofs import AXIOM, DAG, RESOLVE, Derivation, ProofNode, resolve_on_var
+from ggtkit.literals import (
+    Clause,
+    alpha_clause,
+    bits,
+    clause_key,
+    encode_lit,
+    min_first,
+    trans_clause,
+)
+from ggtkit.proofs import (
+    AXIOM,
+    DAG,
+    RESOLVE,
+    Derivation,
+    ProofNode,
+    below_pivot_masks,
+    resolve_on_var,
+)
 
 
 @dataclass
-class PDagNode:
-    __slots__ = ("nid", "rule", "clause", "premises", "pivot", "kind")
-    nid: int
-    rule: str
-    clause: frozenset
-    premises: tuple[int, ...]
-    pivot: int | None
-    kind: tuple | None  # axioms: ("alpha", i) | ("beta", (a,b,c)) | ("gamma", (i,j,k))
+class Skeleton:
+    """The derivation of one bipartite order, as arrays indexed by node id.
 
-
-@dataclass
-class PDag:
-    """The derivation dag plus the metadata the refutation engine needs."""
+    Per node: its premises (empty for an axiom, otherwise two smaller ids),
+    its pivot variable and the pivot literal as it occurs in the first
+    premise (both 0 for an axiom), and the axiom kind, None for an
+    inference.  Kinds are ("alpha", i), ("gamma", (i, j, k)) for the mixed
+    axiom T[i, j, k], and ("beta", triple) with the triple rotated min-first.
+    Every transitivity axiom is the premise of exactly one inference.
+    Clauses are not stored; `clauses` derives them.
+    """
 
     n: int
-    pi: Bpo
-    nodes: list[PDagNode] = field(default_factory=list)
-    root: int = -1
-    _axiom_ids: dict = field(default_factory=dict)
+    premises: list[tuple[int, ...]]
+    pivot: list[int]
+    lit0: list[int]
+    kind: list[tuple | None]
+    root: int
 
-    def axiom(self, clause: Clause, kind: tuple) -> int:
-        nid = self._axiom_ids.get(clause)
-        if nid is not None:
-            return nid
-        nid = len(self.nodes)
-        self.nodes.append(PDagNode(nid, AXIOM, clause, (), None, kind))
-        self._axiom_ids[clause] = nid
-        return nid
-
-    def resolve(self, p0: int, p1: int, pivot_var: int) -> int:
-        clause = resolve_on_var(
-            RESOLVE, self.nodes[p0].clause, self.nodes[p1].clause, pivot_var
-        )
-        nid = len(self.nodes)
-        self.nodes.append(PDagNode(nid, RESOLVE, clause, (p0, p1), pivot_var, None))
-        return nid
-
-    def consumers(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.nodes]
-        for nd in self.nodes:
-            for p in nd.premises:
-                out[p].append(nd.nid)
+    def clauses(self) -> list[Clause]:
+        """Every node's clause: axioms from their kind, then each resolvent."""
+        n = self.n
+        out: list[Clause] = []
+        for prem, piv, kind in zip(self.premises, self.pivot, self.kind):
+            if prem:
+                out.append(resolve_on_var(RESOLVE, out[prem[0]], out[prem[1]], piv))
+            elif kind[0] == "alpha":
+                out.append(alpha_clause(kind[1], n))
+            else:
+                out.append(trans_clause(*kind[1], n))
         return out
 
-    def below_pivot_masks(self) -> list[int]:
-        """Per node, bitmask of variables resolved on some path toward the root."""
-        consumers = self.consumers()
-        masks = [0] * len(self.nodes)
-        for nid in range(len(self.nodes) - 1, -1, -1):
-            acc = 0
-            for c in consumers[nid]:
-                acc |= masks[c] | (1 << self.nodes[c].pivot)
-            masks[nid] = acc
-        return masks
+    def masks(self) -> list[int]:
+        """Per node, the variables resolved on some path toward the root."""
+        return below_pivot_masks(self.premises, self.pivot)
 
-    def trans_axioms_postorder(self) -> list[int]:
-        """Transitivity axiom node ids in depth-first postorder of the dag."""
+    def trans_postorder(self) -> list[int]:
+        """Transitivity axiom node ids in depth-first postorder from the root."""
         order: list[int] = []
         seen: set[int] = set()
         stack: list[tuple[int, bool]] = [(self.root, False)]
         while stack:
             nid, expanded = stack.pop()
             if expanded:
-                nd = self.nodes[nid]
-                if nd.rule == AXIOM and nd.kind[0] in ("beta", "gamma"):
+                kind = self.kind[nid]
+                if kind is not None and kind[0] != "alpha":
                     order.append(nid)
                 continue
             if nid in seen:
                 continue
             seen.add(nid)
             stack.append((nid, True))
-            for p in reversed(self.nodes[nid].premises):
+            for p in reversed(self.premises[nid]):
                 stack.append((p, False))
         return order
 
-    def to_derivation(self, family: str, seed: int | None = None) -> Derivation:
-        nodes = tuple(
-            ProofNode(
-                nd.nid,
-                nd.rule,
-                tuple(clause_key(nd.clause)),
-                nd.premises,
-                nd.pivot,
-            )
-            for nd in self.nodes
-        )
-        return Derivation(nodes, root=self.root, shape=DAG, family=family, n=self.n, seed=seed)
 
+def build_skeleton(n: int, minimals: list[int], above: list[int]) -> Skeleton:
+    """The derivation skeleton of a bipartite order.
 
-def build_ppi_dag(n: int, pi: Bpo) -> PDag:
-    if n < 2:
-        raise SizeError(f"derivation needs n >= 2, got {n}")
-    if pi.n != n:
-        raise ValueError(f"pi is over {pi.n} vertices, wanted {n}")
-    dag = PDag(n=n, pi=pi)
-    minimals = sorted(pi.minimals)
-    non_minimals = [k for k in range(n) if k not in pi.minimals]
-    j_of = {k: min(pi.below(k)) for k in non_minimals}
+    `minimals` lists the minimal vertices in increasing order, and
+    `above[i]` is the bitmask of the vertices above minimal vertex i.
+    """
+    premises: list[tuple[int, ...]] = []
+    pivot: list[int] = []
+    lit0: list[int] = []
+    kinds: list[tuple | None] = []
+
+    def axiom(kind: tuple) -> int:
+        premises.append(())
+        pivot.append(0)
+        lit0.append(0)
+        kinds.append(kind)
+        return len(kinds) - 1
+
+    def resolve(a: int, b: int, lit: int) -> int:
+        """Resolve premise a, which holds literal lit, against premise b."""
+        premises.append((a, b))
+        pivot.append(abs(lit))
+        lit0.append(lit)
+        kinds.append(None)
+        return len(kinds) - 1
+
+    minimal_mask = 0
+    lowest: dict[int, int] = {}  # smallest minimal vertex below each other one
+    for i in minimals:
+        minimal_mask |= 1 << i
+        for k in bits(above[i]):
+            lowest.setdefault(k, i)
 
     # Minimality clauses, with non-minimal vertices resolved away.
     cur: list[int] = []
     for i in minimals:
-        node = dag.axiom(alpha_clause(i, n), ("alpha", i))
-        for k in non_minimals:
-            if pi.precedes(i, k):
-                continue  # x[k,i] stays as a side literal
-            j = j_of[k]
-            t = dag.axiom(trans_clause(i, j, k, n), ("gamma", (i, j, k)))
-            node = dag.resolve(t, node, abs(encode_lit(k, i, n)))
+        node = axiom(("alpha", i))
+        for k in range(n):
+            if (minimal_mask | above[i]) >> k & 1:
+                continue  # x[k,i] stays as a side literal when i is below k
+            gamma = axiom(("gamma", (i, lowest[k], k)))
+            node = resolve(gamma, node, encode_lit(i, k, n))
         cur.append(node)
 
     # Downward elimination over the minimal vertices.
@@ -148,28 +159,51 @@ def build_ppi_dag(n: int, pi: Bpo) -> PDag:
                 if t == i:
                     continue
                 vt = minimals[t]
-                tax = dag.axiom(trans_clause(vt, top, vi, n), ("beta", (vt, top, vi)))
-                node = dag.resolve(tax, node, abs(encode_lit(vt, top, n)))
-            cur[i] = dag.resolve(node, cur[i], abs(encode_lit(top, vi, n)))
+                beta = axiom(("beta", min_first(vt, top, vi)))
+                node = resolve(beta, node, -encode_lit(vt, top, n))
+            cur[i] = resolve(node, cur[i], encode_lit(vi, top, n))
+    return Skeleton(n, premises, pivot, lit0, kinds, cur[0])
 
-    dag.root = cur[0]
-    root_clause = dag.nodes[dag.root].clause
+
+def build_ppi_dag(n: int, pi: Bpo) -> tuple[Skeleton, list[Clause]]:
+    """The skeleton of the pi derivation and its clauses, root checked."""
+    if n < 2:
+        raise SizeError(f"derivation needs n >= 2, got {n}")
+    if pi.n != n:
+        raise ValueError(f"pi is over {pi.n} vertices, wanted {n}")
+    above = [0] * n
+    for i, k in pi.pairs:
+        above[i] |= 1 << k
+    skel = build_skeleton(n, sorted(pi.minimals), above)
+    clauses = skel.clauses()
+    root_clause = clauses[skel.root]
     expected = bpo_clause(pi)
     if root_clause != expected:
         raise AssertionError(
             f"derivation root {sorted(root_clause)} differs from the pi clause {sorted(expected)}"
         )
-    return dag
+    return skel, clauses
+
+
+def _derivation(n: int, pi: Bpo, family: str) -> Derivation:
+    skel, clauses = build_ppi_dag(n, pi)
+    nodes = tuple(
+        ProofNode(nid, RESOLVE, tuple(clause_key(clause)), prem, skel.pivot[nid])
+        if prem
+        else ProofNode(nid, AXIOM, tuple(clause_key(clause)))
+        for nid, (prem, clause) in enumerate(zip(skel.premises, clauses))
+    )
+    return Derivation(nodes, root=skel.root, shape=DAG, family=family, n=n)
 
 
 def build_ppi(n: int, pi: Bpo) -> Derivation:
     """Regular derivation of the pi-negation clause from GT_pi(n)."""
-    return build_ppi_dag(n, pi).to_derivation(GT_PI if pi.pairs else GT)
+    return _derivation(n, pi, GT_PI if pi.pairs else GT)
 
 
 def build_pn(n: int) -> Derivation:
     """Regular refutation of GT(n) with O(n^3) nodes."""
-    return build_ppi_dag(n, Bpo.empty(n)).to_derivation(GT)
+    return _derivation(n, Bpo.empty(n), GT)
 
 
 def allowed_pivot_vars(pi: Bpo, n: int) -> frozenset[int]:

@@ -91,6 +91,27 @@ def alpha_clause(i: int, n: int) -> Clause:
     return frozenset(encode_lit(j, i, n) for j in range(n) if j != i)
 
 
+def min_first(i: int, j: int, k: int) -> tuple[int, int, int]:
+    """The rotation of the triple (i, j, k) that starts at its smallest vertex.
+
+    Rotations name the same transitivity clause, so this is the canonical
+    name of a triangle's orientation.
+    """
+    if i < j and i < k:
+        return (i, j, k)
+    if j < k:
+        return (j, k, i)
+    return (k, i, j)
+
+
+def bits(mask: int):
+    """The positions of the set bits of `mask`, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def triangle_of(clause: Clause, n: int) -> tuple[int, int, int] | None:
     """If clause is a transitivity clause, its canonical (min-rotated) triple.
 

@@ -34,15 +34,17 @@ from dataclasses import dataclass, field
 
 from ggtkit.bpo import CyclicOrderError, Bpo, PartialSpec, associated_bpo, bpo_clause, tau_of_literals
 from ggtkit.formulas import FormulaInstance, SizeError, gen_ggt
-from ggtkit.gtproofs import PDag, build_ppi_dag
+from ggtkit.gtproofs import Skeleton, build_ppi_dag
 from ggtkit.literals import Clause, clause_key, encode_lit, trans_clause, triangle_of
 from ggtkit.proofs import (
     AXIOM,
+    LEAF_RULES,
     LEMMA,
     RESOLVE,
     TREE,
     Derivation,
     ProofNode,
+    input_step,
     resolve_on_var,
 )
 
@@ -73,7 +75,7 @@ class TNode:
         self.pivot = pivot
         self.target = target
         self.lemma_target = False
-        self.inp = rule in (AXIOM, LEMMA)
+        self.inp = rule in LEAF_RULES
         self.nid = -1
         for idx, kid in enumerate(self.kids):
             kid.parent = self
@@ -133,9 +135,7 @@ class _Engine:
     def _resolve(self, p0: TNode, p1: TNode, pivot_var: int) -> TNode:
         clause = resolve_on_var(RESOLVE, frozenset(p0.clause), frozenset(p1.clause), pivot_var)
         node = self._mk(clause, RESOLVE, (p0, p1), pivot_var)
-        node.inp = p0.inp and p1.inp and (
-            p0.rule in (AXIOM, LEMMA) or p1.rule in (AXIOM, LEMMA)
-        )
+        node.inp = input_step(p0.rule, p0.inp, p1.rule, p1.inp)
         return node
 
     def _lemma_ref(self, target: TNode) -> TNode:
@@ -235,18 +235,17 @@ class _Engine:
             raise ConstructionError(
                 f"unfinished leaf {sorted(rec.node.clause)} is not the clause of its order"
             )
-        pdag = build_ppi_dag(n, pi)
-        masks = pdag.below_pivot_masks()
+        skel, clauses = build_ppi_dag(n, pi)
+        masks = skel.masks()
         path, index = self._path_of(rec.node)
         decisions: dict[int, tuple] = {}
         trigger = None
-        for nid in pdag.trans_axioms_postorder():
-            nd = pdag.nodes[nid]
-            hit = self._available(nd.clause, path, index)
+        for nid in skel.trans_postorder():
+            hit = self._available(clauses[nid], path, index)
             if hit is not None:
                 decisions[nid] = ("lem", hit)
                 continue
-            glit = self._guard_lit(nd.clause)
+            glit = self._guard_lit(clauses[nid])
             if glit in rec.cplus:
                 decisions[nid] = ("guard", glit)
                 continue
@@ -259,11 +258,13 @@ class _Engine:
             trigger = nid
             break
         if trigger is None:
-            newroot = self._splice_expansion(pdag, decisions, path, index)
+            newroot = self._splice_expansion(skel, clauses, decisions, path, index)
             new_leaf_nodes: list[TNode] = []
             case = "expand"
         else:
-            newroot, new_leaf_nodes = self._case_branch(rec, pi, pdag.nodes[trigger], path, index)
+            newroot, new_leaf_nodes = self._case_branch(
+                rec, pi, skel.kind[trigger], clauses[trigger], path, index
+            )
             case = "branch"
         self._splice(rec, newroot)
         for leafrec in reversed(self._leaf_records(rec, newroot, new_leaf_nodes)):
@@ -300,79 +301,78 @@ class _Engine:
 
     # -- cases (i)-(iii): splice the adjusted order derivation ---------------
 
-    def _splice_expansion(self, pdag: PDag, decisions, path, index) -> TNode:
-        consumers = pdag.consumers()
-        for nid, dec in decisions.items():
-            if dec[0] != "guard":
-                continue
-            if len(consumers[nid]) != 1:
-                raise ConstructionError("guarded transitivity axiom shared inside the dag")
-            glit = dec[1]
-            nd = pdag.nodes[nid]
-            nd.clause = nd.clause | {glit}
-            stack = [nid]
-            while stack:
-                x = stack.pop()
-                for c in consumers[x]:
-                    cn = pdag.nodes[c]
-                    if glit in cn.clause:
-                        continue
-                    if -glit in cn.clause:
-                        raise ConstructionError("guard literal meets its negation on the way down")
-                    cn.clause = cn.clause | {glit}
-                    stack.append(c)
-        if self.mode == POOL_MODE:
-            return self._unfold_pool(pdag, decisions, path, index)
-        return self._unfold_input(pdag, decisions, path, index)
+    def _splice_expansion(self, skel: Skeleton, clauses, decisions, path, index) -> TNode:
+        """Expand the order derivation, guard literals riding down.
 
-    def _axiom_tnode(self, pdag, nid, decisions, stage_learned, path, index) -> TNode:
-        dec = decisions.get(nid)
-        nd = pdag.nodes[nid]
+        `clauses` is this stage's own list and takes the added literals.  A
+        guarded axiom's literal is carried down through every consumer
+        and stops at a clause that already contains it.
+        """
+        carried = [frozenset()] * len(clauses)
+        for nid, dec in decisions.items():
+            if dec[0] == "guard":
+                clauses[nid] = clauses[nid] | {dec[1]}
+                carried[nid] = frozenset((dec[1],))
+        if any(carried):
+            for nid, prem in enumerate(skel.premises):
+                if not prem:
+                    continue
+                new = (carried[prem[0]] | carried[prem[1]]) - clauses[nid]
+                if new:
+                    if any(-glit in clauses[nid] for glit in new):
+                        raise ConstructionError("guard literal meets its negation on the way down")
+                    clauses[nid] = clauses[nid] | new
+                    carried[nid] = new
+        if self.mode == POOL_MODE:
+            return self._unfold_pool(skel, clauses, decisions, path, index)
+        return self._unfold_input(skel, clauses, decisions, path, index)
+
+    def _axiom_tnode(self, clause, dec, stage_learned) -> TNode:
         if dec is None or dec[0] == "guard":
-            return self._mk(nd.clause, AXIOM)  # minimality axiom, or guarded axiom
+            return self._mk(clause, AXIOM)  # minimality axiom, or guarded axiom
         if dec[0] == "lem":
             return self._lemma_ref(dec[1])
-        hit = stage_learned.get(nd.clause)
+        hit = stage_learned.get(clause)
         if hit is not None:
             return self._lemma_ref(hit)
-        glit = self._guard_lit(nd.clause)
-        a1 = self._mk(nd.clause | {glit}, AXIOM)
-        a2 = self._mk(nd.clause | {-glit}, AXIOM)
+        glit = self._guard_lit(clause)
+        a1 = self._mk(clause | {glit}, AXIOM)
+        a2 = self._mk(clause | {-glit}, AXIOM)
         node = self._resolve(a1, a2, abs(glit))
-        stage_learned[nd.clause] = node
-        self._learn(nd.clause, node)
+        stage_learned[clause] = node
+        self._learn(clause, node)
         return node
 
-    def _unfold_pool(self, pdag, decisions, path, index) -> TNode:
+    def _unfold_pool(self, skel: Skeleton, clauses, decisions, path, index) -> TNode:
         """Depth-first expansion; shared interior nodes become lemma refs."""
         first: dict[int, TNode] = {}
         stage_learned: dict = {}
         out: list[TNode] = []
-        stack: list[tuple[int, bool]] = [(pdag.root, False)]
+        stack: list[tuple[int, bool]] = [(skel.root, False)]
         while stack:
             nid, expanded = stack.pop()
-            nd = pdag.nodes[nid]
+            prem = skel.premises[nid]
             if expanded:
                 p1 = out.pop()
                 p0 = out.pop()
-                node = self._resolve(p0, p1, nd.pivot)
+                node = self._resolve(p0, p1, skel.pivot[nid])
                 first[nid] = node
                 out.append(node)
                 continue
-            if nd.rule == AXIOM:
-                out.append(self._axiom_tnode(pdag, nid, decisions, stage_learned, path, index))
+            if not prem:
+                out.append(self._axiom_tnode(clauses[nid], decisions.get(nid), stage_learned))
                 continue
             hit = first.get(nid)
             if hit is not None:
                 out.append(self._lemma_ref(hit))
                 continue
             stack.append((nid, True))
-            stack.append((nd.premises[1], False))
-            stack.append((nd.premises[0], False))
+            stack.append((prem[1], False))
+            stack.append((prem[0], False))
         (root,) = out
         return root
 
-    def _unfold_input(self, pdag, decisions, path, index) -> TNode:
+    def _unfold_input(self, skel: Skeleton, clauses, decisions, path, index) -> TNode:
         """Expansion that only ever references input-derived clauses.
 
         Interior clauses are re-expanded until one expansion happens to be
@@ -380,60 +380,56 @@ class _Engine:
         occurs at most depth-many times, so a splice emits at most
         size*depth lines.
         """
-        depth = [0] * len(pdag.nodes)
-        for nd in pdag.nodes:
-            if nd.premises:
-                depth[nd.nid] = 1 + max(depth[p] for p in nd.premises)
-        self.stats.segment_budget += len(pdag.nodes) * (depth[pdag.root] + 1)
+        depth = [0] * len(clauses)
+        for nid, prem in enumerate(skel.premises):
+            if prem:
+                depth[nid] = 1 + max(depth[prem[0]], depth[prem[1]])
+        self.stats.segment_budget += len(clauses) * (depth[skel.root] + 1)
         before = self.node_count
         stage_learned: dict = {}
         out: list[TNode] = []
-        stack: list[tuple[int, bool]] = [(pdag.root, False)]
+        stack: list[tuple[int, bool]] = [(skel.root, False)]
         while stack:
             nid, expanded = stack.pop()
-            nd = pdag.nodes[nid]
+            prem = skel.premises[nid]
+            clause = clauses[nid]
             if expanded:
                 p1 = out.pop()
                 p0 = out.pop()
-                node = self._resolve(p0, p1, nd.pivot)
-                if node.inp and nd.clause not in stage_learned:
-                    stage_learned[nd.clause] = node
-                    self._learn(nd.clause, node)
+                node = self._resolve(p0, p1, skel.pivot[nid])
+                if node.inp and clause not in stage_learned:
+                    stage_learned[clause] = node
+                    self._learn(clause, node)
                 out.append(node)
                 continue
-            if nd.rule == AXIOM:
-                out.append(self._axiom_tnode(pdag, nid, decisions, stage_learned, path, index))
+            if not prem:
+                out.append(self._axiom_tnode(clause, decisions.get(nid), stage_learned))
                 continue
-            hit = stage_learned.get(nd.clause)
+            hit = stage_learned.get(clause)
             if hit is None:
-                attached = self._available(nd.clause, path, index)
+                attached = self._available(clause, path, index)
                 if attached is not None and attached.inp:
                     hit = attached
             if hit is not None:
                 out.append(self._lemma_ref(hit))
                 continue
             stack.append((nid, True))
-            stack.append((nd.premises[1], False))
-            stack.append((nd.premises[0], False))
+            stack.append((prem[1], False))
+            stack.append((prem[0], False))
         (root,) = out
         self.stats.unfold_lines += self.node_count - before
         return root
 
     # -- case (iv): branch and learn -----------------------------------------
 
-    def _case_branch(self, rec, pi: Bpo, trig, path, index):
+    def _case_branch(self, rec, pi: Bpo, trig_kind, tclause, path, index):
         self.stats.case_iv += 1
         n = self.n
-        kind, data = trig.kind
+        kind, (i, j, k) = trig_kind
         if kind == "gamma":
             self.stats.case_iv_gamma += 1
-            i, j, k = data
         else:
             self.stats.case_iv_beta += 1
-            cyc = list(data)
-            rot = cyc.index(min(cyc))
-            i, j, k = cyc[rot:] + cyc[:rot]
-        tclause = frozenset(trig.clause)
         glit = self._guard_lit(tclause)
         a1 = self._mk(tclause | {glit}, AXIOM)
         a2 = self._mk(tclause | {-glit}, AXIOM)
@@ -628,54 +624,3 @@ def build_regrti_with_stats(n, seed: int = 0, max_nodes: int | None = None,
                             log_stages: bool = False) -> tuple[Derivation, LrStats]:
     return _build(n, seed, INPUT_MODE, max_nodes, log_stages)
 
-
-def unfold_to_input_lemmas(d: Derivation, max_nodes: int | None = None) -> Derivation:
-    """Turn a regular dag derivation into a tree using only input lemmas.
-
-    Shared clauses are re-expanded until one expansion is an input
-    derivation and referenced afterwards, so the output has at most
-    size * depth lines; the conclusion and regularity are untouched.
-    """
-    out: list[ProofNode] = []
-    inp: list[bool] = []
-    learned: dict[Clause, int] = {}
-    vals: list[int] = []
-    stack: list[tuple[int, bool]] = [(d.root, False)]
-    while stack:
-        nid, expanded = stack.pop()
-        nd = d.nodes[nid]
-        if expanded:
-            p1 = vals.pop()
-            p0 = vals.pop()
-            new_id = len(out)
-            out.append(ProofNode(new_id, nd.rule, nd.clause, (p0, p1), nd.pivot))
-            leafish = out[p0].rule in (AXIOM, LEMMA) or out[p1].rule in (AXIOM, LEMMA)
-            node_inp = inp[p0] and inp[p1] and leafish
-            inp.append(node_inp)
-            if node_inp:
-                learned.setdefault(frozenset(nd.clause), new_id)
-            vals.append(new_id)
-            continue
-        if nd.rule == LEMMA:
-            raise ValueError("input unfolding expects a dag without lemma references")
-        if nd.rule == AXIOM:
-            new_id = len(out)
-            out.append(ProofNode(new_id, AXIOM, nd.clause))
-            inp.append(True)
-            vals.append(new_id)
-            continue
-        hit = learned.get(frozenset(nd.clause))
-        if hit is not None:
-            new_id = len(out)
-            out.append(ProofNode(new_id, LEMMA, nd.clause, target=hit))
-            inp.append(True)
-            vals.append(new_id)
-            continue
-        if max_nodes is not None and len(out) > max_nodes:
-            raise NodeBudgetExceeded(f"unfolding exceeded {max_nodes} nodes")
-        stack.append((nid, True))
-        stack.append((nd.premises[1], False))
-        stack.append((nd.premises[0], False))
-    return Derivation(
-        tuple(out), root=len(out) - 1, shape=TREE, family=d.family, n=d.n, seed=d.seed
-    )

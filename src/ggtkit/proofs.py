@@ -19,6 +19,8 @@ RESOLVE = "R"
 W_RESOLVE = "W"
 DEGEN_RESOLVE = "D"
 
+LEAF_RULES = (AXIOM, LEMMA)
+
 DAG = "dag"
 TREE = "tree"
 
@@ -167,10 +169,27 @@ class Derivation:
             raise ProofStructureError(f"unknown shape {self.shape!r}")
 
 
-def node_consumers(d: Derivation) -> list[list[int]]:
-    """For each node, the inference nodes that use it as a premise."""
-    consumers: list[list[int]] = [[] for _ in d.nodes]
-    for nd in d.nodes:
-        for p in nd.premises:
-            consumers[p].append(nd.nid)
-    return consumers
+def below_pivot_masks(premises, pivots) -> list[int]:
+    """Per node, the bitmask of variables resolved strictly below it.
+
+    "Below" means on some path from the node toward the root.  `premises`
+    and `pivots` are indexed by node id, premises pointing at smaller ids;
+    each node passes its own mask plus its pivot on to its premises, so the
+    masks cover every root-to-leaf path in both shapes.
+    """
+    masks = [0] * len(premises)
+    for nid in range(len(premises) - 1, -1, -1):
+        if premises[nid]:
+            down = masks[nid] | 1 << pivots[nid]
+            for p in premises[nid]:
+                masks[p] |= down
+    return masks
+
+
+def input_step(rule_a: str, input_a: bool, rule_b: str, input_b: bool) -> bool:
+    """Whether an inference keeps its subderivation an input derivation.
+
+    Both premises must be input-derived and one of them a leaf: an axiom
+    or a lemma reference.  Leaves themselves are input-derived.
+    """
+    return input_a and input_b and (rule_a in LEAF_RULES or rule_b in LEAF_RULES)

@@ -8,9 +8,10 @@ far assigns a variable the trail has not, decide it with the polarity
 that contradicts the closure, so the conflict/learn/flip sequence records
 the closure pair; (3) otherwise walk the order derivation for the current
 bipartite partial order, deciding its pivots root-first along falsified
-premises; (4) if a transitivity axiom of that derivation is blocked (its
-guard is resolved deeper in the derivation), branch on the axiom's
-triangle directly, which learns it.
+premises; the walk is the gtproofs skeleton that the pool construction
+splices, built without clauses; (4) if a transitivity axiom of that
+derivation is blocked (its guard is resolved deeper in the derivation),
+branch on the axiom's triangle directly, which learns it.
 
 There are no restarts: the decision stack is only pushed, flipped, or
 popped.  Every flip carries the clause derived from the conflict that
@@ -23,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ggtkit.formulas import GGT, GT, FormulaInstance
-from ggtkit.literals import clause_key, decode_lit, encode_lit, triangle_of
+from ggtkit.gtproofs import Skeleton, build_skeleton
+from ggtkit.literals import bits, clause_key, decode_lit, encode_lit, min_first, triangle_of
 from ggtkit.proofs import AXIOM, DAG, RESOLVE, Derivation, ProofNode
 
 DECISION = -1
@@ -137,7 +139,7 @@ class Solver:
         self.learned_tris: set[tuple[int, int, int]] = set()
         self.trace = _Trace(f.family, f.n, f.seed) if trace else None
         self.learned_nodes: dict[int, int] = {}  # clause index -> trace node id
-        self._pi_cache: dict[tuple, "_Walk"] = {}
+        self._pi_cache: dict[tuple, tuple[Skeleton, list]] = {}
         self._final_node = -1
 
     # -- assignment and propagation -----------------------------------------
@@ -330,12 +332,15 @@ class Solver:
                 return encode_lit(c, a, self.n)  # contradict the closure first
         return None
 
-    def _walk_tools(self) -> "_Walk":
+    def _walk_tools(self) -> tuple[Skeleton, list]:
         """The order-derivation skeleton for the trail's bipartite order.
 
         Once the closure step is exhausted, the assigned pairs are closed
         under composition, so the bipartite order is read off the
-        adjacency rows of the minimal vertices directly.
+        adjacency rows of the minimal vertices directly.  Returned with the
+        skeleton, in node-id order, is one entry per transitivity axiom:
+        its min-first triple, its guard variable, the variables resolved
+        below it, and its kind.
         """
         n = self.n
         succ = self._succ
@@ -343,27 +348,42 @@ class Solver:
         for row in succ:
             incoming |= row
         min_mask = ~incoming & ((1 << n) - 1)
-        key = (min_mask, tuple(succ[i] for i in _bits(min_mask)))
+        minimals = list(bits(min_mask))
+        key = (min_mask, tuple(succ[i] for i in minimals))
         walk = self._pi_cache.get(key)
         if walk is None:
-            walk = _Walk(self, min_mask)
+            skel = build_skeleton(n, minimals, succ)
+            taxioms = []
+            guard_map = self.f.guard_map
+            if guard_map is not None:
+                masks = skel.masks()
+                for nid, kind in enumerate(skel.kind):
+                    if kind is not None and kind[0] != "alpha":
+                        r, s = guard_map.guard(*kind[1])
+                        gvar = abs(encode_lit(r, s, n))
+                        taxioms.append((min_first(*kind[1]), gvar, masks[nid], kind))
+            walk = (skel, taxioms)
             self._pi_cache[key] = walk
         return walk
+
+    def _blocking_axiom(self, taxioms) -> tuple | None:
+        """The first transitivity axiom whose unassigned guard is resolved
+        below it and whose triangle is not learned yet: its kind."""
+        vals = self.vals
+        tris = self.learned_tris
+        for tri, gvar, mask, kind in taxioms:
+            if vals.get(gvar) is None and mask >> gvar & 1 and tri not in tris:
+                return kind
+        return None
 
     def _pick_decision(self) -> int:
         lit = self._closure_decision()
         if lit is not None:
             return lit
-        walk = self._walk_tools()
-        blocker = walk.blocking_axiom(self)
+        skel, taxioms = self._walk_tools()
+        blocker = self._blocking_axiom(taxioms)
         if blocker is not None:
-            kind, data = blocker
-            if kind == "gamma":
-                i, j, k = data
-            else:
-                cyc = list(data)
-                rot = cyc.index(min(cyc))
-                i, j, k = cyc[rot:] + cyc[:rot]
+            _, (i, j, k) = blocker
             for a, b in ((i, j), (j, k), (k, i)):
                 lit = encode_lit(a, b, self.n)
                 if self._value(lit) is None:
@@ -371,16 +391,15 @@ class Solver:
             raise SolverContractError("blocking axiom fully assigned without conflict")
         # walk the order derivation along falsified premises
         vals = self.vals
-        nid = walk.root
-        lit0 = walk.lit0
-        p0 = walk.p0
-        p1 = walk.p1
-        while p0[nid] >= 0:
+        premises = skel.premises
+        lit0 = skel.lit0
+        nid = skel.root
+        while premises[nid]:
             l0 = lit0[nid]
             v = vals.get(abs(l0))
             if v is None:
                 return -l0  # explore the first premise first
-            nid = p0[nid] if v != (l0 > 0) else p1[nid]
+            nid = premises[nid][0] if v != (l0 > 0) else premises[nid][1]
         raise SolverContractError("decision walk reached a falsified axiom")
 
     # -- main loop -----------------------------------------------------------------
@@ -429,131 +448,6 @@ class Solver:
 
 class _Exhausted(Exception):
     """Internal signal: conflict unwinding emptied the trail."""
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _canon_tri(i: int, j: int, k: int) -> tuple[int, int, int]:
-    if i < j and i < k:
-        return (i, j, k)
-    if j < k:
-        return (j, k, i)
-    return (k, i, j)
-
-
-class _Walk:
-    """Pivot skeleton of the order derivation, without clause sets.
-
-    Mirrors the construction of the full derivation dag: the minimality
-    chains over the non-minimal vertices, then downward elimination over
-    the minimal ones.  Stores, per node, the pivot variable, the pivot
-    literal carried by its first premise, and the premise ids; per
-    transitivity axiom, the canonical triple, guard variable, and the
-    variables resolved below it.
-    """
-
-    __slots__ = ("root", "lit0", "p0", "p1", "taxioms")
-
-    def __init__(self, solver: "Solver", min_mask: int):
-        n = solver.n
-        minimals = list(_bits(min_mask))
-        rows = {i: solver._succ[i] for i in minimals}
-        guard_map = solver.f.guard_map
-        pivot: list[int] = []
-        lit0: list[int] = []
-        p0: list[int] = []
-        p1: list[int] = []
-        raw_tax: list[tuple[int, tuple, tuple]] = []
-
-        def axiom() -> int:
-            nid = len(pivot)
-            pivot.append(0)
-            lit0.append(0)
-            p0.append(-1)
-            p1.append(-1)
-            return nid
-
-        def res(a: int, b: int, piv_var: int, l0: int) -> int:
-            nid = len(pivot)
-            pivot.append(piv_var)
-            lit0.append(l0)
-            p0.append(a)
-            p1.append(b)
-            return nid
-
-        predmin: dict[int, int] = {}
-        for i in minimals:
-            for k in _bits(rows[i]):
-                predmin.setdefault(k, i)
-
-        cur: list[int] = []
-        for i in minimals:
-            node = axiom()
-            for k in range(n):
-                if min_mask >> k & 1 or rows[i] >> k & 1:
-                    continue
-                j = predmin[k]
-                t = axiom()
-                raw_tax.append((t, (i, j, k), ("gamma", (i, j, k))))
-                node = res(t, node, abs(encode_lit(k, i, n)), encode_lit(i, k, n))
-            cur.append(node)
-
-        m = len(minimals)
-        for lvl in range(m - 1, 0, -1):
-            top = minimals[lvl]
-            diag = cur[lvl]
-            for ii in range(lvl):
-                vi = minimals[ii]
-                node = diag
-                for tt in range(lvl):
-                    if tt == ii:
-                        continue
-                    vt = minimals[tt]
-                    t = axiom()
-                    raw_tax.append((t, (vt, top, vi), ("beta", (vt, top, vi))))
-                    node = res(t, node, abs(encode_lit(vt, top, n)), -encode_lit(vt, top, n))
-                cur[ii] = res(node, cur[ii], abs(encode_lit(top, vi, n)), encode_lit(vi, top, n))
-
-        self.root = cur[0]
-        self.lit0 = lit0
-        self.p0 = p0
-        self.p1 = p1
-
-        total = len(pivot)
-        cons: list[list[int]] = [[] for _ in range(total)]
-        for nid in range(total):
-            if p0[nid] >= 0:
-                cons[p0[nid]].append(nid)
-                cons[p1[nid]].append(nid)
-        masks = [0] * total
-        for nid in range(total - 1, -1, -1):
-            acc = 0
-            for c in cons[nid]:
-                acc |= masks[c] | (1 << pivot[c])
-            masks[nid] = acc
-        taxioms = []
-        for nid, tri, kind in raw_tax:
-            gvar = 0
-            if guard_map is not None:
-                r, s = guard_map.guard(*tri)
-                gvar = abs(encode_lit(r, s, n))
-            taxioms.append((_canon_tri(*tri), gvar, masks[nid], kind))
-        self.taxioms = taxioms
-
-    def blocking_axiom(self, solver: "Solver"):
-        if solver.f.guard_map is None:
-            return None
-        vals = solver.vals
-        tris = solver.learned_tris
-        for tri, gvar, mask, kind in self.taxioms:
-            if vals.get(gvar) is None and mask >> gvar & 1 and tri not in tris:
-                return kind
-        return None
 
 
 def solve(f: FormulaInstance, trace: bool = False, tie_seed: int = 0) -> SolveResult:

@@ -10,9 +10,7 @@ from ggtkit.checker import (
     input_subtrees,
 )
 from ggtkit.formulas import FormulaInstance, gen_ggt, gen_gt
-from ggtkit.gtproofs import build_pn
 from ggtkit.literals import clause_key
-from ggtkit.lr_engine import unfold_to_input_lemmas
 from ggtkit.proofs import (
     AXIOM,
     LEMMA,
@@ -117,6 +115,17 @@ def test_forward_lemma_reference_fails_pool():
     assert any("not earlier" in v.message for v in report.violations)
 
 
+def test_unused_node_fails_pool():
+    # the GT2 refutation plus an axiom that no inference uses
+    d, f = tiny_refutation()
+    nodes = d.nodes[:2] + (ProofNode(2, AXIOM, (1,)), ProofNode(3, RESOLVE, (), (0, 1), 1))
+    bad = Derivation(nodes, root=3, shape=TREE, family="gt", n=2)
+    assert check_proof(bad, f, (VALID, REGULAR, GREEDY_UP)).ok
+    for profile in (POOL, INPUT_LEMMA):
+        report = check_proof(bad, f, (profile,))
+        assert [(v.profile, v.node) for v in report.violations] == [(POOL, 2)]
+
+
 def test_input_chains_are_input_subtrees():
     nodes = (
         ProofNode(0, AXIOM, _ck({1, 2})),
@@ -167,12 +176,6 @@ def test_input_lemma_discrimination_on_pool_proof():
     assert check_proof(d, f, (VALID, REGULAR, POOL)).ok
     report = check_proof(d, f, (INPUT_LEMMA,))
     assert not report.ok  # at least one lemma is not input-derived
-
-
-def test_pn_unfolding_passes_pool():
-    d = unfold_to_input_lemmas(build_pn(4))
-    report = check_proof(d, gen_gt(4), (VALID, REGULAR, POOL, INPUT_LEMMA))
-    assert report.ok, report.lines()[:6]
 
 
 def input_derivable(gamma, cplus, nvars):

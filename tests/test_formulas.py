@@ -12,7 +12,6 @@ from ggtkit.formulas import (
     gen_gt_pi,
     gt_pi_clauses,
     guards,
-    pi_witness_assignment,
 )
 from ggtkit.literals import clause_key, encode_lit, trans_clause
 from ggtkit.propagation import is_satisfiable, satisfies
@@ -113,6 +112,26 @@ def test_gt_pi_gamma_enumeration():
     f = gen_gt_pi(4, pi)
     m = len(pi.minimals)
     assert len(f.clauses) == m + len(betas) + len(gammas)
+
+
+def pi_witness_assignment(n: int, pi: Bpo) -> dict[int, bool] | None:
+    """A satisfying assignment for GT_pi when pi is nonempty.
+
+    Puts one fixed non-minimal vertex j below every minimal vertex and
+    orders everything else against the canonical direction.
+    """
+    non_minimal = sorted(set(range(n)) - pi.minimals)
+    if not non_minimal:
+        return None
+    j = non_minimal[0]
+    assignment = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            assignment[encode_lit(a, b, n)] = False
+    for i in sorted(pi.minimals):
+        lit = encode_lit(j, i, n)
+        assignment[abs(lit)] = lit > 0
+    return assignment
 
 
 def test_gt_pi_nonempty_is_satisfiable():

@@ -1,0 +1,123 @@
+"""Byte-identity pins for the builders and the solver.
+
+Each entry is the crc32 of a serialized artifact together with the
+statistics reported beside it.  Any change to node order, clauses,
+pivots, lemma targets, decision markers or counters changes a digest, so
+a refactoring that claims identical output is held to it across commits,
+not only across reruns in one process.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+import zlib
+
+from ggtkit.bpo import Bpo
+from ggtkit.formulas import gen_ggt
+from ggtkit.gtproofs import build_pn, build_ppi
+from ggtkit.lr_engine import build_pool_with_stats, build_regrti_with_stats
+from ggtkit.proof_io import serialize_proof
+from ggtkit.solver import solve
+
+PPI_N = 12
+PPI_SEEDS = range(5)
+LR_SIZES = range(4, 10)
+SOLVE_SIZES = range(4, 11)
+SEEDS = range(3)
+
+
+def _crc(text: str) -> int:
+    return zlib.crc32(text.encode())
+
+
+def seeded_order(n: int, seed: int) -> Bpo:
+    """A bipartite order with a random minimal set and random nonempty
+    sets of minimal vertices below each other vertex."""
+    rng = random.Random(seed)
+    minimals = rng.sample(range(n), rng.randrange(2, n))
+    pairs = []
+    for k in range(n):
+        if k not in minimals:
+            below = rng.sample(minimals, rng.randrange(1, len(minimals) + 1))
+            pairs.extend((i, k) for i in below)
+    return Bpo.of(n, pairs)
+
+
+def pn_digest(n: int) -> int:
+    return _crc(serialize_proof(build_pn(n)))
+
+
+def ppi_digest(seed: int) -> int:
+    return _crc(serialize_proof(build_ppi(PPI_N, seeded_order(PPI_N, seed))))
+
+
+def lr_digest(build, n: int, seed: int) -> int:
+    d, st = build(n, seed)
+    counters = (st.stages, st.case_iv, st.unfold_lines, st.segment_budget)
+    return _crc(serialize_proof(d) + repr(counters))
+
+
+def solve_digest(n: int, seed: int) -> int:
+    result = solve(gen_ggt(n, seed), trace=True)
+    text = serialize_proof(result.trace, result.decision_markers)
+    return _crc(text + result.status + repr(dataclasses.astuple(result.stats)))
+
+
+PN = {
+    2: 4051657035, 3: 2491830135, 4: 1606775791, 5: 1884679252,
+    6: 2975080212, 7: 2359625753, 8: 2902019335, 9: 3370761134,
+    10: 119412710, 11: 893382781, 12: 2945425415,
+}
+PPI = {
+    0: 1332749986, 1: 2025324543, 2: 1656356500, 3: 633368056,
+    4: 4094741212,
+}
+POOL = {
+    (4, 0): 3694682209, (4, 1): 794675680, (4, 2): 2284789111,
+    (5, 0): 649953497, (5, 1): 3515107334, (5, 2): 2637289014,
+    (6, 0): 3077784225, (6, 1): 3574346334, (6, 2): 544585525,
+    (7, 0): 2595986335, (7, 1): 663535617, (7, 2): 2283960,
+    (8, 0): 686201165, (8, 1): 3173360091, (8, 2): 4095828298,
+    (9, 0): 206840291, (9, 1): 2467870479, (9, 2): 679298055,
+}
+REGRTI = {
+    (4, 0): 1014808852, (4, 1): 890153690, (4, 2): 1935784611,
+    (5, 0): 94219121, (5, 1): 2856940540, (5, 2): 1866025274,
+    (6, 0): 2785461803, (6, 1): 394522153, (6, 2): 801011748,
+    (7, 0): 1330456948, (7, 1): 533403399, (7, 2): 742503441,
+    (8, 0): 2154924726, (8, 1): 3132891167, (8, 2): 1680504108,
+    (9, 0): 4199809055, (9, 1): 1077953145, (9, 2): 2347614479,
+}
+SOLVE = {
+    (4, 0): 2169057172, (4, 1): 2909880957, (4, 2): 1230600849,
+    (5, 0): 1273677360, (5, 1): 2695358526, (5, 2): 2682364450,
+    (6, 0): 3092537643, (6, 1): 925030967, (6, 2): 562777477,
+    (7, 0): 2723597958, (7, 1): 1622378858, (7, 2): 2514634788,
+    (8, 0): 355738047, (8, 1): 3455660262, (8, 2): 3128175771,
+    (9, 0): 2069299180, (9, 1): 2034991066, (9, 2): 3892682226,
+    (10, 0): 203882890, (10, 1): 796970355, (10, 2): 258432560,
+}
+
+
+def test_pn_bytes():
+    assert {n: pn_digest(n) for n in PN} == PN
+
+
+def test_ppi_bytes():
+    assert {s: ppi_digest(s) for s in PPI_SEEDS} == PPI
+
+
+def test_pool_bytes_and_stats():
+    got = {(n, s): lr_digest(build_pool_with_stats, n, s) for n in LR_SIZES for s in SEEDS}
+    assert got == POOL
+
+
+def test_regrti_bytes_and_stats():
+    got = {(n, s): lr_digest(build_regrti_with_stats, n, s) for n in LR_SIZES for s in SEEDS}
+    assert got == REGRTI
+
+
+def test_solver_trace_markers_and_stats():
+    got = {(n, s): solve_digest(n, s) for n in SOLVE_SIZES for s in SEEDS}
+    assert got == SOLVE

@@ -4,10 +4,12 @@ from ggtkit.literals import (
     PairError,
     TautologyError,
     alpha_clause,
+    bits,
     clause_key,
     decode_lit,
     encode_lit,
     make_clause,
+    min_first,
     num_vars,
     order_pair,
     trans_clause,
@@ -85,3 +87,20 @@ def test_triangle_of_recognizes_cycles():
     assert triangle_of(trans_clause(0, 1, 2, n), n) == (0, 1, 2)
     assert triangle_of(alpha_clause(0, n), n) is None
     assert triangle_of(frozenset({1, 2, 3}), n) is None
+
+
+def test_min_first_names_the_triangle():
+    for i, j, k in ((0, 2, 5), (3, 1, 4), (4, 3, 1)):
+        rots = ((i, j, k), (j, k, i), (k, i, j))
+        names = {min_first(*r) for r in rots}
+        assert len(names) == 1
+        (name,) = names
+        assert name in rots and name[0] == min(i, j, k)
+        assert trans_clause(*name, 6) == trans_clause(i, j, k, 6)
+        assert triangle_of(trans_clause(i, j, k, 6), 6) == name
+
+
+def test_bits_in_increasing_order():
+    assert list(bits(0)) == []
+    assert list(bits(0b101001)) == [0, 3, 5]
+    assert list(bits(1 << 200 | 2)) == [1, 200]

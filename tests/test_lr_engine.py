@@ -70,11 +70,11 @@ def _avoiding_guards(n: int) -> tuple[GuardMap, int]:
     """
     from ggtkit.formulas import _admissible_guards
 
-    pdag = build_ppi_dag(n, Bpo.empty(n))
-    masks = pdag.below_pivot_masks()
+    skel, clauses = build_ppi_dag(n, Bpo.empty(n))
+    masks = skel.masks()
     cones = {}
-    for nid in pdag.trans_axioms_postorder():
-        cones[frozenset(pdag.nodes[nid].clause)] = masks[nid]
+    for nid in skel.trans_postorder():
+        cones[clauses[nid]] = masks[nid]
     table = {}
     uncovered = 0
     for rep in cyclic_classes(n):

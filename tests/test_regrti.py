@@ -1,9 +1,8 @@
-from ggtkit.checker import INPUT_LEMMA, POOL, REGULAR, VALID, check_proof, input_subtrees
-from ggtkit.formulas import gen_ggt, gen_gt
-from ggtkit.gtproofs import build_pn
+from ggtkit.checker import INPUT_LEMMA, POOL, REGULAR, VALID, check_proof
+from ggtkit.formulas import gen_ggt
 from ggtkit.literals import triangle_of
-from ggtkit.lr_engine import build_regrti_with_stats, unfold_to_input_lemmas
-from ggtkit.proofs import AXIOM, DAG, LEMMA, RESOLVE, Derivation, ProofNode, TREE
+from ggtkit.lr_engine import build_regrti_with_stats
+from ggtkit.proofs import AXIOM, LEMMA
 
 
 def test_regrti_small_all_profiles():
@@ -30,46 +29,6 @@ def test_regrti_transitivity_lemmas_are_three_node_inputs():
         assert {p0.rule, p1.rule} <= {AXIOM, LEMMA}, (
             "transitivity lemma target is not a height-one input derivation"
         )
-
-
-def test_unfold_tree_is_identity_up_to_renumbering():
-    d = build_pn(2)  # already a tree, no shared clauses
-    out = unfold_to_input_lemmas(d)
-    assert out.shape == TREE
-    assert len(out) == len(d)
-    assert not any(nd.rule == LEMMA for nd in out.nodes)
-    assert sorted(nd.clause for nd in out.nodes) == sorted(nd.clause for nd in d.nodes)
-    assert out.root_clause == d.root_clause
-
-
-def test_unfold_diamond_becomes_lemma():
-    # one shared derived clause, input-derivable on first use
-    nodes = (
-        ProofNode(0, AXIOM, (1, 2)),
-        ProofNode(1, AXIOM, (-1, 2)),
-        ProofNode(2, RESOLVE, (2,), (0, 1), 1),  # shared
-        ProofNode(3, AXIOM, (-2, 3)),
-        ProofNode(4, RESOLVE, (3,), (2, 3), 2),
-        ProofNode(5, AXIOM, (-2, -3)),
-        ProofNode(6, RESOLVE, (-3,), (2, 5), 2),  # second use of node 2
-        ProofNode(7, RESOLVE, (), (4, 6), 3),
-    )
-    d = Derivation(nodes, root=7, shape=DAG, family="gt", n=3)
-    out = unfold_to_input_lemmas(d)
-    lemmas = [nd for nd in out.nodes if nd.rule == LEMMA]
-    assert len(lemmas) == 1 and lemmas[0].clause == (2,)
-    flags = input_subtrees(out)
-    assert all(flags[nd.target] for nd in lemmas)
-
-
-def test_unfold_pn_bound_and_profiles():
-    for n in (4, 6):
-        d = build_pn(n)
-        out = unfold_to_input_lemmas(d)
-        assert len(out) <= len(d) * (d.depth() + 1)
-        report = check_proof(out, gen_gt(n), (VALID, REGULAR, POOL, INPUT_LEMMA))
-        assert report.ok, report.lines()[:5]
-        assert out.root_clause == frozenset()
 
 
 def test_regrti_segment_budget():

@@ -3,7 +3,7 @@ import pytest
 from ggtkit.checker import VALID, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
 from ggtkit.bpo import Bpo
-from ggtkit.literals import triangle_of
+from ggtkit.literals import min_first, triangle_of
 from ggtkit.propagation import is_satisfiable, unit_propagate
 from ggtkit.solver import Solver, UnsupportedFamilyError, solve
 
@@ -149,16 +149,11 @@ class _BlockerAudit(Solver):
         self.blocked = []
 
     def _pick_decision(self):
-        walk = None
         lit = self._closure_decision()
         if lit is None:
-            walk = self._walk_tools()
-            blocker = walk.blocking_axiom(self)
+            blocker = self._blocking_axiom(self._walk_tools()[1])
             if blocker is not None:
-                kind, data = blocker
-                cyc = list(data)
-                rot = cyc.index(min(cyc))
-                self.blocked.append(tuple(cyc[rot:] + cyc[:rot]))
+                self.blocked.append(min_first(*blocker[1]))
         return super()._pick_decision()
 
 
