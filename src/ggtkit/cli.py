@@ -40,6 +40,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _self_check(proof, inst, profiles) -> bool:
+    """Check a proof before it is written; on failure print the report."""
+    report = check_proof(proof, inst, profiles)
+    if not report.ok:
+        print("self-check FAILED:", file=sys.stderr)
+        for line in report.lines():
+            print(f"  {line}", file=sys.stderr)
+    return report.ok
+
+
 _REFUTE_PROFILES = {
     "pn": (VALID, REGULAR),
     "pool": (VALID, REGULAR, POOL),
@@ -69,11 +79,7 @@ def _cmd_refute(args) -> int:
         if args.stage_log is not None:
             with open(args.stage_log, "w") as fh:
                 fh.write("\n".join(stats.stage_log) + "\n")
-    report = check_proof(d, inst, _REFUTE_PROFILES[args.mode])
-    if not report.ok:
-        print("self-check FAILED:", file=sys.stderr)
-        for line in report.lines():
-            print(f"  {line}", file=sys.stderr)
+    if not _self_check(d, inst, _REFUTE_PROFILES[args.mode]):
         return 1
     with open(args.output, "w") as fh:
         fh.write(serialize_proof(d))
@@ -108,9 +114,11 @@ def _cmd_solve(args) -> int:
         f"conflicts={st.conflicts} learned={st.learned} restarts={st.restarts}"
     )
     if args.trace is not None:
+        if not _self_check(result.trace, inst, (VALID,)):
+            return 1
         with open(args.trace, "w") as fh:
             fh.write(serialize_proof(result.trace, result.decision_markers))
-        print(f"wrote trace ({len(result.trace)} lines) to {args.trace}")
+        print(f"wrote trace ({len(result.trace)} lines) to {args.trace}; self-check passed")
     return 0
 
 

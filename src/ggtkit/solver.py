@@ -17,15 +17,28 @@ There are no restarts: the decision stack is only pushed, flipped, or
 popped.  Every flip carries the clause derived from the conflict that
 caused it, so the final level-zero conflict replays to the empty clause
 and the whole run serializes as a checkable dag derivation.
+
+Assignments are stored by literal, as in MiniSat (Een & Sorensson 2003):
+`lv` is one list of length 2*nvars + 1 in which `lv[lit]` is True, False
+or None, and a negative literal indexes from the end, so `lv[lit]` and
+`lv[-lit]` are the two polarities of one variable.  Watch lists are
+indexed the same way.  The vertex pair of every literal (`pair`) and the
+guard variable of every triangle (`_guard_var`) are tabulated once when
+the solver is made.  The search allocates only acyclic objects (trail
+tuples, frozensets, trace nodes), so `Solver.solve` pauses the cyclic
+garbage collector, which would otherwise scan the growing trace over and
+over and free nothing, and restores the caller's setting when it returns
+or raises.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 from ggtkit.formulas import GGT, GT, FormulaInstance
 from ggtkit.gtproofs import Skeleton, build_skeleton
-from ggtkit.literals import bits, clause_key, decode_lit, encode_lit, min_first, triangle_of
+from ggtkit.literals import bits, clause_key, encode_lit, min_first, triangle_of
 from ggtkit.proofs import AXIOM, DAG, RESOLVE, Derivation, ProofNode
 
 DECISION = -1
@@ -86,10 +99,10 @@ class _Trace:
         return nid
 
     def resolve(self, p0: int, p1: int, pivot_var: int, clause) -> int:
+        # a conflict clause is false under the trail, so it never holds both
+        # polarities of a variable and sorting by variable is clause_key order
         return self._emit(
-            ProofNode(
-                len(self.nodes), RESOLVE, tuple(clause_key(clause)), (p0, p1), pivot_var
-            )
+            ProofNode(len(self.nodes), RESOLVE, tuple(sorted(clause, key=abs)), (p0, p1), pivot_var)
         )
 
     def _emit(self, node: ProofNode) -> int:
@@ -124,11 +137,25 @@ class Solver:
             random.Random(tie_seed).shuffle(self._vertex_order)
         self.clauses: list[list[int]] = [list(clause_key(c)) for c in f.clauses]
         self.clause_set = {frozenset(c) for c in f.clauses}
+        self._as_set = [frozenset(c) for c in f.clauses]  # clause index -> its literals
         self.n_original = len(self.clauses)
-        self.watches: dict[int, list[int]] = {}
-        self.vals: dict[int, bool] = {}
-        self._assign_order: dict[int, int] = {}
-        self._order = 0
+        size = 2 * f.nvars + 1  # literal-indexed lists; lit < 0 counts from the end
+        self.watches: list[list[int]] = [[] for _ in range(size)]
+        self.lv: list[bool | None] = [None] * size
+        # per variable: the trail depth of its assignment, 0 while unassigned
+        self._stamp = [0] * (f.nvars + 1)
+        self.pair: list[tuple[int, int] | None] = [None] * size  # lit -> decode_lit(lit)
+        for i in range(f.n):
+            for j in range(i + 1, f.n):
+                v = encode_lit(i, j, f.n)
+                self.pair[v] = (i, j)
+                self.pair[-v] = (j, i)
+        # min-first triangle -> variable of its guard
+        self._guard_var = None
+        if f.guard_map is not None:
+            self._guard_var = {
+                tri: abs(encode_lit(r, s, f.n)) for tri, (r, s) in f.guard_map.table.items()
+            }
         # vertex adjacency bitmasks for the order the trail currently asserts
         self._succ = [0] * f.n
         self._adj = [0] * f.n  # assigned pair variables, per endpoint
@@ -145,25 +172,25 @@ class Solver:
     # -- assignment and propagation -----------------------------------------
 
     def _value(self, lit: int):
-        v = self.vals.get(abs(lit))
-        if v is None:
-            return None
-        return v == (lit > 0)
+        return self.lv[lit]
 
     def _assign(self, lit: int, reason) -> None:
-        self.vals[abs(lit)] = lit > 0
-        self._order += 1
-        self._assign_order[abs(lit)] = self._order
-        i, j = decode_lit(lit, self.n)
+        lv = self.lv
+        lv[lit] = True
+        lv[-lit] = False
+        trail = self.trail
+        trail.append((lit, reason))
+        self._stamp[lit if lit > 0 else -lit] = len(trail)
+        i, j = self.pair[lit]
         self._succ[i] |= 1 << j
         self._adj[i] |= 1 << j
         self._adj[j] |= 1 << i
-        self.trail.append((lit, reason))
 
     def _unassign(self, lit: int) -> None:
-        del self.vals[abs(lit)]
-        del self._assign_order[abs(lit)]
-        i, j = decode_lit(lit, self.n)
+        lv = self.lv
+        lv[lit] = lv[-lit] = None
+        self._stamp[lit if lit > 0 else -lit] = 0
+        i, j = self.pair[lit]
         self._succ[i] &= ~(1 << j)
         self._adj[i] &= ~(1 << j)
         self._adj[j] &= ~(1 << i)
@@ -185,104 +212,116 @@ class Solver:
                 self._assign(lit, cidx)
                 self.stats.propagations += 1
             return None
-        free = [l for l in clause if self._value(l) is not False]
+        lv = self.lv
+        free = [l for l in clause if lv[l] is not False]
         if not free:
             return cidx
         if len(free) >= 2:
             w0, w1 = free[0], free[1]
         else:
             w0 = free[0]
-            w1 = max(
-                (l for l in clause if l != w0),
-                key=lambda l: self._assign_order.get(abs(l), 0),
-            )
-            if self._value(w0) is None:
+            stamp = self._stamp
+            w1 = max((l for l in clause if l != w0), key=lambda l: stamp[abs(l)])
+            if lv[w0] is None:
                 self._assign(w0, cidx)
                 self.stats.propagations += 1
         rest = [l for l in clause if l != w0 and l != w1]
         clause[:] = [w0, w1] + rest
-        self.watches.setdefault(w0, []).append(cidx)
-        self.watches.setdefault(w1, []).append(cidx)
+        self.watches[w0].append(cidx)
+        self.watches[w1].append(cidx)
         return None
 
     def _propagate(self):
-        """Watched-literal propagation; returns a falsified clause index or None."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead][0]
-            self.qhead += 1
-            falsified = -lit
-            watchlist = self.watches.get(falsified)
-            if not watchlist:
-                continue
-            kept = []
-            idx = 0
-            while idx < len(watchlist):
-                cidx = watchlist[idx]
-                idx += 1
-                clause = self.clauses[cidx]
+        """Watched-literal propagation; returns a falsified clause index or None.
+
+        Each watch list is compacted in place: the clauses that keep
+        watching the falsified literal stay in their order, and those whose
+        watch moved are appended, in visiting order, to their new literal's
+        list.
+        """
+        lv = self.lv
+        clauses = self.clauses
+        watches = self.watches
+        trail = self.trail
+        assign = self._assign
+        qhead = self.qhead
+        conflict = None
+        propagations = 0
+        while conflict is None and qhead < len(trail):
+            falsified = -trail[qhead][0]
+            qhead += 1
+            watchlist = watches[falsified]
+            kept = 0
+            end = len(watchlist)
+            for idx, cidx in enumerate(watchlist, 1):
+                clause = clauses[cidx]
                 if clause[0] == falsified:
                     clause[0], clause[1] = clause[1], clause[0]
-                if self._value(clause[0]) is True:
-                    kept.append(cidx)
+                head = lv[clause[0]]
+                if head is not True:
+                    for pos in range(2, len(clause)):
+                        other = clause[pos]
+                        if lv[other] is not False:
+                            clause[1], clause[pos] = other, clause[1]
+                            watches[other].append(cidx)
+                            break
+                    else:
+                        watchlist[kept] = cidx
+                        kept += 1
+                        if head is False:
+                            conflict = cidx
+                            end = idx
+                            break
+                        assign(clause[0], cidx)
+                        propagations += 1
                     continue
-                moved = False
-                for pos in range(2, len(clause)):
-                    if self._value(clause[pos]) is not False:
-                        clause[1], clause[pos] = clause[pos], clause[1]
-                        self.watches.setdefault(clause[1], []).append(cidx)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                kept.append(cidx)
-                head = self._value(clause[0])
-                if head is None:
-                    self._assign(clause[0], cidx)
-                    self.stats.propagations += 1
-                elif head is False:
-                    kept.extend(watchlist[idx:])
-                    self.watches[falsified] = kept
-                    return cidx
-            self.watches[falsified] = kept
-        return None
+                watchlist[kept] = cidx
+                kept += 1
+            del watchlist[kept:end]
+        self.qhead = qhead
+        self.stats.propagations += propagations
+        return conflict
 
     # -- conflict handling ----------------------------------------------------
 
     def _reason_clause(self, reason) -> frozenset:
         if isinstance(reason, FlipReason):
             return reason.clause
-        return frozenset(self.clauses[reason])
+        return self._as_set[reason]
 
     def _reason_node(self, reason) -> int:
         if isinstance(reason, FlipReason):
             return reason.node
         if reason >= self.n_original:
             return self.learned_nodes[reason]
-        return self.trace.axiom(self.clauses[reason])
+        return self.trace.axiom(self._as_set[reason])
 
     def _handle_conflict(self, conf_idx: int) -> bool:
         """Unwind the trail; returns False when the search space is exhausted."""
         self.stats.conflicts += 1
-        k = frozenset(self.clauses[conf_idx])
-        node = self._reason_node(conf_idx) if self.trace else None
+        k = self._as_set[conf_idx]
+        trace = self.trace
+        node = self._reason_node(conf_idx) if trace else None
         pending_learn = None
-        while self.trail:
-            lit, reason = self.trail.pop()
-            self._unassign(lit)
+        trail = self.trail
+        unassign = self._unassign
+        while trail:
+            lit, reason = trail.pop()
+            unassign(lit)
             if -lit not in k:
                 if reason == DECISION:
                     self.stats.skipped_decisions += 1
                 continue
             if reason == DECISION:
                 # flip: the derived clause is unit in -lit at this point
-                self.qhead = len(self.trail)
+                self.qhead = len(trail)
                 self._assign(-lit, FlipReason(k, node if node is not None else -1))
                 self._finish_learn(pending_learn)
                 return True
-            rclause = self._reason_clause(reason)
-            k = (rclause - {lit}) | (k - {-lit})
-            if self.trace:
-                node = self.trace.resolve(self._reason_node(reason), node, abs(lit), k)
+            # lit is true and k is false here, so k lacks lit and the reason lacks -lit
+            k = (k | self._reason_clause(reason)) - {lit, -lit}
+            if trace:
+                node = trace.resolve(self._reason_node(reason), node, abs(lit), k)
             if pending_learn is None and len(k) == 3 and k not in self.clause_set:
                 if triangle_of(k, self.n) is not None:
                     pending_learn = (k, node)
@@ -303,6 +342,7 @@ class Solver:
         self.learned_tris.add(triangle_of(clause, self.n))
         cidx = len(self.clauses)
         self.clauses.append(list(clause_key(clause)))
+        self._as_set.append(clause)
         if node is not None:
             self.learned_nodes[cidx] = node
         conf = self._attach(cidx)
@@ -354,14 +394,13 @@ class Solver:
         if walk is None:
             skel = build_skeleton(n, minimals, succ)
             taxioms = []
-            guard_map = self.f.guard_map
-            if guard_map is not None:
+            guard_var = self._guard_var
+            if guard_var is not None:
                 masks = skel.masks()
                 for nid, kind in enumerate(skel.kind):
                     if kind is not None and kind[0] != "alpha":
-                        r, s = guard_map.guard(*kind[1])
-                        gvar = abs(encode_lit(r, s, n))
-                        taxioms.append((min_first(*kind[1]), gvar, masks[nid], kind))
+                        tri = min_first(*kind[1])
+                        taxioms.append((tri, guard_var[tri], masks[nid], kind))
             walk = (skel, taxioms)
             self._pi_cache[key] = walk
         return walk
@@ -369,10 +408,10 @@ class Solver:
     def _blocking_axiom(self, taxioms) -> tuple | None:
         """The first transitivity axiom whose unassigned guard is resolved
         below it and whose triangle is not learned yet: its kind."""
-        vals = self.vals
+        lv = self.lv
         tris = self.learned_tris
         for tri, gvar, mask, kind in taxioms:
-            if vals.get(gvar) is None and mask >> gvar & 1 and tri not in tris:
+            if lv[gvar] is None and mask >> gvar & 1 and tri not in tris:
                 return kind
         return None
 
@@ -390,21 +429,30 @@ class Solver:
                     return lit  # falsify the axiom's literal
             raise SolverContractError("blocking axiom fully assigned without conflict")
         # walk the order derivation along falsified premises
-        vals = self.vals
+        lv = self.lv
         premises = skel.premises
         lit0 = skel.lit0
         nid = skel.root
         while premises[nid]:
             l0 = lit0[nid]
-            v = vals.get(abs(l0))
+            v = lv[l0]
             if v is None:
                 return -l0  # explore the first premise first
-            nid = premises[nid][0] if v != (l0 > 0) else premises[nid][1]
+            nid = premises[nid][1] if v else premises[nid][0]
         raise SolverContractError("decision walk reached a falsified axiom")
 
     # -- main loop -----------------------------------------------------------------
 
     def solve(self) -> SolveResult:
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._search()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _search(self) -> SolveResult:
         try:
             for cidx in range(len(self.clauses)):
                 conf = self._attach(cidx)
@@ -417,7 +465,7 @@ class Solver:
                     if not self._handle_conflict(conf):
                         return self._unsat()
                     continue
-                if len(self.vals) == self.f.nvars:
+                if len(self.trail) == self.f.nvars:
                     raise SolverContractError(
                         "complete assignment found; instance is not an ordering tautology"
                     )

@@ -1,6 +1,10 @@
+import dataclasses
+
 import pytest
 
+import ggtkit.cli
 from ggtkit.cli import main
+from ggtkit.proofs import RESOLVE
 
 
 def test_pipeline_gen_refute_check(tmp_path):
@@ -60,6 +64,28 @@ def test_solve_and_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "UNSAT" in out and "restarts=0" in out
     assert main(["check", "-f", str(cnf), "-p", str(trc), "--profiles", "valid"]) == 0
+
+
+def test_solve_trace_self_check_blocks_corrupted_trace(tmp_path, monkeypatch, capsys):
+    real_solve = ggtkit.cli.solve
+
+    def corrupted_solve(inst, **kwargs):
+        result = real_solve(inst, **kwargs)
+        nodes = list(result.trace.nodes)
+        nd = next(nd for nd in nodes if nd.rule == RESOLVE)
+        used = {abs(l) for p in nd.premises for l in nodes[p].clause}
+        free = min(set(range(1, inst.nvars + 1)) - used)
+        nodes[nd.nid] = dataclasses.replace(nd, pivot=free)
+        trace = dataclasses.replace(result.trace, nodes=tuple(nodes))
+        return dataclasses.replace(result, trace=trace)
+
+    cnf = tmp_path / "f.cnf"
+    trc = tmp_path / "t.prf"
+    main(["gen", "--family", "ggt", "--n", "6", "--seed", "0", "-o", str(cnf)])
+    monkeypatch.setattr(ggtkit.cli, "solve", corrupted_solve)
+    assert main(["solve", "-i", str(cnf), "--trace", str(trc)]) == 1
+    assert not trc.exists()
+    assert "self-check FAILED" in capsys.readouterr().err
 
 
 def test_solve_gt(tmp_path, capsys):

@@ -24,6 +24,7 @@ PPI_N = 12
 PPI_SEEDS = range(5)
 LR_SIZES = range(4, 10)
 SOLVE_SIZES = range(4, 11)
+SOLVE_LARGE_SIZES = (11, 12)
 SEEDS = range(3)
 
 
@@ -98,6 +99,12 @@ SOLVE = {
     (9, 0): 2069299180, (9, 1): 2034991066, (9, 2): 3892682226,
     (10, 0): 203882890, (10, 1): 796970355, (10, 2): 258432560,
 }
+SOLVE_LARGE = {
+    (11, 0): 2792695501, (11, 1): 1785615566, (11, 2): 2112060917,
+    (12, 0): 784605312, (12, 1): 729852753, (12, 2): 2070853552,
+}
+# (decisions, propagations, conflicts, learned, restarts, skipped_decisions)
+SOLVE_GGT14_STATS = (5492, 88544, 5493, 682, 0, 0)
 
 
 def test_pn_bytes():
@@ -121,3 +128,12 @@ def test_regrti_bytes_and_stats():
 def test_solver_trace_markers_and_stats():
     got = {(n, s): solve_digest(n, s) for n in SOLVE_SIZES for s in SEEDS}
     assert got == SOLVE
+
+
+def test_solver_trace_larger_sizes():
+    got = {(n, s): solve_digest(n, s) for n in SOLVE_LARGE_SIZES for s in SEEDS}
+    assert got == SOLVE_LARGE
+
+
+def test_solver_stats_untraced_ggt14():
+    assert dataclasses.astuple(solve(gen_ggt(14, 0)).stats) == SOLVE_GGT14_STATS

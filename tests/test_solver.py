@@ -1,11 +1,15 @@
+import dataclasses
+import gc
+import random
+
 import pytest
 
 from ggtkit.checker import VALID, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
 from ggtkit.bpo import Bpo
-from ggtkit.literals import min_first, triangle_of
+from ggtkit.literals import decode_lit, min_first, num_vars, triangle_of
 from ggtkit.propagation import is_satisfiable, unit_propagate
-from ggtkit.solver import Solver, UnsupportedFamilyError, solve
+from ggtkit.solver import DECISION, Solver, SolverContractError, UnsupportedFamilyError, solve
 
 
 def test_gt2_pure_propagation():
@@ -169,3 +173,74 @@ def test_blocking_axioms_get_learned():
         if blocked:
             learned = blocked & s.learned_tris
             assert len(learned) * 2 >= len(blocked), (seed, sorted(blocked - learned))
+
+
+@pytest.fixture
+def restore_gc():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_solve_leaves_gc_enabled(restore_gc):
+    gc.enable()
+    assert solve(gen_ggt(6, 0)).status == "UNSAT"
+    assert gc.isenabled()
+
+
+def test_solve_leaves_gc_disabled(restore_gc):
+    gc.disable()
+    assert solve(gen_ggt(6, 0)).status == "UNSAT"
+    assert not gc.isenabled()
+
+
+def test_solve_restores_gc_when_the_search_raises(restore_gc):
+    # without its transitivity clauses GT(3) is satisfiable (a 3-cycle)
+    f = gen_gt(3)
+    satisfiable = dataclasses.replace(f, clauses=f.clauses[:3])
+    gc.enable()
+    with pytest.raises(SolverContractError, match="complete assignment found"):
+        solve(satisfiable)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("n", (6, 7, 8))
+def test_literal_indexed_assignment_matches_dict_reference(n):
+    rng = random.Random(n)
+    s = Solver(gen_ggt(n, 0))
+    nvars = num_vars(n)
+    lits = [l for v in range(1, nvars + 1) for l in (v, -v)]
+    ref: dict[int, bool] = {}  # variable -> value
+    for _ in range(400):
+        if ref and (len(ref) == nvars or rng.random() < 0.45):
+            lit, _ = s.trail.pop()
+            s._unassign(lit)
+            del ref[abs(lit)]
+        else:
+            var = rng.choice([v for v in range(1, nvars + 1) if v not in ref])
+            lit = var if rng.random() < 0.5 else -var
+            s._assign(lit, DECISION)
+            ref[var] = lit > 0
+        for l in lits:
+            v = ref.get(abs(l))
+            assert s._value(l) is (None if v is None else v == (l > 0))
+            assert s.lv[l] is not s.lv[-l] or s.lv[l] is None
+        assert len(s.trail) == len(ref)
+        succ = [0] * n
+        for var, val in ref.items():
+            i, j = decode_lit(var if val else -var, n)
+            succ[i] |= 1 << j
+        assert s._succ == succ
+
+
+def test_pair_table_matches_decode_lit():
+    for n in range(2, 17):
+        s = Solver(gen_gt(n))
+        nvars = num_vars(n)
+        assert len(s.pair) == 2 * nvars + 1
+        for v in range(1, nvars + 1):
+            assert s.pair[v] == decode_lit(v, n)
+            assert s.pair[-v] == decode_lit(-v, n)
