@@ -6,7 +6,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from ggtkit.checker import INPUT_LEMMA, POOL, REGULAR, VALID, check_proof
+from ggtkit.checker import SELF_CHECK, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt
 from ggtkit.gtproofs import build_pn
 from ggtkit.lr_engine import NodeBudgetExceeded, build_pool_with_stats, build_regrti_with_stats
@@ -74,33 +74,25 @@ def run_one(artifact: str, n: int, seed: int, node_budget: int | None = None,
     start = time.monotonic()
     rec = BenchRecord(family="gt" if artifact == "pn" else "ggt", n=n, seed=seed,
                       artifact=artifact)
+    if artifact not in ARTIFACTS:
+        raise BenchError(f"unknown artifact {artifact!r}")
     try:
-        if artifact == "pn":
-            d = build_pn(n)
-            report = check_proof(d, gen_gt(n), (VALID, REGULAR))
-            if not report.ok:
-                raise BenchError(f"pn self-check failed: {report.lines()[:3]}")
-            rec.lines, rec.maxWidth = len(d), d.max_width()
-        elif artifact == "pool":
-            d, st = build_pool_with_stats(n, seed, max_nodes=node_budget)
-            report = check_proof(d, gen_ggt(n, seed), (VALID, REGULAR, POOL))
-            if not report.ok:
-                raise BenchError(f"pool self-check failed: {report.lines()[:3]}")
-            rec.lines, rec.maxWidth = st.lines, st.max_width
-            rec.stages, rec.caseIvCount = st.stages, st.case_iv
-        elif artifact == "regrti":
-            d, st = build_regrti_with_stats(n, seed, max_nodes=node_budget)
-            report = check_proof(d, gen_ggt(n, seed), (VALID, REGULAR, POOL, INPUT_LEMMA))
-            if not report.ok:
-                raise BenchError(f"regrti self-check failed: {report.lines()[:3]}")
-            rec.lines, rec.maxWidth = st.lines, st.max_width
-            rec.stages, rec.caseIvCount = st.stages, st.case_iv
-        elif artifact == "dpll":
-            result = solve(gen_ggt(n, seed))
+        inst = gen_gt(n) if artifact == "pn" else gen_ggt(n, seed)
+        if artifact == "dpll":
+            result = solve(inst)
             rec.conflicts = result.stats.conflicts
             rec.decisions = result.stats.decisions
         else:
-            raise BenchError(f"unknown artifact {artifact!r}")
+            if artifact == "pn":
+                d = build_pn(n)
+            else:
+                build = build_pool_with_stats if artifact == "pool" else build_regrti_with_stats
+                d, st = build(inst, max_nodes=node_budget)
+                rec.stages, rec.caseIvCount = st.stages, st.case_iv
+            report = check_proof(d, inst, SELF_CHECK[artifact])
+            if not report.ok:
+                raise BenchError(f"{artifact} self-check failed: {report.lines()[:3]}")
+            rec.lines, rec.maxWidth = len(d), d.max_width()
     except NodeBudgetExceeded:
         rec.status = TIMEOUT
     elapsed = time.monotonic() - start

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ggtkit.literals import Clause, encode_lit
+from ggtkit.literals import Clause, encode_lit, order_pair
 
 
 class CyclicOrderError(ValueError):
@@ -120,6 +120,4 @@ def tau_of_literals(lits, n: int) -> frozenset[tuple[int, int]]:
     A literal on a root-to-leaf branch is falsified there, so it asserts
     the pair of its negation.
     """
-    from ggtkit.literals import decode_lit
-
-    return frozenset(decode_lit(-lit, n) for lit in lits)
+    return frozenset(order_pair(lit, n) for lit in lits)

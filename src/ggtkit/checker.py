@@ -59,6 +59,15 @@ GREEDY_UP = "greedy_up"
 
 ALL_PROFILES = (VALID, REGULAR, POOL, INPUT_LEMMA, GREEDY_UP)
 
+# the profiles each artifact passes before it is written or counted; dpll is
+# the solver's dag trace
+SELF_CHECK = {
+    "pn": (VALID, REGULAR),
+    "pool": (VALID, REGULAR, POOL),
+    "regrti": (VALID, REGULAR, POOL, INPUT_LEMMA),
+    "dpll": (VALID,),
+}
+
 _INFERENCES = (RESOLVE, W_RESOLVE, DEGEN_RESOLVE)
 
 
@@ -277,8 +286,11 @@ def _check_greedy_up(d: Derivation, f: FormulaInstance, report: CheckReport) -> 
 def check_proof(d: Derivation, f: FormulaInstance, profiles) -> CheckReport:
     """Check a derivation against the requested profiles.
 
-    Structural malformation raises ProofStructureError before any profile
-    runs; profile failures are collected in the report.
+    A profile brings the ones it builds on: pool runs regular, and
+    input_lemma runs regular and pool.  The report lists every profile
+    that ran, in ALL_PROFILES order.  Structural malformation raises
+    ProofStructureError before any profile runs; profile failures are
+    collected in the report.
     """
     if isinstance(profiles, str):
         profiles = (profiles,)
@@ -286,13 +298,19 @@ def check_proof(d: Derivation, f: FormulaInstance, profiles) -> CheckReport:
     for p in profiles:
         if p not in ALL_PROFILES:
             raise ValueError(f"unknown profile {p!r}")
+    wanted = set(profiles)
+    if INPUT_LEMMA in wanted:
+        wanted.add(POOL)
+    if POOL in wanted:
+        wanted.add(REGULAR)
+    profiles = tuple(p for p in ALL_PROFILES if p in wanted)
     d.validate_structure()
     report = CheckReport(profiles=profiles)
     if VALID in profiles:
         _check_valid(d, f, report)
-    if REGULAR in profiles or POOL in profiles or INPUT_LEMMA in profiles:
+    if REGULAR in profiles:
         _check_regular(d, report)
-    if POOL in profiles or INPUT_LEMMA in profiles:
+    if POOL in profiles:
         _check_pool(d, report)
     if INPUT_LEMMA in profiles:
         _check_input_lemma(d, report)

@@ -7,7 +7,7 @@ import sys
 
 from ggtkit.bench import ARTIFACTS, bench_run, to_csv
 from ggtkit.bpo import Bpo, BpoError
-from ggtkit.checker import ALL_PROFILES, INPUT_LEMMA, POOL, REGULAR, VALID, check_proof
+from ggtkit.checker import ALL_PROFILES, SELF_CHECK, check_proof
 from ggtkit.dimacs import DimacsError, read_dimacs, write_dimacs
 from ggtkit.formulas import GGT, GT, GT_PI, SizeError, gen_ggt, gen_gt, gen_gt_pi
 from ggtkit.gtproofs import build_pn
@@ -50,13 +50,6 @@ def _self_check(proof, inst, profiles) -> bool:
     return report.ok
 
 
-_REFUTE_PROFILES = {
-    "pn": (VALID, REGULAR),
-    "pool": (VALID, REGULAR, POOL),
-    "regrti": (VALID, REGULAR, POOL, INPUT_LEMMA),
-}
-
-
 def _cmd_refute(args) -> int:
     with open(args.input) as fh:
         inst = read_dimacs(fh.read())
@@ -66,20 +59,17 @@ def _cmd_refute(args) -> int:
             return USAGE_ERROR
         d = build_pn(inst.n)
     else:
-        if inst.family != GGT or inst.unguarded:
-            print(f"mode {args.mode} needs a guarded instance (ggt, n >= 4)", file=sys.stderr)
-            return USAGE_ERROR
         build = build_pool_with_stats if args.mode == "pool" else build_regrti_with_stats
-        d, stats = build(inst.n, inst.seed, max_nodes=args.max_nodes,
-                         log_stages=args.stage_log is not None)
+        d, stats = build(inst, max_nodes=args.max_nodes)
         print(
             f"{args.mode}: {stats.lines} lines, width {stats.max_width}, "
             f"{stats.stages} stages, {stats.case_iv} branchings"
         )
         if args.stage_log is not None:
             with open(args.stage_log, "w") as fh:
-                fh.write("\n".join(stats.stage_log) + "\n")
-    if not _self_check(d, inst, _REFUTE_PROFILES[args.mode]):
+                for rec in stats.stage_log:
+                    fh.write(" ".join(f"{k}={v}" for k, v in zip(rec._fields, rec)) + "\n")
+    if not _self_check(d, inst, SELF_CHECK[args.mode]):
         return 1
     with open(args.output, "w") as fh:
         fh.write(serialize_proof(d))
@@ -114,7 +104,7 @@ def _cmd_solve(args) -> int:
         f"conflicts={st.conflicts} learned={st.learned} restarts={st.restarts}"
     )
     if args.trace is not None:
-        if not _self_check(result.trace, inst, (VALID,)):
+        if not _self_check(result.trace, inst, SELF_CHECK["dpll"]):
             return 1
         with open(args.trace, "w") as fh:
             fh.write(serialize_proof(result.trace, result.decision_markers))

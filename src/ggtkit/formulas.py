@@ -22,6 +22,7 @@ from ggtkit.literals import (
     min_first,
     num_vars,
     trans_clause,
+    triangle_of,
 )
 
 GT = "gt"
@@ -53,11 +54,21 @@ def cyclic_classes(n: int) -> list[tuple[int, int, int]]:
 
 @dataclass(frozen=True)
 class GuardMap:
-    """Seeded guard assignment, one (r, s) pair per cyclic class."""
+    """Seeded guard assignment, one (r, s) pair per cyclic class.
+
+    `lits` holds each class's guard as the signed literal x[r,s], keyed
+    like `table` by the min-first triangle.  The guarded copy carrying
+    +lits[tri] is the one listed first.
+    """
 
     n: int
     seed: int
     table: dict[tuple[int, int, int], tuple[int, int]] = field(repr=False)
+    lits: dict[tuple[int, int, int], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lits = {tri: encode_lit(r, s, self.n) for tri, (r, s) in self.table.items()}
+        object.__setattr__(self, "lits", lits)
 
     def guard(self, i: int, j: int, k: int) -> tuple[int, int]:
         """Guard pair for the class of (i, j, k); invariant under rotation."""
@@ -139,10 +150,8 @@ def gen_ggt(n: int, seed: int) -> FormulaInstance:
     gmap = guards(n, seed)
     clauses = [alpha_clause(i, n) for i in range(n)]
     for rep in cyclic_classes(n):
-        i, j, k = rep
-        t = trans_clause(i, j, k, n)
-        r, s = gmap.guard(i, j, k)
-        g = encode_lit(r, s, n)
+        t = trans_clause(*rep, n)
+        g = gmap.lits[rep]
         clauses.append(make_clause(t | {g}))
         clauses.append(make_clause(t | {-g}))
     return FormulaInstance(family=GGT, n=n, clauses=tuple(clauses), seed=seed, guard_map=gmap)
@@ -189,8 +198,6 @@ def gen_gt_pi(n: int, pi: Bpo) -> FormulaInstance:
 
 
 def _triple_sort_key(n: int):
-    from ggtkit.literals import triangle_of
-
     def key(clause: Clause):
         tri = triangle_of(clause, n)
         assert tri is not None

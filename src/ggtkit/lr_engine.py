@@ -29,13 +29,13 @@ lemma at a size cost bounded by the dag depth.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
 from ggtkit.bpo import CyclicOrderError, Bpo, PartialSpec, associated_bpo, bpo_clause, tau_of_literals
 from ggtkit.formulas import FormulaInstance, SizeError, gen_ggt
 from ggtkit.gtproofs import Skeleton, build_ppi_dag
-from ggtkit.literals import Clause, clause_key, encode_lit, trans_clause, triangle_of
+from ggtkit.literals import Clause, clause_key, encode_lit, min_first, trans_clause
 from ggtkit.proofs import (
     AXIOM,
     LEAF_RULES,
@@ -89,6 +89,12 @@ class LeafRec:
     tau: frozenset  # the order pairs those literals commit to
 
 
+# One construction stage: its number, "expand" or "branch", the leaf clause's
+# width, the size of the leaf's order, and the unfinished leaves, nodes and
+# learned clauses after it.
+StageRecord = namedtuple("StageRecord", "stage case width pi leaves nodes learned")
+
+
 @dataclass
 class LrStats:
     n: int
@@ -102,22 +108,22 @@ class LrStats:
     max_width: int = 0
     segment_budget: int = 0  # sum over splices of dag size * (dag depth + 1)
     unfold_lines: int = 0  # lines those splices actually emitted
-    stage_log: list = field(default_factory=list)
+    stage_log: list[StageRecord] = field(default_factory=list)
 
 
 class _Engine:
-    def __init__(self, formula: FormulaInstance, mode: str, max_nodes: int | None,
-                 log_stages: bool = False):
+    def __init__(self, formula: FormulaInstance, mode: str, max_nodes: int | None):
         if formula.guard_map is None:
-            raise SizeError("pool construction needs a guarded instance (n >= 4)")
+            raise SizeError("pool construction needs a guarded instance (ggt, n >= 4, seeded)")
         self.f = formula
         self.n = formula.n
+        self.glits = formula.guard_map.lits
         self.mode = mode
         self.max_nodes = max_nodes
         self.node_count = 0
         self.learned: dict[Clause, list[TNode]] = {}
+        self.learned_count = 0
         self.stats = LrStats(n=self.n, seed=formula.seed, mode=mode)
-        self.log_stages = log_stages
         root = self._mk(set(), "U")
         self.root = root
         self.leaves: deque[LeafRec] = deque([LeafRec(root, frozenset(), frozenset())])
@@ -144,6 +150,15 @@ class _Engine:
 
     def _learn(self, clause, node: TNode) -> None:
         self.learned.setdefault(frozenset(clause), []).append(node)
+        self.learned_count += 1
+
+    def _derive(self, tclause, glit: int) -> TNode:
+        """Resolve the two guarded copies of an axiom on its guard; learn it."""
+        a1 = self._mk(tclause | {glit}, AXIOM)
+        a2 = self._mk(tclause | {-glit}, AXIOM)
+        node = self._resolve(a1, a2, abs(glit))
+        self._learn(tclause, node)
+        return node
 
     # -- postorder bookkeeping --------------------------------------------
 
@@ -183,30 +198,20 @@ class _Engine:
 
     # -- guard classification ----------------------------------------------
 
-    def _guard_lit(self, tclause) -> int:
-        tri = triangle_of(frozenset(tclause), self.n)
-        if tri is None:
-            raise ConstructionError(f"not a transitivity clause: {sorted(tclause)}")
-        r, s = self.f.guard_map.guard(*tri)
-        return encode_lit(r, s, self.n)
-
-    def _t_subproof(self, tclause, ctx: frozenset, path, index) -> TNode:
-        """Leaf-level treatment of one transitivity axiom inside a branching subproof."""
+    def _t_subproof(self, tri, ctx: frozenset, path, index) -> TNode:
+        """Leaf-level treatment of the axiom T[tri] inside a branching subproof."""
+        tclause = trans_clause(*tri, self.n)
         hit = self._available(tclause, path, index)
         if hit is not None:
             return self._lemma_ref(hit)
-        glit = self._guard_lit(tclause)
+        glit = self.glits[min_first(*tri)]
         if glit in ctx and -glit in ctx:
             raise ConstructionError("branch context contains both guard polarities")
         if glit in ctx:
-            return self._mk(set(tclause) | {glit}, AXIOM)
+            return self._mk(tclause | {glit}, AXIOM)
         if -glit in ctx:
-            return self._mk(set(tclause) | {-glit}, AXIOM)
-        a1 = self._mk(set(tclause) | {glit}, AXIOM)
-        a2 = self._mk(set(tclause) | {-glit}, AXIOM)
-        node = self._resolve(a1, a2, abs(glit))
-        self._learn(tclause, node)
-        return node
+            return self._mk(tclause | {-glit}, AXIOM)
+        return self._derive(tclause, glit)
 
     # -- stage driver -------------------------------------------------------
 
@@ -245,7 +250,7 @@ class _Engine:
             if hit is not None:
                 decisions[nid] = ("lem", hit)
                 continue
-            glit = self._guard_lit(clauses[nid])
+            glit = self.glits[min_first(*skel.kind[nid][1])]
             if glit in rec.cplus:
                 decisions[nid] = ("guard", glit)
                 continue
@@ -253,7 +258,7 @@ class _Engine:
                 decisions[nid] = ("guard", -glit)
                 continue
             if not masks[nid] >> abs(glit) & 1:
-                decisions[nid] = ("derive",)
+                decisions[nid] = ("derive", glit)
                 continue
             trigger = nid
             break
@@ -269,12 +274,10 @@ class _Engine:
         self._splice(rec, newroot)
         for leafrec in reversed(self._leaf_records(rec, newroot, new_leaf_nodes)):
             self.leaves.appendleft(leafrec)
-        if self.log_stages:
-            self.stats.stage_log.append(
-                f"stage={self.stats.stages} case={case} width={len(rec.node.clause)} "
-                f"pi={len(pi.pairs)} leaves={len(self.leaves)} nodes={self.node_count} "
-                f"learned={sum(len(v) for v in self.learned.values())}"
-            )
+        self.stats.stage_log.append(StageRecord(
+            self.stats.stages, case, len(rec.node.clause), len(pi.pairs), len(self.leaves),
+            self.node_count, self.learned_count,
+        ))
 
     def _leaf_records(self, rec, newroot, leaf_nodes) -> list[LeafRec]:
         out = []
@@ -335,12 +338,7 @@ class _Engine:
         hit = stage_learned.get(clause)
         if hit is not None:
             return self._lemma_ref(hit)
-        glit = self._guard_lit(clause)
-        a1 = self._mk(clause | {glit}, AXIOM)
-        a2 = self._mk(clause | {-glit}, AXIOM)
-        node = self._resolve(a1, a2, abs(glit))
-        stage_learned[clause] = node
-        self._learn(clause, node)
+        node = stage_learned[clause] = self._derive(clause, dec[1])
         return node
 
     def _unfold_pool(self, skel: Skeleton, clauses, decisions, path, index) -> TNode:
@@ -430,23 +428,19 @@ class _Engine:
             self.stats.case_iv_gamma += 1
         else:
             self.stats.case_iv_beta += 1
-        glit = self._guard_lit(tclause)
-        a1 = self._mk(tclause | {glit}, AXIOM)
-        a2 = self._mk(tclause | {-glit}, AXIOM)
-        nT = self._resolve(a1, a2, abs(glit))
-        self._learn(tclause, nT)
+        nT = self._derive(tclause, self.glits[min_first(i, j, k)])
 
         pbar = bpo_clause(pi)
         var = lambda a, b: abs(encode_lit(a, b, n))
 
         if kind == "gamma":
             steps1 = [
-                (trans_clause(i, j, l, n), var(i, l))
+                ((i, j, l), var(i, l))
                 for l in sorted(pi.above(j))
                 if l != k and not pi.precedes(i, l)
             ]
             steps2 = [
-                (trans_clause(j, i, l, n), var(j, l))
+                ((j, i, l), var(j, l))
                 for l in sorted(pi.above(i))
                 if not pi.precedes(j, l)
             ]
@@ -469,15 +463,15 @@ class _Engine:
             if pi.precedes(i, l):
                 continue
             partner = j if pi.precedes(j, l) else k
-            steps3.append((trans_clause(i, partner, l, n), var(i, l)))
+            steps3.append(((i, partner, l), var(i, l)))
         steps4 = []
         for l in sorted(pi.above(j)):
             if not pi.precedes(k, l):
-                steps4.append((trans_clause(k, j, l, n), var(k, l)))
+                steps4.append(((k, j, l), var(k, l)))
             if not pi.precedes(i, l):
-                steps4.append((trans_clause(i, j, l, n), var(i, l)))
+                steps4.append(((i, j, l), var(i, l)))
         steps5 = [
-            (trans_clause(j, i, l, n), var(j, l))
+            ((j, i, l), var(j, l))
             for l in sorted(pi.above(i))
             if not pi.precedes(j, l)
         ]
@@ -509,19 +503,19 @@ class _Engine:
         sub_tau = frozenset(tau) | frozenset(new_pairs)
         leaf = bpo_clause(associated_bpo(PartialSpec(self.n, sub_tau)))
         seq = [leaf]
-        for tcl, piv in steps:
-            seq.append(resolve_on_var(RESOLVE, tcl, seq[-1], piv))
+        for tri, piv in steps:
+            seq.append(resolve_on_var(RESOLVE, trans_clause(*tri, self.n), seq[-1], piv))
         return seq
 
     def _build_chain(self, rec, base_seq, steps, below_lits, path, index):
         """Materialize one replacement chain; returns (chain root, its leaf)."""
         leaf = self._mk(base_seq[0], "U")
         cur = leaf
-        for t, (tcl, piv) in enumerate(steps, start=1):
+        for t, (tri, piv) in enumerate(steps, start=1):
             ctx = set(rec.cplus) | below_lits
             for clause in base_seq[t:]:
                 ctx |= clause
-            tsub = self._t_subproof(tcl, frozenset(ctx), path, index)
+            tsub = self._t_subproof(tri, frozenset(ctx), path, index)
             cur = self._resolve(tsub, cur, piv)
         return cur, leaf
 
@@ -596,31 +590,28 @@ class _Engine:
         )
 
 
-def _build(formula_or_n, seed, mode, max_nodes, log_stages) -> tuple[Derivation, LrStats]:
+def _build(formula_or_n, seed, mode, max_nodes) -> tuple[Derivation, LrStats]:
     if isinstance(formula_or_n, FormulaInstance):
         formula = formula_or_n
     else:
         formula = gen_ggt(formula_or_n, seed)
-    engine = _Engine(formula, mode, max_nodes, log_stages)
-    return engine.run()
+    return _Engine(formula, mode, max_nodes).run()
 
 
-def build_pool_refutation(n, seed: int = 0, max_nodes: int | None = None) -> Derivation:
-    """Pool refutation of the guarded instance: tree with lemmas, regular, root empty."""
-    return _build(n, seed, POOL_MODE, max_nodes, False)[0]
+def build_pool_with_stats(n, seed: int = 0,
+                          max_nodes: int | None = None) -> tuple[Derivation, LrStats]:
+    """Pool refutation of the guarded instance (a tree with lemmas, regular,
+    root empty) and its construction statistics.
+
+    `n` is either a size, for GGT(n) drawn with `seed`, or a FormulaInstance.
+    """
+    return _build(n, seed, POOL_MODE, max_nodes)
 
 
-def build_regrti_refutation(n, seed: int = 0, max_nodes: int | None = None) -> Derivation:
-    """Tree-like regular refutation of the guarded instance using only input lemmas."""
-    return _build(n, seed, INPUT_MODE, max_nodes, False)[0]
+def build_regrti_with_stats(n, seed: int = 0,
+                            max_nodes: int | None = None) -> tuple[Derivation, LrStats]:
+    """Tree-like regular refutation using only input lemmas, and its statistics.
 
-
-def build_pool_with_stats(n, seed: int = 0, max_nodes: int | None = None,
-                          log_stages: bool = False) -> tuple[Derivation, LrStats]:
-    return _build(n, seed, POOL_MODE, max_nodes, log_stages)
-
-
-def build_regrti_with_stats(n, seed: int = 0, max_nodes: int | None = None,
-                            log_stages: bool = False) -> tuple[Derivation, LrStats]:
-    return _build(n, seed, INPUT_MODE, max_nodes, log_stages)
-
+    `n` is either a size, for GGT(n) drawn with `seed`, or a FormulaInstance.
+    """
+    return _build(n, seed, INPUT_MODE, max_nodes)

@@ -118,14 +118,6 @@ class Derivation:
     def max_width(self) -> int:
         return max((len(nd.clause) for nd in self.nodes), default=0)
 
-    def depth(self) -> int:
-        """Longest premise chain from any node down to an axiom or lemma leaf."""
-        depths = [0] * len(self.nodes)
-        for nd in self.nodes:
-            if nd.premises:
-                depths[nd.nid] = 1 + max(depths[p] for p in nd.premises)
-        return max(depths, default=0)
-
     def validate_structure(self) -> None:
         """Ids contiguous, premises/targets earlier, rule arities right."""
         for idx, nd in enumerate(self.nodes):

@@ -22,18 +22,19 @@ Assignments are stored by literal, as in MiniSat (Een & Sorensson 2003):
 `lv` is one list of length 2*nvars + 1 in which `lv[lit]` is True, False
 or None, and a negative literal indexes from the end, so `lv[lit]` and
 `lv[-lit]` are the two polarities of one variable.  Watch lists are
-indexed the same way.  The vertex pair of every literal (`pair`) and the
-guard variable of every triangle (`_guard_var`) are tabulated once when
-the solver is made.  The search allocates only acyclic objects (trail
-tuples, frozensets, trace nodes), so `Solver.solve` pauses the cyclic
-garbage collector, which would otherwise scan the growing trace over and
-over and free nothing, and restores the caller's setting when it returns
-or raises.
+indexed the same way.  The vertex pair of every literal (`pair`) is
+tabulated once when the solver is made, and the guard of every triangle
+is read from the instance's `GuardMap.lits`.  The search allocates only
+acyclic objects (trail tuples, frozensets, trace nodes), so
+`Solver.solve` pauses the cyclic garbage collector, which would otherwise
+scan the growing trace over and over and free nothing, and restores the
+caller's setting when it returns or raises.
 """
 
 from __future__ import annotations
 
 import gc
+import random
 from dataclasses import dataclass, field
 
 from ggtkit.formulas import GGT, GT, FormulaInstance
@@ -132,8 +133,6 @@ class Solver:
         # tie break for the closure scan: which vertex is examined first
         self._vertex_order = list(range(f.n))
         if tie_seed:
-            import random
-
             random.Random(tie_seed).shuffle(self._vertex_order)
         self.clauses: list[list[int]] = [list(clause_key(c)) for c in f.clauses]
         self.clause_set = {frozenset(c) for c in f.clauses}
@@ -150,12 +149,6 @@ class Solver:
                 v = encode_lit(i, j, f.n)
                 self.pair[v] = (i, j)
                 self.pair[-v] = (j, i)
-        # min-first triangle -> variable of its guard
-        self._guard_var = None
-        if f.guard_map is not None:
-            self._guard_var = {
-                tri: abs(encode_lit(r, s, f.n)) for tri, (r, s) in f.guard_map.table.items()
-            }
         # vertex adjacency bitmasks for the order the trail currently asserts
         self._succ = [0] * f.n
         self._adj = [0] * f.n  # assigned pair variables, per endpoint
@@ -394,13 +387,13 @@ class Solver:
         if walk is None:
             skel = build_skeleton(n, minimals, succ)
             taxioms = []
-            guard_var = self._guard_var
-            if guard_var is not None:
+            if self.f.guard_map is not None:
+                glits = self.f.guard_map.lits
                 masks = skel.masks()
                 for nid, kind in enumerate(skel.kind):
                     if kind is not None and kind[0] != "alpha":
                         tri = min_first(*kind[1])
-                        taxioms.append((tri, guard_var[tri], masks[nid], kind))
+                        taxioms.append((tri, abs(glits[tri]), masks[nid], kind))
             walk = (skel, taxioms)
             self._pi_cache[key] = walk
         return walk

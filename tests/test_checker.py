@@ -1,6 +1,7 @@
 import random
 
 from ggtkit.checker import (
+    ALL_PROFILES,
     GREEDY_UP,
     INPUT_LEMMA,
     POOL,
@@ -16,6 +17,7 @@ from ggtkit.proofs import (
     LEMMA,
     RESOLVE,
     TREE,
+    W_RESOLVE,
     Derivation,
     ProofNode,
     apply_rule,
@@ -124,6 +126,37 @@ def test_unused_node_fails_pool():
     for profile in (POOL, INPUT_LEMMA):
         report = check_proof(bad, f, (profile,))
         assert [(v.profile, v.node) for v in report.violations] == [(POOL, 2)]
+    assert check_proof(bad, f, (POOL,)).lines() == [
+        "regular: PASS", "pool: FAIL (1)", "[pool] node 2: no inference uses this node",
+    ]
+    assert check_proof(bad, f, (INPUT_LEMMA,)).lines() == [
+        "regular: PASS", "pool: FAIL (1)", "input_lemma: PASS",
+        "[pool] node 2: no inference uses this node",
+    ]
+
+
+def test_implied_profiles_are_reported():
+    # a GT2 tree that w-resolves variable 1 twice on one path: valid, tree
+    # shaped and fully used, but not regular
+    f = gen_gt(2)
+    nodes = (
+        ProofNode(0, AXIOM, (1,)),
+        ProofNode(1, AXIOM, (-1,)),
+        ProofNode(2, W_RESOLVE, (), (0, 1), 1),
+        ProofNode(3, AXIOM, (1,)),
+        ProofNode(4, W_RESOLVE, (), (2, 3), 1),
+    )
+    d = Derivation(nodes, root=4, shape=TREE, family="gt", n=2)
+    assert check_proof(d, f, (VALID,)).ok
+    report = check_proof(d, f, (POOL,))
+    assert report.profiles == (REGULAR, POOL)
+    assert not report.ok
+    assert report.lines()[:2] == ["regular: FAIL (1)", "pool: PASS"]
+    report = check_proof(d, f, (INPUT_LEMMA, VALID))
+    assert report.profiles == (VALID, REGULAR, POOL, INPUT_LEMMA)
+    assert report.lines()[:4] == ["valid: PASS", "regular: FAIL (1)", "pool: PASS", "input_lemma: PASS"]
+    full = check_proof(d, f, ALL_PROFILES)
+    assert full.profiles == ALL_PROFILES
 
 
 def test_input_chains_are_input_subtrees():
@@ -169,9 +202,9 @@ def test_non_input_lemma_fails_input_profile():
 
 def test_input_lemma_discrimination_on_pool_proof():
     # pool-mode proofs reuse shared interior clauses, which are not input
-    from ggtkit.lr_engine import build_pool_refutation
+    from ggtkit.lr_engine import build_pool_with_stats
 
-    d = build_pool_refutation(6, 0)
+    d = build_pool_with_stats(6, 0)[0]
     f = gen_ggt(6, 0)
     assert check_proof(d, f, (VALID, REGULAR, POOL)).ok
     report = check_proof(d, f, (INPUT_LEMMA,))

@@ -1,9 +1,12 @@
+import argparse
 import dataclasses
 
 import pytest
 
 import ggtkit.cli
-from ggtkit.cli import main
+from ggtkit.bench import ARTIFACTS
+from ggtkit.checker import ALL_PROFILES, SELF_CHECK
+from ggtkit.cli import main, make_parser
 from ggtkit.proofs import RESOLVE
 
 
@@ -126,3 +129,38 @@ def test_refute_mode_mismatch(tmp_path):
     cnf = tmp_path / "f.cnf"
     main(["gen", "--family", "gt", "--n", "5", "-o", str(cnf)])
     assert main(["refute", "--mode", "pool", "-i", str(cnf), "-o", str(tmp_path / "p")]) == 2
+
+
+def test_refute_ggt_without_seed(tmp_path, capsys):
+    # without a seed the header does not name the guard map
+    cnf = tmp_path / "f.cnf"
+    main(["gen", "--family", "ggt", "--n", "5", "--seed", "0", "-o", str(cnf)])
+    cnf.write_text(cnf.read_text().replace(" seed=0", "", 1))
+    capsys.readouterr()
+    for mode in ("pool", "regrti"):
+        prf = tmp_path / f"{mode}.prf"
+        assert main(["refute", "--mode", mode, "-i", str(cnf), "-o", str(prf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "guarded instance" in err
+        assert not prf.exists()
+
+
+def test_check_reports_implied_profiles(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    prf = tmp_path / "p.prf"
+    main(["gen", "--family", "ggt", "--n", "5", "--seed", "1", "-o", str(cnf)])
+    main(["refute", "--mode", "regrti", "-i", str(cnf), "-o", str(prf)])
+    capsys.readouterr()
+    assert main(["check", "-f", str(cnf), "-p", str(prf), "--profiles", "input_lemma"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "regular: PASS", "pool: PASS", "input_lemma: PASS",
+    ]
+
+
+def test_self_check_profiles_cover_artifacts_and_modes():
+    sub = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    mode = next(a for a in sub.choices["refute"]._actions if a.dest == "mode")
+    assert set(ARTIFACTS) <= set(SELF_CHECK)
+    assert set(mode.choices) <= set(SELF_CHECK)
+    for profiles in SELF_CHECK.values():
+        assert profiles == tuple(p for p in ALL_PROFILES if p in profiles)

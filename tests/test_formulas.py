@@ -5,6 +5,7 @@ import pytest
 
 from ggtkit.bpo import Bpo, PartialSpec, associated_bpo
 from ggtkit.formulas import (
+    GuardMap,
     SizeError,
     cyclic_classes,
     gen_ggt,
@@ -70,6 +71,20 @@ def test_guard_invariants():
         for (i, j, k), (r, s) in gmap.table.items():
             assert r != s
             assert not {r, s} <= {i, j, k}
+
+
+def test_guard_lits_match_guard_pairs():
+    for n in range(4, 13):
+        for seed in range(3):
+            gmap = guards(n, seed)
+            assert set(gmap.lits) == set(cyclic_classes(n))
+            for rep in cyclic_classes(n):
+                assert gmap.lits[rep] == encode_lit(*gmap.guard(*rep), n)
+    # a map built directly from a table derives the same literals
+    table = {rep: (rep[1], 3 if rep[1] != 3 else 2) for rep in cyclic_classes(4)}
+    direct = GuardMap(4, -1, table)
+    assert direct.lits == {rep: encode_lit(*table[rep], 4) for rep in cyclic_classes(4)}
+    assert direct == GuardMap(4, -1, dict(table))
 
 
 def test_guard_cyclic_invariance():

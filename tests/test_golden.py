@@ -13,7 +13,9 @@ import dataclasses
 import random
 import zlib
 
+from ggtkit.bench import ARTIFACTS, bench_run, to_csv
 from ggtkit.bpo import Bpo
+from ggtkit.cli import main
 from ggtkit.formulas import gen_ggt
 from ggtkit.gtproofs import build_pn, build_ppi
 from ggtkit.lr_engine import build_pool_with_stats, build_regrti_with_stats
@@ -105,6 +107,10 @@ SOLVE_LARGE = {
 }
 # (decisions, propagations, conflicts, learned, restarts, skipped_decisions)
 SOLVE_GGT14_STATS = (5492, 88544, 5493, 682, 0, 0)
+# all four artifacts at n = 4..9, seeds 0-1, wall column zeroed
+BENCH_CSV = 2803520527
+# `ggt refute --stage-log` for GGT(8) seed 3
+STAGE_LOG = {"pool": 404010773, "regrti": 2120618279}
 
 
 def test_pn_bytes():
@@ -137,3 +143,21 @@ def test_solver_trace_larger_sizes():
 
 def test_solver_stats_untraced_ggt14():
     assert dataclasses.astuple(solve(gen_ggt(14, 0)).stats) == SOLVE_GGT14_STATS
+
+
+def test_bench_csv_bytes():
+    records, _ = bench_run(range(4, 10), range(2), ARTIFACTS, wall=False)
+    assert _crc(to_csv(records)) == BENCH_CSV
+
+
+def test_stage_log_bytes(tmp_path):
+    cnf = tmp_path / "f.cnf"
+    assert main(["gen", "--family", "ggt", "--n", "8", "--seed", "3", "-o", str(cnf)]) == 0
+    got = {}
+    for mode in STAGE_LOG:
+        log = tmp_path / f"{mode}.log"
+        args = ["refute", "--mode", mode, "-i", str(cnf), "-o", str(tmp_path / f"{mode}.prf"),
+                "--stage-log", str(log)]
+        assert main(args) == 0
+        got[mode] = _crc(log.read_text())
+    assert got == STAGE_LOG

@@ -14,7 +14,7 @@ from tests.greedy_reference import reference_greedy_report
 from ggtkit.checker import GREEDY_UP, VALID, check_proof
 from ggtkit.formulas import FormulaInstance, gen_ggt
 from ggtkit.literals import clause_key
-from ggtkit.lr_engine import build_pool_refutation, build_regrti_refutation
+from ggtkit.lr_engine import build_pool_with_stats, build_regrti_with_stats
 from ggtkit.proofs import (
     AXIOM,
     LEMMA,
@@ -165,8 +165,8 @@ def test_greedy_up_matches_reference_on_built_proofs_and_mutants():
     for n in (4, 5, 6, 7):
         for g in range(4):
             f = gen_ggt(n, g)
-            for build in (build_pool_refutation, build_regrti_refutation):
-                d = build(f)
+            for build in (build_pool_with_stats, build_regrti_with_stats):
+                d = build(f)[0]
                 for proof in (d, *_mutants(d, f.nvars, rng)):
                     got = check_proof(proof, f, (GREEDY_UP,)).lines()
                     assert got == reference_greedy_report(proof, f).lines(), (n, g, build.__name__)

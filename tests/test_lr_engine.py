@@ -7,11 +7,7 @@ from ggtkit.formulas import FormulaInstance, GuardMap, GGT, gen_ggt, cyclic_clas
 from ggtkit.gtproofs import build_ppi_dag
 from ggtkit.bpo import Bpo
 from ggtkit.literals import encode_lit, trans_clause, make_clause
-from ggtkit.lr_engine import (
-    NodeBudgetExceeded,
-    build_pool_refutation,
-    build_pool_with_stats,
-)
+from ggtkit.lr_engine import NodeBudgetExceeded, StageRecord, build_pool_with_stats, build_regrti_with_stats
 from ggtkit.proofs import LEMMA, TREE
 
 
@@ -45,16 +41,16 @@ def test_pool_needs_guarded_instance():
     from ggtkit.formulas import SizeError
 
     with pytest.raises(SizeError):
-        build_pool_refutation(3, 0)
+        build_pool_with_stats(3, 0)
 
 
 def test_node_budget_enforced():
     with pytest.raises(NodeBudgetExceeded):
-        build_pool_refutation(8, 0, max_nodes=50)
+        build_pool_with_stats(8, 0, max_nodes=50)
 
 
 def test_lemma_targets_precede_references():
-    d = build_pool_refutation(6, 1)
+    d, _ = build_pool_with_stats(6, 1)
     for nd in d.nodes:
         if nd.rule == LEMMA:
             assert nd.target < nd.nid
@@ -95,7 +91,7 @@ def _instance_for(gmap: GuardMap, n: int) -> FormulaInstance:
     clauses = [alpha_clause(i, n) for i in range(n)]
     for rep in cyclic_classes(n):
         t = trans_clause(*rep, n)
-        g = encode_lit(*gmap.guard(*rep), n)
+        g = gmap.lits[rep]
         clauses.append(make_clause(t | {g}))
         clauses.append(make_clause(t | {-g}))
     return FormulaInstance(family=GGT, n=n, clauses=tuple(clauses), seed=-1, guard_map=gmap)
@@ -104,13 +100,11 @@ def _instance_for(gmap: GuardMap, n: int) -> FormulaInstance:
 def test_cone_avoiding_guards_suppress_branching():
     # a stage without a blocked axiom finishes its leaf outright, so the
     # stage count is pinned by the branchings alone
-    from ggtkit.lr_engine import POOL_MODE, _build
-
     n = 4
     gmap, uncovered = _avoiding_guards(n)
     assert uncovered == 1  # the deepest use sees every variable below it
     f = _instance_for(gmap, n)
-    d, st = _build(f, None, POOL_MODE, None, False)
+    d, st = build_pool_with_stats(f)
     assert check_proof(d, f, (VALID, REGULAR, POOL)).ok
     assert st.stages == 1 + 2 * st.case_iv_gamma + 3 * st.case_iv_beta
     # with random guards, far more of the 8 triples end up branching
@@ -128,6 +122,10 @@ def test_stage_accounting_identity():
 
 
 def test_stage_log():
-    _, st = build_pool_with_stats(5, 0, log_stages=True)
-    assert len(st.stage_log) == st.stages
-    assert all("case=" in line for line in st.stage_log)
+    for build in (build_pool_with_stats, build_regrti_with_stats):
+        for n in (5, 7):
+            _, st = build(n, 0)
+            assert all(isinstance(rec, StageRecord) for rec in st.stage_log)
+            assert [rec.stage for rec in st.stage_log] == list(range(1, st.stages + 1))
+            assert sum(rec.case == "branch" for rec in st.stage_log) == st.case_iv
+            assert st.stage_log[-1].leaves == 0

@@ -12,7 +12,7 @@ import random
 from ggtkit.checker import INPUT_LEMMA, POOL, REGULAR, VALID, check_proof
 from ggtkit.formulas import FormulaInstance, gen_ggt
 from ggtkit.literals import clause_key
-from ggtkit.lr_engine import build_pool_refutation
+from ggtkit.lr_engine import build_pool_with_stats
 from ggtkit.proofs import (
     AXIOM,
     LEMMA,
@@ -41,7 +41,7 @@ def test_corrupted_pivot_mutants():
     rng = random.Random(101)
     count = 0
     for n, seed in BASES:
-        d = build_pool_refutation(n, seed)
+        d = build_pool_with_stats(n, seed)[0]
         f = gen_ggt(n, seed)
         resolvers = [nd for nd in d.nodes if nd.rule == RESOLVE]
         for nd in rng.sample(resolvers, 4):
@@ -59,7 +59,7 @@ def test_forward_lemma_mutants():
     rng = random.Random(102)
     count = strict = 0
     for n, seed in BASES + [(7, 0), (7, 1), (8, 0)]:
-        d = build_pool_refutation(n, seed)
+        d = build_pool_with_stats(n, seed)[0]
         f = gen_ggt(n, seed)
         by_clause: dict = {}
         for nd in d.nodes:
@@ -205,7 +205,7 @@ def test_non_input_lemma_mutants():
     natural = 0
     for n0 in (5, 6, 7, 8):
         for seed in (0, 1, 2):
-            d = build_pool_refutation(n0, seed)
+            d = build_pool_with_stats(n0, seed)[0]
             f = gen_ggt(n0, seed)
             assert check_proof(d, f, (VALID, REGULAR, POOL)).ok
             report = check_proof(d, f, (INPUT_LEMMA,))

@@ -3,7 +3,7 @@ import pytest
 from ggtkit.checker import POOL, REGULAR, VALID, check_proof
 from ggtkit.formulas import gen_ggt
 from ggtkit.gtproofs import build_pn
-from ggtkit.lr_engine import build_pool_refutation
+from ggtkit.lr_engine import build_pool_with_stats
 from ggtkit.proof_io import ProofParseError, parse_proof, serialize_proof
 from ggtkit.solver import solve
 
@@ -16,7 +16,7 @@ def test_roundtrip_pn():
 
 
 def test_roundtrip_pool_and_recheck():
-    d = build_pool_refutation(5, 0)
+    d = build_pool_with_stats(5, 0)[0]
     text = serialize_proof(d)
     out = parse_proof(text)
     assert out.nodes == d.nodes
