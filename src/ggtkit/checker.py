@@ -46,6 +46,7 @@ from ggtkit.proofs import (
     Derivation,
     RuleError,
     below_pivot_masks,
+    collector_paused,
     input_step,
     resolve_on_var,
 )
@@ -304,16 +305,17 @@ def check_proof(d: Derivation, f: FormulaInstance, profiles) -> CheckReport:
     if POOL in wanted:
         wanted.add(REGULAR)
     profiles = tuple(p for p in ALL_PROFILES if p in wanted)
-    d.validate_structure()
     report = CheckReport(profiles=profiles)
-    if VALID in profiles:
-        _check_valid(d, f, report)
-    if REGULAR in profiles:
-        _check_regular(d, report)
-    if POOL in profiles:
-        _check_pool(d, report)
-    if INPUT_LEMMA in profiles:
-        _check_input_lemma(d, report)
-    if GREEDY_UP in profiles:
-        _check_greedy_up(d, f, report)
+    with collector_paused():
+        d.validate_structure()
+        if VALID in profiles:
+            _check_valid(d, f, report)
+        if REGULAR in profiles:
+            _check_regular(d, report)
+        if POOL in profiles:
+            _check_pool(d, report)
+        if INPUT_LEMMA in profiles:
+            _check_input_lemma(d, report)
+        if GREEDY_UP in profiles:
+            _check_greedy_up(d, f, report)
     return report

@@ -11,7 +11,7 @@ from ggtkit.checker import ALL_PROFILES, SELF_CHECK, check_proof
 from ggtkit.dimacs import DimacsError, read_dimacs, write_dimacs
 from ggtkit.formulas import GGT, GT, GT_PI, SizeError, gen_ggt, gen_gt, gen_gt_pi
 from ggtkit.gtproofs import build_pn
-from ggtkit.lr_engine import build_pool_with_stats, build_regrti_with_stats
+from ggtkit.lr_engine import NodeBudgetExceeded, build_pool_with_stats, build_regrti_with_stats
 from ggtkit.proof_io import ProofParseError, parse_proof, serialize_proof
 from ggtkit.solver import UnsupportedFamilyError, solve
 
@@ -83,6 +83,9 @@ def _cmd_check(args) -> int:
     with open(args.proof) as fh:
         proof = parse_proof(fh.read())
     profiles = tuple(p.strip() for p in args.profiles.split(",") if p.strip())
+    if not profiles:
+        print(f"no profile given; choose from {','.join(ALL_PROFILES)}", file=sys.stderr)
+        return USAGE_ERROR
     for p in profiles:
         if p not in ALL_PROFILES:
             print(f"unknown profile {p!r}; choose from {','.join(ALL_PROFILES)}", file=sys.stderr)
@@ -190,7 +193,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DimacsError, ProofParseError, SizeError, BpoError,
+    except (DimacsError, ProofParseError, SizeError, BpoError, NodeBudgetExceeded,
             UnsupportedFamilyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -205,17 +205,3 @@ def build_pn(n: int) -> Derivation:
     """Regular refutation of GT(n) with O(n^3) nodes."""
     return _derivation(n, Bpo.empty(n), GT)
 
-
-def allowed_pivot_vars(pi: Bpo, n: int) -> frozenset[int]:
-    """Pivot variables the pi derivation may use: pairs of minimal
-    vertices, plus (i, k) with i minimal, k non-minimal, i not below k."""
-    allowed = set()
-    minimals = sorted(pi.minimals)
-    for a in range(len(minimals)):
-        for b in range(a + 1, len(minimals)):
-            allowed.add(abs(encode_lit(minimals[a], minimals[b], n)))
-    for i in minimals:
-        for k in range(n):
-            if k not in pi.minimals and not pi.precedes(i, k):
-                allowed.add(abs(encode_lit(i, k, n)))
-    return frozenset(allowed)

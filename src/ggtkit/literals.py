@@ -74,8 +74,13 @@ def make_clause(lits: Iterable[int]) -> Clause:
 
 
 def clause_key(clause: Iterable[int]) -> tuple[int, ...]:
-    """Deterministic sort key / display order for a clause."""
-    return tuple(sorted(clause, key=lambda l: (abs(l), l < 0)))
+    """Deterministic sort key / display order for a clause.
+
+    Literals are ordered by variable, a positive literal before its
+    negation: the order of the key (abs(l), l < 0).  Sorting descending
+    first and then stably by `abs` gives that order with C-level keys only.
+    """
+    return tuple(sorted(sorted(clause, reverse=True), key=abs))
 
 
 def trans_clause(i: int, j: int, k: int, n: int) -> Clause:

@@ -44,6 +44,7 @@ from ggtkit.proofs import (
     TREE,
     Derivation,
     ProofNode,
+    collector_paused,
     input_step,
     resolve_on_var,
 )
@@ -556,6 +557,9 @@ class _Engine:
             tn, expanded = stack.pop()
             if expanded:
                 tn.nid = len(nodes)
+                # drop the back edge: the tree left behind has no cycles, so
+                # reference counting frees it without the cyclic collector
+                tn.parent = None
                 if tn.rule == LEMMA:
                     if tn.target.nid < 0:
                         raise ConstructionError("lemma reference precedes its target")
@@ -595,7 +599,8 @@ def _build(formula_or_n, seed, mode, max_nodes) -> tuple[Derivation, LrStats]:
         formula = formula_or_n
     else:
         formula = gen_ggt(formula_or_n, seed)
-    return _Engine(formula, mode, max_nodes).run()
+    with collector_paused():
+        return _Engine(formula, mode, max_nodes).run()
 
 
 def build_pool_with_stats(n, seed: int = 0,

@@ -24,6 +24,7 @@ from ggtkit.proofs import (
     Derivation,
     ProofNode,
     ProofStructureError,
+    collector_paused,
 )
 
 _RULES = {"A", "L", "R", "W", "D"}
@@ -69,6 +70,12 @@ def _parse_lits(parts: list[str], line_no: int) -> tuple[int, ...]:
 
 
 def parse_proof(text: str) -> Derivation:
+    """Parse a serialized proof, with the cyclic collector paused."""
+    with collector_paused():
+        return _parse(text)
+
+
+def _parse(text: str) -> Derivation:
     family = ""
     n = 0
     seed = None

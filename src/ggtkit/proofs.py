@@ -9,6 +9,7 @@ premise holds which polarity.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 from ggtkit.literals import Clause, clause_key
@@ -31,6 +32,31 @@ class RuleError(ValueError):
 
 class ProofStructureError(ValueError):
     """A derivation object that is not structurally well-formed."""
+
+
+class collector_paused:
+    """Pause the cyclic garbage collector; restore the caller's setting on exit.
+
+    Proof construction, parsing and checking allocate many container
+    objects and leave no garbage cycles behind (`lr_engine` clears the
+    build tree's parent pointers as it freezes the tree), so a collection
+    during them scans a growing heap and frees nothing.  The objects they
+    keep are scanned once, by the first collection after the pause.
+
+    A class, not a generator: leaving a generator-based manager allocates
+    a StopIteration, and that allocation would run the postponed
+    collection at once, while the caller's working objects (say a
+    `Solver` and its watch lists) are still alive to be scanned.  Here the
+    collection waits for the next allocation after the `with` block.
+    """
+
+    def __enter__(self):
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.was_enabled:
+            gc.enable()
 
 
 def apply_rule(mode: str, a: Clause, b: Clause, x: int) -> Clause:

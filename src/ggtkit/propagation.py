@@ -1,19 +1,15 @@
-"""Unit propagation, conflict replay, and the brute-force semantic oracle."""
+"""Unit propagation and conflict replay."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ggtkit.literals import Clause, num_vars
+from ggtkit.literals import Clause
 from ggtkit.proofs import RESOLVE, apply_rule
 
 
 class InconsistentAssignment(ValueError):
     """unit_propagate was handed an assignment with both polarities."""
-
-
-class OracleScaleError(ValueError):
-    """The truth-table oracle only runs at desk scale (n <= 5)."""
 
 
 @dataclass
@@ -113,33 +109,3 @@ def replay_conflict(clauses, result: PropagationResult) -> tuple[Clause, list[tu
             chain.append((idx, lit))
     return current, chain
 
-
-def all_assignments(n: int):
-    """Every total assignment over the canonical variables, as literal sets."""
-    nv = num_vars(n)
-    for bits in range(1 << nv):
-        yield frozenset(
-            (v if bits >> (v - 1) & 1 else -v) for v in range(1, nv + 1)
-        )
-
-
-def satisfies(assignment: frozenset[int], clause: Clause) -> bool:
-    return any(lit in assignment for lit in clause)
-
-
-def semantic_entails(clauses, c: Clause, n: int) -> bool:
-    """Truth-table entailment test; refuses beyond n = 5 (2^10 assignments)."""
-    if n > 5:
-        raise OracleScaleError(f"semantic oracle limited to n <= 5, got {n}")
-    for sigma in all_assignments(n):
-        if all(satisfies(sigma, cl) for cl in clauses) and not satisfies(sigma, c):
-            return False
-    return True
-
-
-def is_satisfiable(clauses, n: int) -> bool:
-    if n > 5:
-        raise OracleScaleError(f"semantic oracle limited to n <= 5, got {n}")
-    return any(
-        all(satisfies(sigma, cl) for cl in clauses) for sigma in all_assignments(n)
-    )

@@ -26,21 +26,21 @@ indexed the same way.  The vertex pair of every literal (`pair`) is
 tabulated once when the solver is made, and the guard of every triangle
 is read from the instance's `GuardMap.lits`.  The search allocates only
 acyclic objects (trail tuples, frozensets, trace nodes), so
-`Solver.solve` pauses the cyclic garbage collector, which would otherwise
-scan the growing trace over and over and free nothing, and restores the
-caller's setting when it returns or raises.
+`Solver.solve` runs under `proofs.collector_paused`: the cyclic garbage
+collector would otherwise scan the growing trace over and over and free
+nothing.  The helper restores the caller's setting when the search
+returns or raises.
 """
 
 from __future__ import annotations
 
-import gc
 import random
 from dataclasses import dataclass, field
 
 from ggtkit.formulas import GGT, GT, FormulaInstance
 from ggtkit.gtproofs import Skeleton, build_skeleton
 from ggtkit.literals import bits, clause_key, encode_lit, min_first, triangle_of
-from ggtkit.proofs import AXIOM, DAG, RESOLVE, Derivation, ProofNode
+from ggtkit.proofs import AXIOM, DAG, RESOLVE, Derivation, ProofNode, collector_paused
 
 DECISION = -1
 
@@ -437,13 +437,8 @@ class Solver:
     # -- main loop -----------------------------------------------------------------
 
     def solve(self) -> SolveResult:
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused():
             return self._search()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     def _search(self) -> SolveResult:
         try:

@@ -1,0 +1,62 @@
+"""Brute-force oracles the tests compare the package against.
+
+The truth-table oracles enumerate every total assignment over the
+canonical variables, so they run only at desk scale (n <= 5, 2^10
+assignments).  `allowed_pivot_vars` states which variables the pi
+derivation of `ggtkit.gtproofs` may resolve on.
+"""
+
+from __future__ import annotations
+
+from ggtkit.bpo import Bpo
+from ggtkit.literals import Clause, encode_lit, num_vars
+
+
+class OracleScaleError(ValueError):
+    """The truth-table oracle only runs at desk scale (n <= 5)."""
+
+
+def all_assignments(n: int):
+    """Every total assignment over the canonical variables, as literal sets."""
+    nv = num_vars(n)
+    for bits in range(1 << nv):
+        yield frozenset(
+            (v if bits >> (v - 1) & 1 else -v) for v in range(1, nv + 1)
+        )
+
+
+def satisfies(assignment: frozenset[int], clause: Clause) -> bool:
+    return any(lit in assignment for lit in clause)
+
+
+def semantic_entails(clauses, c: Clause, n: int) -> bool:
+    """Truth-table entailment test; refuses beyond n = 5 (2^10 assignments)."""
+    if n > 5:
+        raise OracleScaleError(f"semantic oracle limited to n <= 5, got {n}")
+    for sigma in all_assignments(n):
+        if all(satisfies(sigma, cl) for cl in clauses) and not satisfies(sigma, c):
+            return False
+    return True
+
+
+def is_satisfiable(clauses, n: int) -> bool:
+    if n > 5:
+        raise OracleScaleError(f"semantic oracle limited to n <= 5, got {n}")
+    return any(
+        all(satisfies(sigma, cl) for cl in clauses) for sigma in all_assignments(n)
+    )
+
+
+def allowed_pivot_vars(pi: Bpo, n: int) -> frozenset[int]:
+    """Pivot variables the pi derivation may use: pairs of minimal
+    vertices, plus (i, k) with i minimal, k non-minimal, i not below k."""
+    allowed = set()
+    minimals = sorted(pi.minimals)
+    for a in range(len(minimals)):
+        for b in range(a + 1, len(minimals)):
+            allowed.add(abs(encode_lit(minimals[a], minimals[b], n)))
+    for i in minimals:
+        for k in range(n):
+            if k not in pi.minimals and not pi.precedes(i, k):
+                allowed.add(abs(encode_lit(i, k, n)))
+    return frozenset(allowed)

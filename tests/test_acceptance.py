@@ -15,15 +15,15 @@ from ggtkit.bpo import Bpo, CyclicOrderError, PartialSpec, associated_bpo, bpo_c
 from ggtkit.checker import INPUT_LEMMA, POOL, REGULAR, VALID, check_proof
 from ggtkit.dimacs import write_dimacs
 from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
-from ggtkit.gtproofs import allowed_pivot_vars, build_pn, build_ppi
+from ggtkit.gtproofs import build_pn, build_ppi
 from ggtkit.literals import triangle_of
 from ggtkit.lr_engine import (
     build_pool_with_stats,
     build_regrti_with_stats,
 )
 from ggtkit.proof_io import serialize_proof
-from ggtkit.propagation import is_satisfiable, semantic_entails
 from ggtkit.solver import solve
+from tests.oracles import allowed_pivot_vars, is_satisfiable, semantic_entails
 
 
 def _report(name, elapsed, budget, detail=""):

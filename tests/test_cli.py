@@ -164,3 +164,28 @@ def test_self_check_profiles_cover_artifacts_and_modes():
     assert set(mode.choices) <= set(SELF_CHECK)
     for profiles in SELF_CHECK.values():
         assert profiles == tuple(p for p in ALL_PROFILES if p in profiles)
+
+
+def test_refute_node_budget_is_a_usage_error(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    prf = tmp_path / "p.prf"
+    main(["gen", "--family", "ggt", "--n", "8", "--seed", "3", "-o", str(cnf)])
+    capsys.readouterr()
+    for mode in ("pool", "regrti"):
+        args = ["refute", "--mode", mode, "-i", str(cnf), "-o", str(prf), "--max-nodes", "50"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: proof exceeded 50 nodes\n"
+        assert not prf.exists()
+
+
+@pytest.mark.parametrize("profiles", ["", ",", " , "])
+def test_check_rejects_an_empty_profile_list(tmp_path, capsys, profiles):
+    cnf = tmp_path / "f.cnf"
+    prf = tmp_path / "p.prf"
+    main(["gen", "--family", "ggt", "--n", "8", "--seed", "3", "-o", str(cnf)])
+    main(["refute", "--mode", "pool", "-i", str(cnf), "-o", str(prf)])
+    capsys.readouterr()
+    assert main(["check", "-f", str(cnf), "-p", str(prf), "--profiles", profiles]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("no profile given")

@@ -15,7 +15,7 @@ from ggtkit.formulas import (
     guards,
 )
 from ggtkit.literals import clause_key, encode_lit, trans_clause
-from ggtkit.propagation import is_satisfiable, satisfies
+from tests.oracles import all_assignments, is_satisfiable, satisfies
 
 
 def test_gt3_exact_clauses():
@@ -163,8 +163,6 @@ def test_gt_pi_nonempty_is_satisfiable():
 
 def test_gt_pi_restricted_is_unsatisfiable():
     # fixing the pi pairs true leaves no satisfying assignment
-    from ggtkit.propagation import all_assignments
-
     rng = random.Random(5)
     for n in (3, 4, 5):
         for _ in range(10):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ggtkit.literals import (
@@ -71,6 +73,19 @@ def test_make_clause_rejects_tautology():
 
 def test_clause_key_deterministic():
     assert clause_key([3, -1, 2, -2]) == (-1, 2, -2, 3)
+
+
+def test_clause_key_matches_the_abs_sign_order():
+    rng = random.Random(11)
+    for _ in range(2000):
+        pool = rng.sample(range(1, 30), rng.randint(1, 8))
+        # both polarities of one variable, and repeated literals
+        lits = [rng.choice((v, -v)) for v in pool for _ in range(rng.randint(1, 3))]
+        rng.shuffle(lits)
+        for clause in (tuple(lits), frozenset(lits), lits):
+            assert clause_key(clause) == tuple(sorted(clause, key=lambda l: (abs(l), l < 0)))
+    assert clause_key(()) == ()
+    assert clause_key((5, -5, 5, -5, -5)) == (5, 5, -5, -5, -5)
 
 
 def test_order_pair_reads_branch_commitment():

@@ -5,14 +5,8 @@ import pytest
 from tests.greedy_reference import scan_unit_propagate
 from ggtkit.formulas import gen_ggt, gen_gt
 from ggtkit.literals import encode_lit, trans_clause
-from ggtkit.propagation import (
-    ClauseIndex,
-    InconsistentAssignment,
-    OracleScaleError,
-    replay_conflict,
-    semantic_entails,
-    unit_propagate,
-)
+from ggtkit.propagation import ClauseIndex, InconsistentAssignment, replay_conflict, unit_propagate
+from tests.oracles import OracleScaleError, semantic_entails
 
 
 def test_gt2_conflicts_immediately():

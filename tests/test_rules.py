@@ -75,6 +75,19 @@ def test_tautological_resolvent_rejected():
         apply_rule(RESOLVE, frozenset({1, 2}), frozenset({-1, -2}), 1)
 
 
+def test_tautological_resolvent_error_names_the_first_clashing_literal():
+    # the literal named is the first of the resolvent, in set iteration order
+    cases = [
+        ((RESOLVE, frozenset({1, 2}), frozenset({-1, -2}), 1), "contains 2 and -2"),
+        ((W_RESOLVE, frozenset({3, -7}), frozenset({7, 5}), 1), "contains -7 and 7"),
+        ((RESOLVE, frozenset({4, 9, -6}), frozenset({-4, -9, 6}), 4), "contains 9 and -9"),
+    ]
+    for args, tail in cases:
+        with pytest.raises(RuleError) as info:
+            apply_rule(*args)
+        assert str(info.value) == f"tautological resolvent: {tail}"
+
+
 def test_resolvent_never_contains_pivot():
     rng = random.Random(0)
     for _ in range(300):

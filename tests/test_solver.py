@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from tests.oracles import is_satisfiable
 from ggtkit.checker import VALID, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
 from ggtkit.bpo import Bpo
 from ggtkit.literals import decode_lit, min_first, num_vars, triangle_of
-from ggtkit.propagation import is_satisfiable, unit_propagate
+from ggtkit.propagation import unit_propagate
 from ggtkit.solver import DECISION, Solver, SolverContractError, UnsupportedFamilyError, solve
 
 
@@ -173,16 +174,6 @@ def test_blocking_axioms_get_learned():
         if blocked:
             learned = blocked & s.learned_tris
             assert len(learned) * 2 >= len(blocked), (seed, sorted(blocked - learned))
-
-
-@pytest.fixture
-def restore_gc():
-    was_enabled = gc.isenabled()
-    yield
-    if was_enabled:
-        gc.enable()
-    else:
-        gc.disable()
 
 
 def test_solve_leaves_gc_enabled(restore_gc):
