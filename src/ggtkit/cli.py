@@ -22,8 +22,11 @@ def _parse_pi(text: str, n: int) -> Bpo:
     pairs = []
     if text:
         for item in text.split(","):
-            a, b = item.split(":")
-            pairs.append((int(a), int(b)))
+            try:
+                a, b = item.split(":")
+                pairs.append((int(a), int(b)))
+            except ValueError:
+                raise BpoError(f"malformed --pi pair {item!r}; expected a:b") from None
     return Bpo.of(n, pairs)
 
 

@@ -42,15 +42,20 @@ def write_dimacs(instance: FormulaInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header_comment(text: str, meta: dict) -> None:
+def _parse_header_comment(text: str, meta: dict, line_no: int) -> None:
     for tok in text.split():
         if "=" in tok:
             key, val = tok.split("=", 1)
+            if key in ("n", "seed"):
+                try:
+                    val = int(val)
+                except ValueError:
+                    raise DimacsError(line_no, f"malformed {key} {val!r} in header") from None
             meta[key] = val
 
 
 def read_dimacs(text: str) -> FormulaInstance:
-    meta: dict[str, str] = {}
+    meta: dict[str, str | int] = {}
     nvars = nclauses = None
     clauses = []
     seen = set()
@@ -59,7 +64,7 @@ def read_dimacs(text: str) -> FormulaInstance:
         if not line:
             continue
         if line.startswith("c"):
-            _parse_header_comment(line[1:], meta)
+            _parse_header_comment(line[1:], meta, line_no)
             continue
         if line.startswith("p"):
             parts = line.split()
@@ -100,13 +105,12 @@ def read_dimacs(text: str) -> FormulaInstance:
     family = meta.get("family")
     if family not in (GT, GGT, GT_PI):
         raise DimacsError(0, f"missing or unknown family in header: {family!r}")
-    try:
-        n = int(meta["n"])
-    except (KeyError, ValueError):
-        raise DimacsError(0, "missing or malformed n in header") from None
+    if "n" not in meta:
+        raise DimacsError(0, "missing n in header")
+    n = meta["n"]
     if num_vars(n) != nvars:
         raise DimacsError(0, f"n={n} implies {num_vars(n)} vars, header says {nvars}")
-    seed = int(meta["seed"]) if "seed" in meta else None
+    seed = meta.get("seed")
     unguarded = meta.get("guards") == "unguarded"
     pi = None
     if family == GT_PI:

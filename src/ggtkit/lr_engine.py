@@ -24,6 +24,15 @@ lemma references to their first occurrence.  In input-lemma mode they are
 re-expanded instead, until an expansion happens to be an input derivation;
 later occurrences may then reference it.  That keeps every lemma an input
 lemma at a size cost bounded by the dag depth.
+
+Leaves are expanded left to right, so the set of nodes strictly left of
+the current leaf, the only nodes a lemma may reference, only grows.  A
+learned node is flagged available when its stage ends.  The exception is
+a node learned inside a replacement chain of a branching subproof: it
+lies right of the earlier chains' leaves, so it is held on its own
+chain's leaf record and flagged when that leaf is expanded.  Each leaf
+record also carries the leaf's order, computed and checked against the
+leaf clause once, when the leaf is made.
 """
 
 from __future__ import annotations
@@ -64,23 +73,22 @@ class NodeBudgetExceeded(ConstructionError):
 class TNode:
     """Mutable tree node used while the refutation is under construction."""
 
-    __slots__ = ("clause", "rule", "kids", "parent", "cidx", "pivot", "target",
-                 "lemma_target", "inp", "nid")
+    __slots__ = ("clause", "rule", "kids", "parent", "pivot", "target",
+                 "lemma_target", "inp", "avail", "nid")
 
     def __init__(self, clause, rule, kids=(), pivot=None, target=None):
         self.clause = set(clause)
         self.rule = rule
         self.kids = list(kids)
         self.parent = None
-        self.cidx = 0
         self.pivot = pivot
         self.target = target
         self.lemma_target = False
         self.inp = rule in LEAF_RULES
+        self.avail = False  # learned, and strictly left of the current leaf
         self.nid = -1
-        for idx, kid in enumerate(self.kids):
+        for kid in self.kids:
             kid.parent = self
-            kid.cidx = idx
 
 
 @dataclass
@@ -88,6 +96,8 @@ class LeafRec:
     node: TNode
     cplus: frozenset  # literals on the branch from the root, leaf included
     tau: frozenset  # the order pairs those literals commit to
+    pi: Bpo  # the associated order of tau; the leaf is labeled by its clause
+    held: tuple = ()  # learned nodes that become available when this leaf is expanded
 
 
 # One construction stage: its number, "expand" or "branch", the leaf clause's
@@ -124,10 +134,13 @@ class _Engine:
         self.node_count = 0
         self.learned: dict[Clause, list[TNode]] = {}
         self.learned_count = 0
+        self.fresh: list[TNode] = []  # learned this stage and not yet flagged or held
         self.stats = LrStats(n=self.n, seed=formula.seed, mode=mode)
         root = self._mk(set(), "U")
         self.root = root
-        self.leaves: deque[LeafRec] = deque([LeafRec(root, frozenset(), frozenset())])
+        self.leaves: deque[LeafRec] = deque(
+            [LeafRec(root, frozenset(), frozenset(), Bpo.empty(self.n))]
+        )
         self.stage_bound = 6 * math.comb(self.n, 3)
         self.iv_bound = 2 * math.comb(self.n, 3)
 
@@ -152,6 +165,7 @@ class _Engine:
     def _learn(self, clause, node: TNode) -> None:
         self.learned.setdefault(frozenset(clause), []).append(node)
         self.learned_count += 1
+        self.fresh.append(node)
 
     def _derive(self, tclause, glit: int) -> TNode:
         """Resolve the two guarded copies of an axiom on its guard; learn it."""
@@ -161,58 +175,52 @@ class _Engine:
         self._learn(tclause, node)
         return node
 
-    # -- postorder bookkeeping --------------------------------------------
+    # -- availability and classification -----------------------------------
 
-    def _path_of(self, node: TNode) -> tuple[list[TNode], dict[TNode, int]]:
-        path = []
-        w = node
-        while w is not None:
-            path.append(w)
-            w = w.parent
-        path.reverse()
-        return path, {t: i for i, t in enumerate(path)}
-
-    def _left_of(self, node: TNode, path: list[TNode], index: dict[TNode, int]) -> bool:
-        """Is `node` strictly earlier in postorder than the leaf `path` ends at?
-
-        Nodes created during the current stage are still detached from the
-        tree; they report as not-left and are reused through the
-        stage-local maps instead.
-        """
-        w = node
-        route = None
-        while w is not None and w not in index:
-            route = w
-            w = w.parent
-        if w is None:
-            return False
-        if route is None:
-            return False  # node lies on the leaf's own branch: postorder-later
-        pos = index[w]
-        return route.cidx < path[pos + 1].cidx
-
-    def _available(self, clause, path, index) -> TNode | None:
+    def _available(self, clause) -> TNode | None:
         for node in self.learned.get(frozenset(clause), ()):
-            if self._left_of(node, path, index):
+            if node.avail:
                 return node
         return None
 
-    # -- guard classification ----------------------------------------------
+    def _classify(self, tclause, tri, ctx, below: int):
+        """How the axiom T[tri] enters an expansion on a branch with literals `ctx`.
 
-    def _t_subproof(self, tri, ctx: frozenset, path, index) -> TNode:
-        """Leaf-level treatment of the axiom T[tri] inside a branching subproof."""
-        tclause = trans_clause(*tri, self.n)
-        hit = self._available(tclause, path, index)
+        `below` is the mask of variables resolved below the axiom.  Returns
+        ("lem", node), ("guard", lit), ("derive", glit), or None when the
+        guard variable is resolved below the axiom.
+        """
+        hit = self._available(tclause)
         if hit is not None:
-            return self._lemma_ref(hit)
+            return ("lem", hit)
         glit = self.glits[min_first(*tri)]
         if glit in ctx and -glit in ctx:
             raise ConstructionError("branch context contains both guard polarities")
-        if glit in ctx:
-            return self._mk(tclause | {glit}, AXIOM)
-        if -glit in ctx:
-            return self._mk(tclause | {-glit}, AXIOM)
-        return self._derive(tclause, glit)
+        for lit in (glit, -glit):
+            if lit in ctx:
+                return ("guard", lit)
+        if below >> abs(glit) & 1:
+            return None
+        return ("derive", glit)
+
+    def _axiom_tnode(self, clause, dec, stage_learned) -> TNode:
+        """The node for an axiom classified `dec`; None is a minimality axiom.
+
+        An axiom derived earlier in the stage is referenced through
+        `stage_learned`.
+        """
+        if dec is None:
+            return self._mk(clause, AXIOM)
+        what, arg = dec
+        if what == "guard":
+            return self._mk(clause | {arg}, AXIOM)
+        if what == "lem":
+            return self._lemma_ref(arg)
+        hit = stage_learned.get(clause)
+        if hit is not None:
+            return self._lemma_ref(hit)
+        node = stage_learned[clause] = self._derive(clause, arg)
+        return node
 
     # -- stage driver -------------------------------------------------------
 
@@ -234,55 +242,40 @@ class _Engine:
 
     def _stage(self) -> None:
         rec = self.leaves.popleft()
+        for node in rec.held:
+            node.avail = True
         self.stats.stages += 1
-        n = self.n
-        pi = associated_bpo(PartialSpec(n, rec.tau))
-        if frozenset(rec.node.clause) != bpo_clause(pi):
-            raise ConstructionError(
-                f"unfinished leaf {sorted(rec.node.clause)} is not the clause of its order"
-            )
-        skel, clauses = build_ppi_dag(n, pi)
+        skel, clauses = build_ppi_dag(self.n, rec.pi)
         masks = skel.masks()
-        path, index = self._path_of(rec.node)
         decisions: dict[int, tuple] = {}
         trigger = None
         for nid in skel.trans_postorder():
-            hit = self._available(clauses[nid], path, index)
-            if hit is not None:
-                decisions[nid] = ("lem", hit)
-                continue
-            glit = self.glits[min_first(*skel.kind[nid][1])]
-            if glit in rec.cplus:
-                decisions[nid] = ("guard", glit)
-                continue
-            if -glit in rec.cplus:
-                decisions[nid] = ("guard", -glit)
-                continue
-            if not masks[nid] >> abs(glit) & 1:
-                decisions[nid] = ("derive", glit)
-                continue
-            trigger = nid
-            break
+            dec = self._classify(clauses[nid], skel.kind[nid][1], rec.cplus, masks[nid])
+            if dec is None:
+                trigger = nid
+                break
+            decisions[nid] = dec
         if trigger is None:
-            newroot = self._splice_expansion(skel, clauses, decisions, path, index)
-            new_leaf_nodes: list[TNode] = []
+            newroot = self._splice_expansion(skel, clauses, decisions)
+            new_leaves: list[tuple[TNode, tuple]] = []
             case = "expand"
         else:
-            newroot, new_leaf_nodes = self._case_branch(
-                rec, pi, skel.kind[trigger], clauses[trigger], path, index
-            )
+            newroot, new_leaves = self._case_branch(rec, skel.kind[trigger], clauses[trigger])
             case = "branch"
         self._splice(rec, newroot)
-        for leafrec in reversed(self._leaf_records(rec, newroot, new_leaf_nodes)):
+        for leafrec in reversed(self._leaf_records(rec, newroot, new_leaves)):
             self.leaves.appendleft(leafrec)
+        for node in self.fresh:
+            node.avail = True
+        self.fresh.clear()
         self.stats.stage_log.append(StageRecord(
-            self.stats.stages, case, len(rec.node.clause), len(pi.pairs), len(self.leaves),
+            self.stats.stages, case, len(rec.node.clause), len(rec.pi.pairs), len(self.leaves),
             self.node_count, self.learned_count,
         ))
 
-    def _leaf_records(self, rec, newroot, leaf_nodes) -> list[LeafRec]:
+    def _leaf_records(self, rec, newroot, new_leaves) -> list[LeafRec]:
         out = []
-        for leaf in leaf_nodes:
+        for leaf, held in new_leaves:
             lits = set(rec.cplus)
             w = leaf
             while True:
@@ -300,12 +293,12 @@ class _Engine:
                 raise ConstructionError(
                     "new unfinished leaf is not labeled by its branch's bipartite order"
                 )
-            out.append(LeafRec(leaf, cplus, tau))
+            out.append(LeafRec(leaf, cplus, tau, sub_pi, held))
         return out
 
     # -- cases (i)-(iii): splice the adjusted order derivation ---------------
 
-    def _splice_expansion(self, skel: Skeleton, clauses, decisions, path, index) -> TNode:
+    def _splice_expansion(self, skel: Skeleton, clauses, decisions) -> TNode:
         """Expand the order derivation, guard literals riding down.
 
         `clauses` is this stage's own list and takes the added literals.  A
@@ -328,21 +321,10 @@ class _Engine:
                     clauses[nid] = clauses[nid] | new
                     carried[nid] = new
         if self.mode == POOL_MODE:
-            return self._unfold_pool(skel, clauses, decisions, path, index)
-        return self._unfold_input(skel, clauses, decisions, path, index)
+            return self._unfold_pool(skel, clauses, decisions)
+        return self._unfold_input(skel, clauses, decisions)
 
-    def _axiom_tnode(self, clause, dec, stage_learned) -> TNode:
-        if dec is None or dec[0] == "guard":
-            return self._mk(clause, AXIOM)  # minimality axiom, or guarded axiom
-        if dec[0] == "lem":
-            return self._lemma_ref(dec[1])
-        hit = stage_learned.get(clause)
-        if hit is not None:
-            return self._lemma_ref(hit)
-        node = stage_learned[clause] = self._derive(clause, dec[1])
-        return node
-
-    def _unfold_pool(self, skel: Skeleton, clauses, decisions, path, index) -> TNode:
+    def _unfold_pool(self, skel: Skeleton, clauses, decisions) -> TNode:
         """Depth-first expansion; shared interior nodes become lemma refs."""
         first: dict[int, TNode] = {}
         stage_learned: dict = {}
@@ -371,7 +353,7 @@ class _Engine:
         (root,) = out
         return root
 
-    def _unfold_input(self, skel: Skeleton, clauses, decisions, path, index) -> TNode:
+    def _unfold_input(self, skel: Skeleton, clauses, decisions) -> TNode:
         """Expansion that only ever references input-derived clauses.
 
         Interior clauses are re-expanded until one expansion happens to be
@@ -406,7 +388,7 @@ class _Engine:
                 continue
             hit = stage_learned.get(clause)
             if hit is None:
-                attached = self._available(clause, path, index)
+                attached = self._available(clause)
                 if attached is not None and attached.inp:
                     hit = attached
             if hit is not None:
@@ -421,79 +403,63 @@ class _Engine:
 
     # -- case (iv): branch and learn -----------------------------------------
 
-    def _case_branch(self, rec, pi: Bpo, trig_kind, tclause, path, index):
+    def _case_branch(self, rec, trig_kind, tclause):
+        """Learn the trigger axiom T and resolve it with two (gamma) or three
+        (beta) replacement chains back to the leaf clause.
+
+        Returns the subproof root and, per chain, its new unfinished leaf
+        with the nodes that leaf's expansion makes available.
+        """
         self.stats.case_iv += 1
         n = self.n
+        pi = rec.pi
         kind, (i, j, k) = trig_kind
+        var = lambda a, b: abs(encode_lit(a, b, n))
+        # per chain: the pairs its leaf adds, its steps, and the pivot joining
+        # it; both kinds close with the chain that puts j below i
+        swap = ([(j, i)], [((j, i, l), var(j, l)) for l in sorted(pi.above(i))
+                           if not pi.precedes(j, l)], var(i, j))
         if kind == "gamma":
             self.stats.case_iv_gamma += 1
+            steps = [((i, j, l), var(i, l)) for l in sorted(pi.above(j))
+                     if l != k and not pi.precedes(i, l)]
+            plans = [([(i, j)], steps, var(i, k)), swap]
         else:
             self.stats.case_iv_beta += 1
-        nT = self._derive(tclause, self.glits[min_first(i, j, k)])
+            steps_a = []
+            for l in sorted(pi.above(j) | pi.above(k)):
+                if pi.precedes(i, l):
+                    continue
+                partner = j if pi.precedes(j, l) else k
+                steps_a.append(((i, partner, l), var(i, l)))
+            steps_b = []
+            for l in sorted(pi.above(j)):
+                if not pi.precedes(k, l):
+                    steps_b.append(((k, j, l), var(k, l)))
+                if not pi.precedes(i, l):
+                    steps_b.append(((i, j, l), var(i, l)))
+            plans = [([(i, j), (j, k), (i, k)], steps_a, var(i, k)),
+                     ([(i, j), (k, j)], steps_b, var(j, k)), swap]
+        node = self._derive(tclause, self.glits[min_first(i, j, k)])
 
-        pbar = bpo_clause(pi)
-        var = lambda a, b: abs(encode_lit(a, b, n))
-
-        if kind == "gamma":
-            steps1 = [
-                ((i, j, l), var(i, l))
-                for l in sorted(pi.above(j))
-                if l != k and not pi.precedes(i, l)
-            ]
-            steps2 = [
-                ((j, i, l), var(j, l))
-                for l in sorted(pi.above(i))
-                if not pi.precedes(j, l)
-            ]
-            base1 = self._plan_chain(rec.tau, [(i, j)], steps1)
-            base2 = self._plan_chain(rec.tau, [(j, i)], steps2)
-            nd_base = resolve_on_var(RESOLVE, tclause, base1[-1], var(i, k))
-            root_base = resolve_on_var(RESOLVE, nd_base, base2[-1], var(i, j))
-            if root_base != pbar:
-                raise ConstructionError("branching subproof does not close back to the leaf clause")
-            below2 = frozenset(pbar)
-            below1 = below2 | nd_base
-            c1, leaf1 = self._build_chain(rec, base1, steps1, below1, path, index)
-            nd = self._resolve(nT, c1, var(i, k))
-            c2, leaf2 = self._build_chain(rec, base2, steps2, below2, path, index)
-            root = self._resolve(nd, c2, var(i, j))
-            return root, [leaf1, leaf2]
-
-        steps3 = []
-        for l in sorted(pi.above(j) | pi.above(k)):
-            if pi.precedes(i, l):
-                continue
-            partner = j if pi.precedes(j, l) else k
-            steps3.append(((i, partner, l), var(i, l)))
-        steps4 = []
-        for l in sorted(pi.above(j)):
-            if not pi.precedes(k, l):
-                steps4.append(((k, j, l), var(k, l)))
-            if not pi.precedes(i, l):
-                steps4.append(((i, j, l), var(i, l)))
-        steps5 = [
-            ((j, i, l), var(j, l))
-            for l in sorted(pi.above(i))
-            if not pi.precedes(j, l)
-        ]
-        base3 = self._plan_chain(rec.tau, [(i, j), (j, k), (i, k)], steps3)
-        base4 = self._plan_chain(rec.tau, [(i, j), (k, j)], steps4)
-        base5 = self._plan_chain(rec.tau, [(j, i)], steps5)
-        na_base = resolve_on_var(RESOLVE, tclause, base3[-1], var(i, k))
-        nb_base = resolve_on_var(RESOLVE, na_base, base4[-1], var(j, k))
-        root_base = resolve_on_var(RESOLVE, nb_base, base5[-1], var(i, j))
-        if root_base != pbar:
+        bases = [self._plan_chain(rec.tau, pairs, steps) for pairs, steps, _ in plans]
+        joined = []  # the clause after each chain is resolved in, guards ignored
+        cur = tclause
+        for base, (_, _, piv) in zip(bases, plans):
+            cur = resolve_on_var(RESOLVE, cur, base[-1], piv)
+            joined.append(cur)
+        if cur != bpo_clause(pi):
             raise ConstructionError("branching subproof does not close back to the leaf clause")
-        below5 = frozenset(pbar)
-        below4 = below5 | nb_base
-        below3 = below4 | na_base
-        c3, leaf3 = self._build_chain(rec, base3, steps3, below3, path, index)
-        na = self._resolve(nT, c3, var(i, k))
-        c4, leaf4 = self._build_chain(rec, base4, steps4, below4, path, index)
-        nb = self._resolve(na, c4, var(j, k))
-        c5, leaf5 = self._build_chain(rec, base5, steps5, below5, path, index)
-        root = self._resolve(nb, c5, var(i, j))
-        return root, [leaf3, leaf4, leaf5]
+
+        leaves = []
+        for c, (base, (_, steps, piv)) in enumerate(zip(bases, plans)):
+            mark = len(self.fresh)
+            chain, leaf = self._build_chain(rec, base, steps, frozenset().union(*joined[c:]))
+            node = self._resolve(node, chain, piv)
+            # right of the earlier chains' leaves: available from this chain's own
+            leaves.append((leaf, tuple(self.fresh[mark:])))
+            del self.fresh[mark:]
+        return node, leaves
 
     def _plan_chain(self, tau, new_pairs, steps) -> list[Clause]:
         """Clause sequence of a replacement chain, leaf first, guards ignored.
@@ -508,15 +474,20 @@ class _Engine:
             seq.append(resolve_on_var(RESOLVE, trans_clause(*tri, self.n), seq[-1], piv))
         return seq
 
-    def _build_chain(self, rec, base_seq, steps, below_lits, path, index):
-        """Materialize one replacement chain; returns (chain root, its leaf)."""
+    def _build_chain(self, rec, base_seq, steps, below_lits):
+        """Materialize one replacement chain; returns (chain root, its leaf).
+
+        Nothing is resolved below a chain's axioms inside a derivation, and
+        no chain axiom references another derived in the same stage.
+        """
         leaf = self._mk(base_seq[0], "U")
         cur = leaf
         for t, (tri, piv) in enumerate(steps, start=1):
             ctx = set(rec.cplus) | below_lits
             for clause in base_seq[t:]:
                 ctx |= clause
-            tsub = self._t_subproof(tri, frozenset(ctx), path, index)
+            tclause = trans_clause(*tri, self.n)
+            tsub = self._axiom_tnode(tclause, self._classify(tclause, tri, ctx, 0), {})
             cur = self._resolve(tsub, cur, piv)
         return cur, leaf
 
@@ -528,14 +499,11 @@ class _Engine:
         if not extras <= set(rec.cplus):
             raise ConstructionError("expansion introduced literals outside the branch context")
         parent = u.parent
+        newroot.parent = parent
         if parent is None:
             self.root = newroot
-            newroot.parent = None
-            newroot.cidx = 0
         else:
-            parent.kids[u.cidx] = newroot
-            newroot.parent = parent
-            newroot.cidx = u.cidx
+            parent.kids[parent.kids.index(u)] = newroot
         for lit in extras:
             w = parent
             while w is not None and lit not in w.clause:

@@ -69,6 +69,13 @@ def _parse_lits(parts: list[str], line_no: int) -> tuple[int, ...]:
     return lits
 
 
+def _int(text: str, line_no: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ProofParseError(line_no, f"bad {what} {text!r}") from None
+
+
 def parse_proof(text: str) -> Derivation:
     """Parse a serialized proof, with the cyclic collector paused."""
     with collector_paused():
@@ -95,9 +102,9 @@ def _parse(text: str) -> Derivation:
                     raise ProofParseError(line_no, f"malformed header token {tok!r}")
                 key, val = tok.split("=", 1)
                 if key == "n":
-                    n = int(val)
+                    n = _int(val, line_no, "n in header")
                 elif key == "seed":
-                    seed = int(val)
+                    seed = _int(val, line_no, "seed in header")
                 elif key == "shape":
                     shape = val
             if shape not in (DAG, TREE):
@@ -106,7 +113,7 @@ def _parse(text: str) -> Derivation:
         if shape is None:
             raise ProofParseError(line_no, "proof line before header")
         parts = line.split()
-        try:
+        try:  # inline, not through _int: this runs once per line
             nid = int(parts[0])
         except ValueError:
             raise ProofParseError(line_no, f"bad node id {parts[0]!r}") from None
@@ -121,7 +128,7 @@ def _parse(text: str) -> Derivation:
         elif rule == "L":
             if len(parts) != 3:
                 raise ProofParseError(line_no, "lemma line needs exactly a target id")
-            target = int(parts[2])
+            target = _int(parts[2], line_no, "lemma target")
             if not (0 <= target < nid):
                 raise ProofParseError(line_no, f"lemma target {target} not earlier")
             tclause = nodes[target].clause

@@ -189,3 +189,51 @@ def test_check_rejects_an_empty_profile_list(tmp_path, capsys, profiles):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("no profile given")
+
+
+def _usage_error(capsys, args, message):
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_refute_rejects_a_malformed_seed(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    main(["gen", "--family", "ggt", "--n", "5", "--seed", "0", "-o", str(cnf)])
+    cnf.write_text(cnf.read_text().replace("seed=0", "seed=abc", 1))
+    _usage_error(capsys, ["refute", "--mode", "pool", "-i", str(cnf), "-o", str(tmp_path / "p")],
+                 "line 1: malformed seed 'abc' in header")
+
+
+@pytest.mark.parametrize("good, bad", [(" n=5 ", " n=six "), (" seed=0 ", " seed=s0 ")])
+def test_check_rejects_a_malformed_proof_header(tmp_path, capsys, good, bad):
+    cnf = tmp_path / "f.cnf"
+    prf = tmp_path / "p.prf"
+    main(["gen", "--family", "ggt", "--n", "5", "--seed", "0", "-o", str(cnf)])
+    main(["refute", "--mode", "pool", "-i", str(cnf), "-o", str(prf)])
+    prf.write_text(prf.read_text().replace(good, bad, 1))
+    key, val = bad.strip().split("=")
+    _usage_error(capsys, ["check", "-f", str(cnf), "-p", str(prf)],
+                 f"line 1: bad {key} in header {val!r}")
+
+
+def test_check_rejects_a_malformed_lemma_target(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    prf = tmp_path / "p.prf"
+    main(["gen", "--family", "ggt", "--n", "5", "--seed", "0", "-o", str(cnf)])
+    main(["refute", "--mode", "pool", "-i", str(cnf), "-o", str(prf)])
+    lines = prf.read_text().splitlines()
+    at = next(idx for idx, line in enumerate(lines) if line.split()[1:2] == ["L"])
+    nid, _, target = lines[at].split()
+    lines[at] = f"{nid} L x{target}"
+    prf.write_text("\n".join(lines) + "\n")
+    _usage_error(capsys, ["check", "-f", str(cnf), "-p", str(prf)],
+                 f"line {at + 1}: bad lemma target 'x{target}'")
+
+
+@pytest.mark.parametrize("pi, item", [("1-3", "1-3"), ("a:b", "a:b"), ("0:3,1:2:4", "1:2:4")])
+def test_gen_rejects_a_malformed_pi(tmp_path, capsys, pi, item):
+    cnf = tmp_path / "f.cnf"
+    _usage_error(capsys, ["gen", "--family", "gtpi", "--n", "4", "--pi", pi, "-o", str(cnf)],
+                 f"malformed --pi pair {item!r}; expected a:b")
+    assert not cnf.exists()

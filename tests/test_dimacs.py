@@ -68,3 +68,12 @@ def test_missing_family():
     text = "p cnf 1 1\n1 0\n"
     with pytest.raises(DimacsError):
         read_dimacs(text)
+
+
+@pytest.mark.parametrize("good, bad", [("seed=0", "seed=abc"), ("n=4", "n=four")])
+def test_malformed_header_number_names_its_line(good, bad):
+    text = write_dimacs(gen_ggt(4, 0)).replace(good, bad, 1)
+    key, val = bad.split("=")
+    with pytest.raises(DimacsError) as info:
+        read_dimacs(text)
+    assert str(info.value) == f"line 1: malformed {key} {val!r} in header"

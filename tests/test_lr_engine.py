@@ -7,8 +7,17 @@ from ggtkit.formulas import FormulaInstance, GuardMap, GGT, gen_ggt, cyclic_clas
 from ggtkit.gtproofs import build_ppi_dag
 from ggtkit.bpo import Bpo
 from ggtkit.literals import encode_lit, trans_clause, make_clause
-from ggtkit.lr_engine import NodeBudgetExceeded, StageRecord, build_pool_with_stats, build_regrti_with_stats
+from ggtkit.lr_engine import (
+    INPUT_MODE,
+    POOL_MODE,
+    NodeBudgetExceeded,
+    StageRecord,
+    _Engine,
+    build_pool_with_stats,
+    build_regrti_with_stats,
+)
 from ggtkit.proofs import LEMMA, TREE
+from tests.postorder_reference import left_of, path_of
 
 
 def test_pool_small_all_profiles():
@@ -129,3 +138,29 @@ def test_stage_log():
             assert [rec.stage for rec in st.stage_log] == list(range(1, st.stages + 1))
             assert sum(rec.case == "branch" for rec in st.stage_log) == st.case_iv
             assert st.stage_log[-1].leaves == 0
+
+
+def test_available_nodes_are_exactly_those_left_of_the_next_leaf():
+    # after every stage, each learned node is flagged or held by the next
+    # leaf exactly when it lies strictly left of that leaf in postorder;
+    # checking every node, not only those a lookup reaches, catches a node
+    # released before the expansion reaches it
+    held_right = 0
+    for mode in (POOL_MODE, INPUT_MODE):
+        for n in range(4, 10):
+            for seed in range(4):
+                eng = _Engine(gen_ggt(n, seed), mode, None)
+                while eng.leaves:
+                    eng._stage()
+                    if not eng.leaves:
+                        break
+                    nxt = eng.leaves[0]
+                    path, index = path_of(nxt.node)
+                    pending = {id(node) for node in nxt.held}
+                    for nodes in eng.learned.values():
+                        for node in nodes:
+                            left = left_of(node, path, index)
+                            assert (node.avail or id(node) in pending) == left, (mode, n, seed)
+                            held_right += not left
+                assert all(node.avail for nodes in eng.learned.values() for node in nodes)
+    assert held_right  # some learned nodes did wait right of the next leaf

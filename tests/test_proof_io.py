@@ -71,3 +71,21 @@ def test_trace_with_decision_markers_parses():
 def test_header_required():
     with pytest.raises(ProofParseError):
         parse_proof("0 A 1 0\n")
+
+
+@pytest.mark.parametrize("numbers, message", [
+    ("n=six", "line 1: bad n in header 'six'"),
+    ("n=2 seed=1x", "line 1: bad seed in header '1x'"),
+])
+def test_malformed_header_number_rejected(numbers, message):
+    text = f"p proof gt {numbers} shape=tree\n0 A 1 0\n"
+    with pytest.raises(ProofParseError) as info:
+        parse_proof(text)
+    assert str(info.value) == message
+
+
+def test_malformed_lemma_target_rejected():
+    text = "p proof gt n=2 shape=tree\n0 A 1 0\n1 L x0\n"
+    with pytest.raises(ProofParseError) as info:
+        parse_proof(text)
+    assert str(info.value) == "line 3: bad lemma target 'x0'"
