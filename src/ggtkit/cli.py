@@ -120,11 +120,21 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     artifacts = tuple(a.strip() for a in args.artifacts.split(",") if a.strip())
+    if not artifacts:
+        print(f"no artifact given; choose from {','.join(ARTIFACTS)}", file=sys.stderr)
+        return USAGE_ERROR
     for a in artifacts:
         if a not in ARTIFACTS:
             print(f"unknown artifact {a!r}; choose from {','.join(ARTIFACTS)}", file=sys.stderr)
             return USAGE_ERROR
     ns = range(args.n_min, args.n_max + 1)
+    if not ns:
+        print(f"empty size range: --n-min {args.n_min} exceeds --n-max {args.n_max}",
+              file=sys.stderr)
+        return USAGE_ERROR
+    if args.seeds < 1:
+        print(f"no seed to run: --seeds {args.seeds}; give at least 1", file=sys.stderr)
+        return USAGE_ERROR
     records, summary = bench_run(
         ns,
         range(args.seeds),

@@ -1,6 +1,7 @@
 """DIMACS CNF serialization with family metadata in comment lines.
 
-Header comments carry enough to reproduce the instance:
+Header comments, those before the problem line, carry enough to
+reproduce the instance; comments after it carry no metadata:
 
     c family=ggt n=6 seed=1
     c family=gtpi n=4 pi=1:3,2:3
@@ -64,7 +65,8 @@ def read_dimacs(text: str) -> FormulaInstance:
         if not line:
             continue
         if line.startswith("c"):
-            _parse_header_comment(line[1:], meta, line_no)
+            if nvars is None:
+                _parse_header_comment(line[1:], meta, line_no)
             continue
         if line.startswith("p"):
             parts = line.split()

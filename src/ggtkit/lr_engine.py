@@ -25,20 +25,22 @@ re-expanded instead, until an expansion happens to be an input derivation;
 later occurrences may then reference it.  That keeps every lemma an input
 lemma at a size cost bounded by the dag depth.
 
-Leaves are expanded left to right, so the set of nodes strictly left of
-the current leaf, the only nodes a lemma may reference, only grows.  A
-learned node is flagged available when its stage ends.  The exception is
-a node learned inside a replacement chain of a branching subproof: it
-lies right of the earlier chains' leaves, so it is held on its own
-chain's leaf record and flagged when that leaf is expanded.  Each leaf
-record also carries the leaf's order, computed and checked against the
-leaf clause once, when the leaf is made.
+One postorder walk over the growing tree numbers the proof.  After each
+splice it resumes, gives every node it finishes its final id, and stops
+at the next unfinished leaf, which is the leaf the next stage expands.
+So the numbered nodes are exactly those strictly left of that leaf, and
+a learned node may be cited once the walk has given it its postorder id:
+the pool condition itself.  The walk's open frames are the leaf's
+ancestors, so a splice finds the parent and the path a literal
+propagates down without any back-pointers, and the tree stays acyclic.
+Each leaf record carries the leaf's order, computed and checked against
+the leaf clause once, when the leaf is made.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from ggtkit.bpo import CyclicOrderError, Bpo, PartialSpec, associated_bpo, bpo_clause, tau_of_literals
@@ -73,22 +75,17 @@ class NodeBudgetExceeded(ConstructionError):
 class TNode:
     """Mutable tree node used while the refutation is under construction."""
 
-    __slots__ = ("clause", "rule", "kids", "parent", "pivot", "target",
-                 "lemma_target", "inp", "avail", "nid")
+    __slots__ = ("clause", "rule", "kids", "pivot", "target", "lemma_target", "inp", "nid")
 
     def __init__(self, clause, rule, kids=(), pivot=None, target=None):
         self.clause = set(clause)
         self.rule = rule
         self.kids = list(kids)
-        self.parent = None
         self.pivot = pivot
         self.target = target
         self.lemma_target = False
         self.inp = rule in LEAF_RULES
-        self.avail = False  # learned, and strictly left of the current leaf
-        self.nid = -1
-        for kid in self.kids:
-            kid.parent = self
+        self.nid = -1  # the postorder id, once the walk has passed the node
 
 
 @dataclass
@@ -97,7 +94,6 @@ class LeafRec:
     cplus: frozenset  # literals on the branch from the root, leaf included
     tau: frozenset  # the order pairs those literals commit to
     pi: Bpo  # the associated order of tau; the leaf is labeled by its clause
-    held: tuple = ()  # learned nodes that become available when this leaf is expanded
 
 
 # One construction stage: its number, "expand" or "branch", the leaf clause's
@@ -134,13 +130,15 @@ class _Engine:
         self.node_count = 0
         self.learned: dict[Clause, list[TNode]] = {}
         self.learned_count = 0
-        self.fresh: list[TNode] = []  # learned this stage and not yet flagged or held
         self.stats = LrStats(n=self.n, seed=formula.seed, mode=mode)
         root = self._mk(set(), "U")
-        self.root = root
-        self.leaves: deque[LeafRec] = deque(
-            [LeafRec(root, frozenset(), frozenset(), Bpo.empty(self.n))]
-        )
+        self.leaves: dict[TNode, LeafRec] = {
+            root: LeafRec(root, frozenset(), frozenset(), Bpo.empty(self.n))
+        }
+        # the postorder walk: one [node, kids entered] frame per open node,
+        # from the root down to the next unfinished leaf
+        self.walk: list[list] = [[root, 0]]
+        self.order: list[TNode] = []  # the nodes the walk has numbered, in postorder
         self.stage_bound = 6 * math.comb(self.n, 3)
         self.iv_bound = 2 * math.comb(self.n, 3)
 
@@ -165,7 +163,6 @@ class _Engine:
     def _learn(self, clause, node: TNode) -> None:
         self.learned.setdefault(frozenset(clause), []).append(node)
         self.learned_count += 1
-        self.fresh.append(node)
 
     def _derive(self, tclause, glit: int) -> TNode:
         """Resolve the two guarded copies of an axiom on its guard; learn it."""
@@ -179,7 +176,7 @@ class _Engine:
 
     def _available(self, clause) -> TNode | None:
         for node in self.learned.get(frozenset(clause), ()):
-            if node.avail:
+            if node.nid >= 0:
                 return node
         return None
 
@@ -235,15 +232,20 @@ class _Engine:
                 raise ConstructionError(
                     f"branching count {self.stats.case_iv} exceeded 2*C(n,3)={self.iv_bound}"
                 )
-        d = self._freeze()
+        if self.walk:
+            raise ConstructionError("unfinished leaf survived construction")
+        # the proof lines are made only now: made as the walk numbers the
+        # nodes, they would lie in memory among the build tree's nodes, and
+        # every later pass over the proof would run slower
+        nodes = tuple(map(_proof_node, self.order))
+        d = Derivation(nodes, root=len(nodes) - 1, shape=TREE,
+                       family=self.f.family, n=self.n, seed=self.f.seed)
         self.stats.lines = len(d)
         self.stats.max_width = d.max_width()
         return d, self.stats
 
     def _stage(self) -> None:
-        rec = self.leaves.popleft()
-        for node in rec.held:
-            node.avail = True
+        rec = self.leaves.pop(self.walk[-1][0])
         self.stats.stages += 1
         skel, clauses = build_ppi_dag(self.n, rec.pi)
         masks = skel.masks()
@@ -257,44 +259,33 @@ class _Engine:
             decisions[nid] = dec
         if trigger is None:
             newroot = self._splice_expansion(skel, clauses, decisions)
-            new_leaves: list[tuple[TNode, tuple]] = []
+            leaf_paths: list[list[TNode]] = []
             case = "expand"
         else:
-            newroot, new_leaves = self._case_branch(rec, skel.kind[trigger], clauses[trigger])
+            newroot, leaf_paths = self._case_branch(rec, skel.kind[trigger], clauses[trigger])
             case = "branch"
         self._splice(rec, newroot)
-        for leafrec in reversed(self._leaf_records(rec, newroot, new_leaves)):
-            self.leaves.appendleft(leafrec)
-        for node in self.fresh:
-            node.avail = True
-        self.fresh.clear()
+        for path in leaf_paths:
+            self.leaves[path[0]] = self._leaf_record(rec, path)
+        self._advance()
         self.stats.stage_log.append(StageRecord(
             self.stats.stages, case, len(rec.node.clause), len(rec.pi.pairs), len(self.leaves),
             self.node_count, self.learned_count,
         ))
 
-    def _leaf_records(self, rec, newroot, new_leaves) -> list[LeafRec]:
-        out = []
-        for leaf, held in new_leaves:
-            lits = set(rec.cplus)
-            w = leaf
-            while True:
-                lits |= w.clause
-                if w is newroot:
-                    break
-                w = w.parent
-            cplus = frozenset(lits)
-            tau = tau_of_literals(cplus, self.n)
-            try:
-                sub_pi = associated_bpo(PartialSpec(self.n, tau))
-            except CyclicOrderError as exc:
-                raise ConstructionError(f"unfinished leaf branch is cyclic: {exc}") from exc
-            if bpo_clause(sub_pi) != frozenset(leaf.clause):
-                raise ConstructionError(
-                    "new unfinished leaf is not labeled by its branch's bipartite order"
-                )
-            out.append(LeafRec(leaf, cplus, tau, sub_pi, held))
-        return out
+    def _leaf_record(self, rec, path) -> LeafRec:
+        """The record of a new leaf, from its path up to the spliced root."""
+        cplus = rec.cplus.union(*(w.clause for w in path))
+        tau = tau_of_literals(cplus, self.n)
+        try:
+            sub_pi = associated_bpo(PartialSpec(self.n, tau))
+        except CyclicOrderError as exc:
+            raise ConstructionError(f"unfinished leaf branch is cyclic: {exc}") from exc
+        if bpo_clause(sub_pi) != frozenset(path[0].clause):
+            raise ConstructionError(
+                "new unfinished leaf is not labeled by its branch's bipartite order"
+            )
+        return LeafRec(path[0], cplus, tau, sub_pi)
 
     # -- cases (i)-(iii): splice the adjusted order derivation ---------------
 
@@ -407,8 +398,9 @@ class _Engine:
         """Learn the trigger axiom T and resolve it with two (gamma) or three
         (beta) replacement chains back to the leaf clause.
 
-        Returns the subproof root and, per chain, its new unfinished leaf
-        with the nodes that leaf's expansion makes available.
+        Returns the subproof root and, per chain, the path from its new
+        unfinished leaf up to that root: the chain, leaf first, and then
+        the joins from that chain on.
         """
         self.stats.case_iv += 1
         n = self.n
@@ -451,15 +443,12 @@ class _Engine:
         if cur != bpo_clause(pi):
             raise ConstructionError("branching subproof does not close back to the leaf clause")
 
-        leaves = []
+        chains, joins = [], []
         for c, (base, (_, steps, piv)) in enumerate(zip(bases, plans)):
-            mark = len(self.fresh)
-            chain, leaf = self._build_chain(rec, base, steps, frozenset().union(*joined[c:]))
-            node = self._resolve(node, chain, piv)
-            # right of the earlier chains' leaves: available from this chain's own
-            leaves.append((leaf, tuple(self.fresh[mark:])))
-            del self.fresh[mark:]
-        return node, leaves
+            chains.append(self._build_chain(rec, base, steps, frozenset().union(*joined[c:])))
+            node = self._resolve(node, chains[-1][-1], piv)
+            joins.append(node)
+        return node, [chain + joins[c:] for c, chain in enumerate(chains)]
 
     def _plan_chain(self, tau, new_pairs, steps) -> list[Clause]:
         """Clause sequence of a replacement chain, leaf first, guards ignored.
@@ -474,92 +463,83 @@ class _Engine:
             seq.append(resolve_on_var(RESOLVE, trans_clause(*tri, self.n), seq[-1], piv))
         return seq
 
-    def _build_chain(self, rec, base_seq, steps, below_lits):
-        """Materialize one replacement chain; returns (chain root, its leaf).
+    def _build_chain(self, rec, base_seq, steps, below_lits) -> list[TNode]:
+        """Materialize one replacement chain; returns its nodes, leaf first.
 
         Nothing is resolved below a chain's axioms inside a derivation, and
         no chain axiom references another derived in the same stage.
         """
-        leaf = self._mk(base_seq[0], "U")
-        cur = leaf
+        chain = [self._mk(base_seq[0], "U")]
         for t, (tri, piv) in enumerate(steps, start=1):
             ctx = set(rec.cplus) | below_lits
             for clause in base_seq[t:]:
                 ctx |= clause
             tclause = trans_clause(*tri, self.n)
             tsub = self._axiom_tnode(tclause, self._classify(tclause, tri, ctx, 0), {})
-            cur = self._resolve(tsub, cur, piv)
-        return cur, leaf
+            chain.append(self._resolve(tsub, chain[-1], piv))
+        return chain
 
-    # -- splicing ---------------------------------------------------------
+    # -- splicing and the postorder walk ------------------------------------
 
     def _splice(self, rec, newroot: TNode) -> None:
+        """Put `newroot` in place of the leaf the walk stopped at.
+
+        Literals the expansion adds propagate down the walk's open frames,
+        the leaf's ancestors, until a clause absorbs them.
+        """
         u = rec.node
         extras = set(newroot.clause) - u.clause
         if not extras <= set(rec.cplus):
             raise ConstructionError("expansion introduced literals outside the branch context")
-        parent = u.parent
-        newroot.parent = parent
-        if parent is None:
-            self.root = newroot
-        else:
-            parent.kids[parent.kids.index(u)] = newroot
+        walk = self.walk
+        walk[-1] = [newroot, 0]
+        if len(walk) > 1:
+            parent, entered = walk[-2]
+            parent.kids[entered - 1] = newroot
         for lit in extras:
-            w = parent
-            while w is not None and lit not in w.clause:
+            for frame in reversed(walk[:-1]):
+                w = frame[0]
+                if lit in w.clause:
+                    break
                 if -lit in w.clause:
                     raise ConstructionError("propagated literal meets its negation")
                 if w.lemma_target:
                     raise ConstructionError("propagation would modify a lemma target")
                 w.clause.add(lit)
-                w = w.parent
-            if w is None:
+            else:
                 raise ConstructionError(f"literal {lit} was never absorbed below the splice")
 
-    # -- export -------------------------------------------------------------
+    def _advance(self) -> None:
+        """Resume the postorder walk until the next unfinished leaf.
 
-    def _freeze(self) -> Derivation:
-        nodes: list[ProofNode] = []
-        stack: list[tuple[TNode, bool]] = [(self.root, False)]
-        while stack:
-            tn, expanded = stack.pop()
-            if expanded:
-                tn.nid = len(nodes)
-                # drop the back edge: the tree left behind has no cycles, so
-                # reference counting frees it without the cyclic collector
-                tn.parent = None
-                if tn.rule == LEMMA:
-                    if tn.target.nid < 0:
-                        raise ConstructionError("lemma reference precedes its target")
-                    nodes.append(
-                        ProofNode(tn.nid, LEMMA, tuple(clause_key(tn.clause)), target=tn.target.nid)
-                    )
-                elif tn.rule == AXIOM:
-                    nodes.append(ProofNode(tn.nid, AXIOM, tuple(clause_key(tn.clause))))
-                elif tn.rule == RESOLVE:
-                    nodes.append(
-                        ProofNode(
-                            tn.nid,
-                            RESOLVE,
-                            tuple(clause_key(tn.clause)),
-                            tuple(kid.nid for kid in tn.kids),
-                            tn.pivot,
-                        )
-                    )
-                else:
-                    raise ConstructionError("unfinished leaf survived construction")
+        Each node the walk finishes gets its final id and joins
+        `self.order`; the walk is empty once the root is finished.
+        """
+        walk, order = self.walk, self.order
+        while walk:
+            frame = walk[-1]
+            tn, entered = frame
+            if entered < len(tn.kids):
+                frame[1] = entered + 1
+                walk.append([tn.kids[entered], 0])
                 continue
-            stack.append((tn, True))
-            for kid in reversed(tn.kids):
-                stack.append((kid, False))
-        return Derivation(
-            tuple(nodes),
-            root=len(nodes) - 1,
-            shape=TREE,
-            family=self.f.family,
-            n=self.n,
-            seed=self.f.seed,
-        )
+            if tn.rule == "U":
+                return
+            walk.pop()
+            if tn.rule == LEMMA and tn.target.nid < 0:
+                raise ConstructionError("lemma reference precedes its target")
+            tn.nid = len(order)
+            order.append(tn)
+
+
+def _proof_node(tn: TNode) -> ProofNode:
+    """The proof line of a numbered node."""
+    clause = tuple(clause_key(tn.clause))
+    if tn.rule == RESOLVE:
+        return ProofNode(tn.nid, RESOLVE, clause, tuple(kid.nid for kid in tn.kids), tn.pivot)
+    if tn.rule == LEMMA:
+        return ProofNode(tn.nid, LEMMA, clause, target=tn.target.nid)
+    return ProofNode(tn.nid, AXIOM, clause)
 
 
 def _build(formula_or_n, seed, mode, max_nodes) -> tuple[Derivation, LrStats]:

@@ -38,10 +38,10 @@ class collector_paused:
     """Pause the cyclic garbage collector; restore the caller's setting on exit.
 
     Proof construction, parsing and checking allocate many container
-    objects and leave no garbage cycles behind (`lr_engine` clears the
-    build tree's parent pointers as it freezes the tree), so a collection
-    during them scans a growing heap and frees nothing.  The objects they
-    keep are scanned once, by the first collection after the pause.
+    objects and leave no garbage cycles behind (`lr_engine`'s build tree
+    has no back-pointers), so a collection during them scans a growing
+    heap and frees nothing.  The objects they keep are scanned once, by
+    the first collection after the pause.
 
     A class, not a generator: leaving a generator-based manager allocates
     a StopIteration, and that allocation would run the postponed

@@ -1,39 +1,29 @@
-"""Reference postorder test for the lemma-availability tests.
+"""Reference postorder numbering for the lemma-availability tests.
 
 A pool lemma may reference only a node strictly earlier in postorder than
-the leaf being expanded.  `ggtkit.lr_engine` tracks that set through the
-left-to-right expansion order; these functions decide it directly from the
-tree, by walking from the node up to the leaf's branch.
+the leaf being expanded.  `ggtkit.lr_engine` numbers nodes as its walk
+passes them; these functions number the finished build tree directly, by
+a separate traversal of its `kids` lists.
 """
 
 from __future__ import annotations
 
 
-def path_of(leaf) -> tuple[list, dict]:
-    """The branch from the root down to `leaf`, and each node's depth on it."""
-    path = []
-    w = leaf
-    while w is not None:
-        path.append(w)
-        w = w.parent
-    path.reverse()
-    return path, {id(t): i for i, t in enumerate(path)}
+def postorder(root) -> tuple[dict, dict]:
+    """Each node's postorder position, and the first position in its subtree.
 
-
-def _child_index(node) -> int:
-    return next(idx for idx, kid in enumerate(node.parent.kids) if kid is node)
-
-
-def left_of(node, path, index) -> bool:
-    """Is `node` strictly earlier in postorder than the leaf `path` ends at?
-
-    A node on the branch itself, or one not attached to the tree, is not.
+    Both maps are keyed by `id(node)`.  A subtree occupies the positions
+    from its first one up to its root's own.
     """
-    w = node
-    route = None
-    while w is not None and id(w) not in index:
-        route = w
-        w = w.parent
-    if w is None or route is None:
-        return False
-    return _child_index(route) < _child_index(path[index[id(w)] + 1])
+    pos: dict[int, int] = {}
+    first: dict[int, int] = {}
+    stack = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            pos[id(node)] = len(pos)
+            first[id(node)] = first[id(node.kids[0])] if node.kids else pos[id(node)]
+            continue
+        stack.append((node, True))
+        stack.extend((kid, False) for kid in reversed(node.kids))
+    return pos, first

@@ -118,6 +118,20 @@ def test_bench_csv_deterministic(tmp_path):
                       "conflicts,decisions,wallMillis,status")
 
 
+@pytest.mark.parametrize("change, message", [
+    (["--n-min", "5", "--n-max", "4"], "empty size range: --n-min 5 exceeds --n-max 4"),
+    (["--seeds", "0"], "no seed to run: --seeds 0; give at least 1"),
+    (["--artifacts", ""], "no artifact given; choose from " + ",".join(ARTIFACTS)),
+], ids=["sizes", "seeds", "artifacts"])
+def test_bench_rejects_an_empty_sweep(tmp_path, capsys, change, message):
+    out = tmp_path / "h.csv"
+    args = ["bench", "--artifacts", "pool", "--n-min", "4", "--n-max", "5", "--no-wall"]
+    capsys.readouterr()
+    assert main(args + change + ["-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not out.exists()
+
+
 def test_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["gen", "--family", "nope", "--n", "4", "-o", str(tmp_path / "x")])
@@ -143,6 +157,18 @@ def test_refute_ggt_without_seed(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "guarded instance" in err
         assert not prf.exists()
+
+
+def test_refute_ignores_metadata_after_the_problem_line(tmp_path, capsys):
+    # a trailing seed=3 comment would otherwise swap in another guard map
+    cnf = tmp_path / "f.cnf"
+    main(["gen", "--family", "ggt", "--n", "5", "--seed", "0", "-o", str(cnf)])
+    cnf.write_text(cnf.read_text() + "c seed=3\n")
+    for mode in ("pool", "regrti"):
+        prf = tmp_path / f"{mode}.prf"
+        assert main(["refute", "--mode", mode, "-i", str(cnf), "-o", str(prf)]) == 0
+        assert prf.read_text().startswith("p proof ggt n=5 seed=0 ")
+    assert capsys.readouterr().err == ""
 
 
 def test_check_reports_implied_profiles(tmp_path, capsys):

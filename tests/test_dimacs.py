@@ -77,3 +77,11 @@ def test_malformed_header_number_names_its_line(good, bad):
     with pytest.raises(DimacsError) as info:
         read_dimacs(text)
     assert str(info.value) == f"line 1: malformed {key} {val!r} in header"
+
+
+def test_metadata_comes_from_the_header_only():
+    # a key=value comment after the problem line does not replace the header's
+    text = write_dimacs(gen_ggt(5, 0)) + "c seed=3 n=6 family=gt\n"
+    g = read_dimacs(text)
+    assert g.family == "ggt" and g.n == 5 and g.seed == 0
+    assert g.guard_map.table == gen_ggt(5, 0).guard_map.table

@@ -25,6 +25,7 @@ from ggtkit.solver import solve
 PPI_N = 12
 PPI_SEEDS = range(5)
 LR_SIZES = range(4, 10)
+LR_LARGE_SIZES = range(10, 14)  # up to the benchmark's GGT(13), seed 0 only
 SOLVE_SIZES = range(4, 11)
 SOLVE_LARGE_SIZES = (11, 12)
 SEEDS = range(3)
@@ -92,6 +93,8 @@ REGRTI = {
     (8, 0): 2154924726, (8, 1): 3132891167, (8, 2): 1680504108,
     (9, 0): 4199809055, (9, 1): 1077953145, (9, 2): 2347614479,
 }
+POOL_LARGE = {10: 1486601308, 11: 1218447253, 12: 3266047183, 13: 1448728089}
+REGRTI_LARGE = {10: 2042425101, 11: 1794673289, 12: 1818549090, 13: 399644}
 SOLVE = {
     (4, 0): 2169057172, (4, 1): 2909880957, (4, 2): 1230600849,
     (5, 0): 1273677360, (5, 1): 2695358526, (5, 2): 2682364450,
@@ -129,6 +132,13 @@ def test_pool_bytes_and_stats():
 def test_regrti_bytes_and_stats():
     got = {(n, s): lr_digest(build_regrti_with_stats, n, s) for n in LR_SIZES for s in SEEDS}
     assert got == REGRTI
+
+
+def test_pool_and_regrti_bytes_larger_sizes():
+    got = {n: lr_digest(build_pool_with_stats, n, 0) for n in LR_LARGE_SIZES}
+    assert got == POOL_LARGE
+    got = {n: lr_digest(build_regrti_with_stats, n, 0) for n in LR_LARGE_SIZES}
+    assert got == REGRTI_LARGE
 
 
 def test_solver_trace_markers_and_stats():

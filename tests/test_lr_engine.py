@@ -17,7 +17,7 @@ from ggtkit.lr_engine import (
     build_regrti_with_stats,
 )
 from ggtkit.proofs import LEMMA, TREE
-from tests.postorder_reference import left_of, path_of
+from tests.postorder_reference import postorder
 
 
 def test_pool_small_all_profiles():
@@ -141,26 +141,36 @@ def test_stage_log():
 
 
 def test_available_nodes_are_exactly_those_left_of_the_next_leaf():
-    # after every stage, each learned node is flagged or held by the next
-    # leaf exactly when it lies strictly left of that leaf in postorder;
-    # checking every node, not only those a lookup reaches, catches a node
-    # released before the expansion reaches it
-    held_right = 0
+    # after every stage, a learned node has its id exactly when it lies
+    # strictly left of the next leaf in the finished tree's postorder, that
+    # is before the first position of the subtree that replaced the leaf;
+    # checking every learned node, not only those a lookup reaches, catches
+    # an id given before the walk passed the node
+    checks = right = 0
     for mode in (POOL_MODE, INPUT_MODE):
         for n in range(4, 10):
             for seed in range(4):
                 eng = _Engine(gen_ggt(n, seed), mode, None)
+                snaps = []
                 while eng.leaves:
                     eng._stage()
-                    if not eng.leaves:
-                        break
-                    nxt = eng.leaves[0]
-                    path, index = path_of(nxt.node)
-                    pending = {id(node) for node in nxt.held}
-                    for nodes in eng.learned.values():
-                        for node in nodes:
-                            left = left_of(node, path, index)
-                            assert (node.avail or id(node) in pending) == left, (mode, n, seed)
-                            held_right += not left
-                assert all(node.avail for nodes in eng.learned.values() for node in nodes)
-    assert held_right  # some learned nodes did wait right of the next leaf
+                    if eng.leaves:
+                        root = eng.walk[0][0]
+                        parent, entered = eng.walk[-2]
+                        learned = [node for nodes in eng.learned.values() for node in nodes]
+                        numbered = [node.nid >= 0 for node in learned]
+                        snaps.append((parent, entered - 1, learned, numbered))
+                d, _ = eng.run()
+                if not snaps:
+                    continue
+                pos, first = postorder(root)
+                assert len(pos) == len(d)
+                for parent, slot, learned, numbered in snaps:
+                    start = first[id(parent.kids[slot])]
+                    for node, has_id in zip(learned, numbered):
+                        left = pos[id(node)] < start
+                        assert has_id == left, (mode, n, seed)
+                        assert node.nid == pos[id(node)]
+                        checks += 1
+                        right += not left
+    assert checks > right > 0  # some learned nodes did lie right of the next leaf
