@@ -58,6 +58,7 @@ def _parse_header_comment(text: str, meta: dict, line_no: int) -> None:
 def read_dimacs(text: str) -> FormulaInstance:
     meta: dict[str, str | int] = {}
     nvars = nclauses = None
+    problem_line = 0
     clauses = []
     seen = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -69,6 +70,8 @@ def read_dimacs(text: str) -> FormulaInstance:
                 _parse_header_comment(line[1:], meta, line_no)
             continue
         if line.startswith("p"):
+            if nvars is not None:
+                raise DimacsError(line_no, f"second problem line; the first is line {problem_line}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(line_no, f"malformed problem line {line!r}")
@@ -76,6 +79,7 @@ def read_dimacs(text: str) -> FormulaInstance:
                 nvars, nclauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise DimacsError(line_no, f"malformed problem line {line!r}") from None
+            problem_line = line_no
             continue
         if nvars is None:
             raise DimacsError(line_no, "clause before problem line")

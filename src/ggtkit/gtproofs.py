@@ -14,9 +14,13 @@ minimal, k non-minimal and i not below k, and no variable repeats along
 any path.
 
 The derivation is kept as one Skeleton: premises, pivots and axiom kinds
-in arrays, with clauses derived only on demand.  build_ppi_dag derives
-and checks them for the proof builders and the pool construction; the
-solver walks skeletons built straight from its trail, without clauses.
+in arrays, with clauses derived only on demand.  build_ppi_dag builds
+the skeleton of an order; ppi_clauses derives its clauses and checks the
+root against the order's clause.  The proof builders call both.  The
+pool construction calls ppi_clauses only on a stage that expands: a
+stage that branches reads the transitivity axioms' clauses from their
+kinds, and its branching subproof checks its own closure.  The solver
+walks skeletons built straight from its trail, without clauses.
 """
 
 from __future__ import annotations
@@ -165,8 +169,8 @@ def build_skeleton(n: int, minimals: list[int], above: list[int]) -> Skeleton:
     return Skeleton(n, premises, pivot, lit0, kinds, cur[0])
 
 
-def build_ppi_dag(n: int, pi: Bpo) -> tuple[Skeleton, list[Clause]]:
-    """The skeleton of the pi derivation and its clauses, root checked."""
+def build_ppi_dag(n: int, pi: Bpo) -> Skeleton:
+    """The skeleton of the pi derivation; `ppi_clauses` derives its clauses."""
     if n < 2:
         raise SizeError(f"derivation needs n >= 2, got {n}")
     if pi.n != n:
@@ -174,7 +178,11 @@ def build_ppi_dag(n: int, pi: Bpo) -> tuple[Skeleton, list[Clause]]:
     above = [0] * n
     for i, k in pi.pairs:
         above[i] |= 1 << k
-    skel = build_skeleton(n, sorted(pi.minimals), above)
+    return build_skeleton(n, sorted(pi.minimals), above)
+
+
+def ppi_clauses(skel: Skeleton, pi: Bpo) -> list[Clause]:
+    """Every clause of the pi derivation `skel`, its root checked against pi."""
     clauses = skel.clauses()
     root_clause = clauses[skel.root]
     expected = bpo_clause(pi)
@@ -182,15 +190,16 @@ def build_ppi_dag(n: int, pi: Bpo) -> tuple[Skeleton, list[Clause]]:
         raise AssertionError(
             f"derivation root {sorted(root_clause)} differs from the pi clause {sorted(expected)}"
         )
-    return skel, clauses
+    return clauses
 
 
 def _derivation(n: int, pi: Bpo, family: str) -> Derivation:
-    skel, clauses = build_ppi_dag(n, pi)
+    skel = build_ppi_dag(n, pi)
+    clauses = ppi_clauses(skel, pi)
     nodes = tuple(
-        ProofNode(nid, RESOLVE, tuple(clause_key(clause)), prem, skel.pivot[nid])
+        ProofNode(nid, RESOLVE, clause_key(clause), prem, skel.pivot[nid])
         if prem
-        else ProofNode(nid, AXIOM, tuple(clause_key(clause)))
+        else ProofNode(nid, AXIOM, clause_key(clause))
         for nid, (prem, clause) in enumerate(zip(skel.premises, clauses))
     )
     return Derivation(nodes, root=skel.root, shape=DAG, family=family, n=n)

@@ -19,6 +19,10 @@ axiom that derivation needs is classified:
            each adjusted back to a bipartite-order clause by a chain of
            literal replacements.
 
+Classification reads each axiom's clause from its kind in the skeleton;
+the derivation's other clauses are derived, and its root checked against
+the leaf's order, only when no axiom branches and the stage expands.
+
 In pool mode, shared interior clauses of a spliced derivation become
 lemma references to their first occurrence.  In input-lemma mode they are
 re-expanded instead, until an expansion happens to be an input derivation;
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field
 
 from ggtkit.bpo import CyclicOrderError, Bpo, PartialSpec, associated_bpo, bpo_clause, tau_of_literals
 from ggtkit.formulas import FormulaInstance, SizeError, gen_ggt
-from ggtkit.gtproofs import Skeleton, build_ppi_dag
+from ggtkit.gtproofs import Skeleton, build_ppi_dag, ppi_clauses
 from ggtkit.literals import Clause, clause_key, encode_lit, min_first, trans_clause
 from ggtkit.proofs import (
     AXIOM,
@@ -247,22 +251,25 @@ class _Engine:
     def _stage(self) -> None:
         rec = self.leaves.pop(self.walk[-1][0])
         self.stats.stages += 1
-        skel, clauses = build_ppi_dag(self.n, rec.pi)
+        skel = build_ppi_dag(self.n, rec.pi)
         masks = skel.masks()
         decisions: dict[int, tuple] = {}
         trigger = None
         for nid in skel.trans_postorder():
-            dec = self._classify(clauses[nid], skel.kind[nid][1], rec.cplus, masks[nid])
+            tri = skel.kind[nid][1]
+            tclause = trans_clause(*tri, self.n)
+            dec = self._classify(tclause, tri, rec.cplus, masks[nid])
             if dec is None:
                 trigger = nid
                 break
             decisions[nid] = dec
         if trigger is None:
-            newroot = self._splice_expansion(skel, clauses, decisions)
+            # derived here only: a branching stage needs none of them
+            newroot = self._splice_expansion(skel, ppi_clauses(skel, rec.pi), decisions)
             leaf_paths: list[list[TNode]] = []
             case = "expand"
         else:
-            newroot, leaf_paths = self._case_branch(rec, skel.kind[trigger], clauses[trigger])
+            newroot, leaf_paths = self._case_branch(rec, skel.kind[trigger], tclause)
             case = "branch"
         self._splice(rec, newroot)
         for path in leaf_paths:
@@ -534,9 +541,10 @@ class _Engine:
 
 def _proof_node(tn: TNode) -> ProofNode:
     """The proof line of a numbered node."""
-    clause = tuple(clause_key(tn.clause))
+    clause = clause_key(tn.clause)
     if tn.rule == RESOLVE:
-        return ProofNode(tn.nid, RESOLVE, clause, tuple(kid.nid for kid in tn.kids), tn.pivot)
+        k0, k1 = tn.kids
+        return ProofNode(tn.nid, RESOLVE, clause, (k0.nid, k1.nid), tn.pivot)
     if tn.rule == LEMMA:
         return ProofNode(tn.nid, LEMMA, clause, target=tn.target.nid)
     return ProofNode(tn.nid, AXIOM, clause)

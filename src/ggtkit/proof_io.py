@@ -37,7 +37,12 @@ class ProofParseError(ValueError):
 
 
 def serialize_proof(d: Derivation, decisions: dict[int, list[int]] | None = None) -> str:
-    """Render a derivation; optional decision markers keyed by node id."""
+    """Render a derivation; optional decision markers keyed by node id.
+
+    Each node's clause is written as stored.  Every producer stores it in
+    `clause_key` order (the `ProofNode.clause` contract), so the text is
+    canonical without a sort here.
+    """
     header = f"p proof {d.family or 'cnf'} n={d.n}"
     if d.seed is not None:
         header += f" seed={d.seed}"
@@ -46,7 +51,7 @@ def serialize_proof(d: Derivation, decisions: dict[int, list[int]] | None = None
     for nd in d.nodes:
         if decisions and nd.nid in decisions:
             lines.extend(f"d {lit}" for lit in decisions[nd.nid])
-        lits = " ".join(str(l) for l in clause_key(nd.clause))
+        lits = " ".join(map(str, nd.clause))
         body = f"{lits} 0" if nd.clause else "0"
         if nd.rule == AXIOM:
             lines.append(f"{nd.nid} A {body}")
@@ -61,10 +66,10 @@ def _parse_lits(parts: list[str], line_no: int) -> tuple[int, ...]:
     if not parts or parts[-1] != "0":
         raise ProofParseError(line_no, "literal list not terminated by 0")
     try:
-        lits = tuple(int(p) for p in parts[:-1])
+        lits = tuple(map(int, parts[:-1]))
     except ValueError:
         raise ProofParseError(line_no, "bad literal") from None
-    if any(l == 0 for l in lits):
+    if 0 in lits:
         raise ProofParseError(line_no, "literal 0 inside clause")
     return lits
 
@@ -87,12 +92,15 @@ def _parse(text: str) -> Derivation:
     n = 0
     seed = None
     shape = None
+    header_line = 0
     nodes: list[ProofNode] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("d "):
             continue
         if line.startswith("p "):
+            if header_line:
+                raise ProofParseError(line_no, f"second proof header; the first is line {header_line}")
             parts = line.split()
             if len(parts) < 3 or parts[1] != "proof":
                 raise ProofParseError(line_no, f"malformed proof header {line!r}")
@@ -109,6 +117,7 @@ def _parse(text: str) -> Derivation:
                     shape = val
             if shape not in (DAG, TREE):
                 raise ProofParseError(line_no, f"missing or unknown shape {shape!r}")
+            header_line = line_no
             continue
         if shape is None:
             raise ProofParseError(line_no, "proof line before header")
@@ -124,7 +133,7 @@ def _parse(text: str) -> Derivation:
             raise ProofParseError(line_no, f"unknown rule {rule!r}")
         if rule == "A":
             lits = _parse_lits(parts[2:], line_no)
-            nodes.append(ProofNode(nid, AXIOM, tuple(clause_key(lits))))
+            nodes.append(ProofNode(nid, AXIOM, clause_key(lits)))
         elif rule == "L":
             if len(parts) != 3:
                 raise ProofParseError(line_no, "lemma line needs exactly a target id")
@@ -146,7 +155,7 @@ def _parse(text: str) -> Derivation:
                 if not (0 <= p < nid):
                     raise ProofParseError(line_no, f"dangling premise {p}")
             lits = _parse_lits(parts[5:], line_no)
-            nodes.append(ProofNode(nid, rule, tuple(clause_key(lits)), (p1, p2), pivot))
+            nodes.append(ProofNode(nid, rule, clause_key(lits), (p1, p2), pivot))
     if not nodes:
         raise ProofParseError(0, "empty proof")
     d = Derivation(tuple(nodes), root=len(nodes) - 1, shape=shape, family=family, n=n, seed=seed)

@@ -116,7 +116,7 @@ def resolve_on_var(mode: str, a: Clause, b: Clause, var: int) -> Clause:
 class ProofNode:
     nid: int
     rule: str
-    clause: tuple[int, ...]  # sorted by clause_key
+    clause: tuple[int, ...]  # in clause_key order; serialize_proof writes it as stored
     premises: tuple[int, ...] = ()
     pivot: int | None = None  # positive variable id
     target: int | None = None  # lemma reference

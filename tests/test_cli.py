@@ -263,3 +263,30 @@ def test_gen_rejects_a_malformed_pi(tmp_path, capsys, pi, item):
     _usage_error(capsys, ["gen", "--family", "gtpi", "--n", "4", "--pi", pi, "-o", str(cnf)],
                  f"malformed --pi pair {item!r}; expected a:b")
     assert not cnf.exists()
+
+
+def test_refute_and_check_reject_a_second_problem_line(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    prf = tmp_path / "p.prf"
+    main(["gen", "--family", "ggt", "--n", "5", "--seed", "0", "-o", str(cnf)])
+    main(["refute", "--mode", "pool", "-i", str(cnf), "-o", str(prf)])
+    lines = cnf.read_text().splitlines()
+    lines.insert(4, lines[1])
+    cnf.write_text("\n".join(lines) + "\n")
+    message = "line 5: second problem line; the first is line 2"
+    _usage_error(capsys, ["refute", "--mode", "pool", "-i", str(cnf), "-o", str(tmp_path / "q")],
+                 message)
+    assert not (tmp_path / "q").exists()
+    _usage_error(capsys, ["check", "-f", str(cnf), "-p", str(prf)], message)
+
+
+def test_check_rejects_a_second_proof_header(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    prf = tmp_path / "p.prf"
+    main(["gen", "--family", "ggt", "--n", "5", "--seed", "0", "-o", str(cnf)])
+    main(["refute", "--mode", "pool", "-i", str(cnf), "-o", str(prf)])
+    lines = prf.read_text().splitlines()
+    lines.insert(11, "p proof ggt n=7 seed=9 shape=dag")
+    prf.write_text("\n".join(lines) + "\n")
+    _usage_error(capsys, ["check", "-f", str(cnf), "-p", str(prf)],
+                 "line 12: second proof header; the first is line 1")

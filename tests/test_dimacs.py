@@ -85,3 +85,13 @@ def test_metadata_comes_from_the_header_only():
     g = read_dimacs(text)
     assert g.family == "ggt" and g.n == 5 and g.seed == 0
     assert g.guard_map.table == gen_ggt(5, 0).guard_map.table
+
+
+def test_second_problem_line_rejected():
+    # a repeated line with other counts would replace the first
+    lines = write_dimacs(gen_ggt(4, 0)).splitlines()
+    assert lines[1].startswith("p cnf 6 ")
+    lines.insert(5, "p cnf 6 3")
+    with pytest.raises(DimacsError) as info:
+        read_dimacs("\n".join(lines) + "\n")
+    assert str(info.value) == "line 6: second problem line; the first is line 2"

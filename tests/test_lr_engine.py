@@ -1,10 +1,11 @@
 import math
+from functools import partial
 
 import pytest
 
 from ggtkit.checker import POOL, REGULAR, VALID, check_proof
 from ggtkit.formulas import FormulaInstance, GuardMap, GGT, gen_ggt, cyclic_classes
-from ggtkit.gtproofs import build_ppi_dag
+from ggtkit.gtproofs import Skeleton, build_pn, build_ppi_dag, ppi_clauses
 from ggtkit.bpo import Bpo
 from ggtkit.literals import encode_lit, trans_clause, make_clause
 from ggtkit.lr_engine import (
@@ -75,7 +76,8 @@ def _avoiding_guards(n: int) -> tuple[GuardMap, int]:
     """
     from ggtkit.formulas import _admissible_guards
 
-    skel, clauses = build_ppi_dag(n, Bpo.empty(n))
+    skel = build_ppi_dag(n, Bpo.empty(n))
+    clauses = ppi_clauses(skel, Bpo.empty(n))
     masks = skel.masks()
     cones = {}
     for nid in skel.trans_postorder():
@@ -174,3 +176,42 @@ def test_available_nodes_are_exactly_those_left_of_the_next_leaf():
                         checks += 1
                         right += not left
     assert checks > right > 0  # some learned nodes did lie right of the next leaf
+
+
+@pytest.mark.parametrize("build", [build_pool_with_stats, build_regrti_with_stats])
+def test_only_expanding_stages_derive_clauses(monkeypatch, build):
+    # a branching stage classifies its axioms from their kinds and derives
+    # no resolvent of its order derivation
+    derive = Skeleton.clauses
+    calls = []
+
+    def counted(skel):
+        calls.append(skel)
+        return derive(skel)
+
+    monkeypatch.setattr(Skeleton, "clauses", counted)
+    branchings = 0
+    for n in range(5, 10):
+        for seed in range(4):
+            calls.clear()
+            _, st = build(n, seed)
+            assert len(calls) == st.stages - st.case_iv, (n, seed)
+            branchings += st.case_iv
+    assert branchings > 0
+
+
+@pytest.mark.parametrize("build", [
+    partial(build_pool_with_stats, 6, 0), partial(build_regrti_with_stats, 6, 0), partial(build_pn, 6),
+], ids=["pool", "regrti", "pn"])
+def test_a_wrong_derivation_root_raises(monkeypatch, build):
+    # the pool builds reach the root check on their expanding stages
+    derive = Skeleton.clauses
+
+    def wrong_root(skel):
+        clauses = derive(skel)
+        clauses[skel.root] = clauses[skel.root] ^ {1}
+        return clauses
+
+    monkeypatch.setattr(Skeleton, "clauses", wrong_root)
+    with pytest.raises(AssertionError, match="differs from the pi clause"):
+        build()

@@ -2,10 +2,12 @@ import pytest
 
 from ggtkit.checker import POOL, REGULAR, VALID, check_proof
 from ggtkit.formulas import gen_ggt
-from ggtkit.gtproofs import build_pn
-from ggtkit.lr_engine import build_pool_with_stats
+from ggtkit.gtproofs import build_pn, build_ppi
+from ggtkit.literals import clause_key
+from ggtkit.lr_engine import build_pool_with_stats, build_regrti_with_stats
 from ggtkit.proof_io import ProofParseError, parse_proof, serialize_proof
 from ggtkit.solver import solve
+from tests.test_golden import seeded_order
 
 
 def test_roundtrip_pn():
@@ -89,3 +91,43 @@ def test_malformed_lemma_target_rejected():
     with pytest.raises(ProofParseError) as info:
         parse_proof(text)
     assert str(info.value) == "line 3: bad lemma target 'x0'"
+
+
+def test_second_header_rejected():
+    # a header after node 9 would otherwise switch the shape to dag, and with
+    # it off the postorder check, and replace n and the seed
+    lines = serialize_proof(build_pool_with_stats(5, 0)[0]).splitlines()
+    assert lines[0] == "p proof ggt n=5 seed=0 shape=tree"
+    lines.insert(11, "p proof ggt n=7 seed=9 shape=dag")
+    with pytest.raises(ProofParseError) as info:
+        parse_proof("\n".join(lines) + "\n")
+    assert str(info.value) == "line 12: second proof header; the first is line 1"
+
+
+def _canonical_producers():
+    for n in range(4, 11):
+        yield build_pn(n)
+        for seed in range(3):
+            yield build_ppi(n, seeded_order(n, seed))
+    for n in range(4, 10):
+        for seed in range(3):
+            yield build_pool_with_stats(n, seed)[0]
+            yield build_regrti_with_stats(n, seed)[0]
+            yield solve(gen_ggt(n, seed), trace=True).trace
+
+
+def test_every_producer_stores_clauses_in_clause_key_order():
+    # serialize_proof writes each clause as stored, so every producer, the
+    # parser included, must store it sorted
+    count = 0
+    for d in _canonical_producers():
+        for out in (d, parse_proof(serialize_proof(d))):
+            for nd in out.nodes:
+                assert nd.clause == clause_key(nd.clause), (d.family, d.n, d.seed, nd.nid)
+                count += 1
+    assert count > 10_000
+
+
+def test_parsed_clauses_are_sorted_whatever_the_text_order():
+    text = "p proof gt n=3 shape=dag\n0 A 3 -2 0\n1 A 2 1 0\n2 R 2 1 0 3 1 0\n"
+    assert [nd.clause for nd in parse_proof(text).nodes] == [(-2, 3), (1, 2), (1, 3)]
