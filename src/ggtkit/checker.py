@@ -7,7 +7,8 @@ Profiles:
                and no root-clause variable is ever a pivot.
   pool         tree shape, regular, empty root clause, every node but the
                root a premise of some inference, lemma targets strictly
-               earlier in postorder.
+               earlier in the root's left-to-right postorder (compared by
+               place, which is the id only in a proof numbered in postorder).
   input_lemma  pool, plus every lemma target is derived by an input
                subderivation (each inference has a leaf premise).
   greedy_up    whenever unit propagation refutes the falsified path
@@ -156,12 +157,31 @@ def _check_pool(d: Derivation, report: CheckReport) -> None:
         return
     if d.nodes[d.root].clause:
         report.violations.append(Violation(POOL, d.root, "root clause is not empty"))
-    used = [False] * len(d.nodes)
-    for nd in d.nodes:
-        for p in nd.premises:
-            used[p] = True
-    for nd in d.nodes:
-        if nd.rule == LEMMA and not (0 <= nd.target < nd.nid):
+    # bottom-up subtree sizes, then top-down each subtree's last place in the
+    # root's left-to-right postorder.  The root's place is its id and a node
+    # off its tree keeps its id, so in a proof numbered in postorder every
+    # place is the id.
+    nodes = d.nodes
+    used = [False] * len(nodes)
+    size = [1] * len(nodes)
+    for nd in nodes:
+        if nd.premises:
+            p0, p1 = nd.premises
+            used[p0] = used[p1] = True
+            size[nd.nid] += size[p0] + size[p1]
+    place = list(range(len(nodes)))
+    on_tree = [False] * len(nodes)
+    on_tree[d.root] = True
+    for nid in range(len(nodes) - 1, -1, -1):
+        if on_tree[nid] and nodes[nid].premises:
+            p0, p1 = nodes[nid].premises
+            on_tree[p0] = on_tree[p1] = True
+            place[p1] = place[nid] - 1
+            place[p0] = place[p1] - size[p1]
+    for nd in nodes:
+        # a lemma off the root's tree gets no order check: the top of its
+        # component is reported as unused
+        if nd.rule == LEMMA and on_tree[nd.nid] and place[nd.target] > place[nd.nid]:
             report.violations.append(
                 Violation(POOL, nd.nid, f"lemma target {nd.target} not earlier in postorder")
             )

@@ -52,6 +52,8 @@ def _parse_header_comment(text: str, meta: dict, line_no: int) -> None:
                     val = int(val)
                 except ValueError:
                     raise DimacsError(line_no, f"malformed {key} {val!r} in header") from None
+                if key == "n" and val < 2:
+                    raise DimacsError(line_no, f"n={val} in header; the families need n >= 2")
             meta[key] = val
 
 

@@ -71,6 +71,8 @@ def _parse_lits(parts: list[str], line_no: int) -> tuple[int, ...]:
         raise ProofParseError(line_no, "bad literal") from None
     if 0 in lits:
         raise ProofParseError(line_no, "literal 0 inside clause")
+    if len(set(lits)) != len(lits):
+        raise ProofParseError(line_no, "duplicate literal in clause")
     return lits
 
 

@@ -18,6 +18,16 @@ popped.  Every flip carries the clause derived from the conflict that
 caused it, so the final level-zero conflict replays to the empty clause
 and the whole run serializes as a checkable dag derivation.
 
+Each clause fact has one store, by clause index: `_as_set` holds the
+literals (the input clauses, then the learned ones, which are returned as
+a slice) and `node_of` the trace node, -1 until an input clause is first
+used.  An index names one clause because no instance holds a clause twice.
+A conflict is handled on one path: the unwind flips the last decision its
+running clause holds, then stores the clause it learned on the way.  The
+flip never leaves that clause falsified: were all its literals below the
+flipped decision, no later resolution step would touch the running clause
+and the unwind would skip that decision instead.  `_learn` checks it.
+
 Assignments are stored by literal, as in MiniSat (Een & Sorensson 2003):
 `lv` is one list of length 2*nvars + 1 in which `lv[lit]` is True, False
 or None, and a negative literal indexes from the end, so `lv[lit]` and
@@ -78,52 +88,6 @@ class SolveResult:
     decision_markers: dict[int, list[int]] = field(default_factory=dict)
 
 
-class _Trace:
-    def __init__(self, family: str, n: int, seed):
-        self.nodes: list[ProofNode] = []
-        self.family = family
-        self.n = n
-        self.seed = seed
-        self._axiom_ids: dict = {}
-        self.markers: dict[int, list[int]] = {}
-        self._pending: list[int] = []
-
-    def decision(self, lit: int) -> None:
-        self._pending.append(lit)
-
-    def axiom(self, clause) -> int:
-        key = frozenset(clause)
-        nid = self._axiom_ids.get(key)
-        if nid is None:
-            nid = self._emit(ProofNode(len(self.nodes), AXIOM, tuple(clause_key(key))))
-            self._axiom_ids[key] = nid
-        return nid
-
-    def resolve(self, p0: int, p1: int, pivot_var: int, clause) -> int:
-        # a conflict clause is false under the trail, so it never holds both
-        # polarities of a variable and sorting by variable is clause_key order
-        return self._emit(
-            ProofNode(len(self.nodes), RESOLVE, tuple(sorted(clause, key=abs)), (p0, p1), pivot_var)
-        )
-
-    def _emit(self, node: ProofNode) -> int:
-        if self._pending:
-            self.markers[node.nid] = self._pending
-            self._pending = []
-        self.nodes.append(node)
-        return node.nid
-
-    def finish(self) -> Derivation:
-        return Derivation(
-            tuple(self.nodes),
-            root=len(self.nodes) - 1,
-            shape=DAG,
-            family=self.family,
-            n=self.n,
-            seed=self.seed,
-        )
-
-
 class Solver:
     def __init__(self, f: FormulaInstance, trace: bool = False, tie_seed: int = 0):
         if f.family not in (GT, GGT):
@@ -155,17 +119,19 @@ class Solver:
         self.trail: list[tuple[int, object]] = []  # (true literal, reason)
         self.qhead = 0
         self.stats = SolveStats()
-        self.learned_clauses: list[frozenset] = []
         self.learned_tris: set[tuple[int, int, int]] = set()
-        self.trace = _Trace(f.family, f.n, f.seed) if trace else None
-        self.learned_nodes: dict[int, int] = {}  # clause index -> trace node id
         self._pi_cache: dict[tuple, tuple[Skeleton, list]] = {}
+        # the trace: nodes, decision markers by the node they precede, the
+        # decisions since the last node, and the node of each clause index
+        # (the generators emit no clause twice and read_dimacs rejects a repeat)
+        self.tracing = trace
+        self.nodes: list[ProofNode] = []
+        self.markers: dict[int, list[int]] = {}
+        self._pending: list[int] = []
+        self.node_of = [-1] * self.n_original
         self._final_node = -1
 
     # -- assignment and propagation -----------------------------------------
-
-    def _value(self, lit: int):
-        return self.lv[lit]
 
     def _assign(self, lit: int, reason) -> None:
         lv = self.lv
@@ -198,7 +164,7 @@ class Solver:
         clause = self.clauses[cidx]
         if len(clause) == 1:
             lit = clause[0]
-            val = self._value(lit)
+            val = self.lv[lit]
             if val is False:
                 return cidx
             if val is None:
@@ -282,20 +248,29 @@ class Solver:
             return reason.clause
         return self._as_set[reason]
 
+    def _emit(self, rule: str, clause: tuple, premises=(), pivot=None) -> int:
+        nid = len(self.nodes)
+        if self._pending:
+            self.markers[nid] = self._pending
+            self._pending = []
+        self.nodes.append(ProofNode(nid, rule, clause, premises, pivot))
+        return nid
+
     def _reason_node(self, reason) -> int:
         if isinstance(reason, FlipReason):
             return reason.node
-        if reason >= self.n_original:
-            return self.learned_nodes[reason]
-        return self.trace.axiom(self._as_set[reason])
+        nid = self.node_of[reason]
+        if nid < 0:  # an input clause, first used: emit it as an axiom
+            nid = self.node_of[reason] = self._emit(AXIOM, clause_key(self._as_set[reason]))
+        return nid
 
     def _handle_conflict(self, conf_idx: int) -> bool:
         """Unwind the trail; returns False when the search space is exhausted."""
         self.stats.conflicts += 1
         k = self._as_set[conf_idx]
-        trace = self.trace
-        node = self._reason_node(conf_idx) if trace else None
-        pending_learn = None
+        tracing = self.tracing
+        node = self._reason_node(conf_idx) if tracing else -1
+        learn = None
         trail = self.trail
         unassign = self._unassign
         while trail:
@@ -308,42 +283,41 @@ class Solver:
             if reason == DECISION:
                 # flip: the derived clause is unit in -lit at this point
                 self.qhead = len(trail)
-                self._assign(-lit, FlipReason(k, node if node is not None else -1))
-                self._finish_learn(pending_learn)
+                self._assign(-lit, FlipReason(k, node))
+                if learn is not None:
+                    self._learn(*learn)
                 return True
             # lit is true and k is false here, so k lacks lit and the reason lacks -lit
             k = (k | self._reason_clause(reason)) - {lit, -lit}
-            if trace:
-                node = trace.resolve(self._reason_node(reason), node, abs(lit), k)
-            if pending_learn is None and len(k) == 3 and k not in self.clause_set:
+            if tracing:
+                # k is false under the trail, so it never holds both
+                # polarities of a variable and sorting by variable is
+                # clause_key order
+                node = self._emit(
+                    RESOLVE, tuple(sorted(k, key=abs)), (self._reason_node(reason), node), abs(lit)
+                )
+            if learn is None and len(k) == 3 and k not in self.clause_set:
                 if triangle_of(k, self.n) is not None:
-                    pending_learn = (k, node)
+                    learn = (k, node)
         if k:
             raise SolverContractError(f"trail exhausted with nonempty clause {sorted(k)}")
         self.qhead = 0
-        self._final_node = node if node is not None else -1
-        self._finish_learn(pending_learn)
+        self._final_node = node
+        if learn is not None:
+            self._learn(*learn)
         return False
 
-    def _finish_learn(self, pending) -> None:
-        if pending is None:
-            return
-        clause, node = pending
+    def _learn(self, clause: frozenset, node: int) -> None:
+        """Store a transitivity clause derived by the unwind, at trace node `node`."""
         self.stats.learned += 1
-        self.learned_clauses.append(clause)
         self.clause_set.add(clause)
         self.learned_tris.add(triangle_of(clause, self.n))
         cidx = len(self.clauses)
         self.clauses.append(list(clause_key(clause)))
         self._as_set.append(clause)
-        if node is not None:
-            self.learned_nodes[cidx] = node
-        conf = self._attach(cidx)
-        if conf is not None:
-            # the learned clause is falsified under the post-flip trail
-            ok = self._handle_conflict(conf)
-            if not ok:
-                raise _Exhausted()
+        self.node_of.append(node)
+        if self._attach(cidx) is not None:
+            raise SolverContractError(f"learned clause {sorted(clause)} is falsified")
 
     # -- decision cascade -------------------------------------------------------
 
@@ -418,7 +392,7 @@ class Solver:
             _, (i, j, k) = blocker
             for a, b in ((i, j), (j, k), (k, i)):
                 lit = encode_lit(a, b, self.n)
-                if self._value(lit) is None:
+                if self.lv[lit] is None:
                     return lit  # falsify the axiom's literal
             raise SolverContractError("blocking axiom fully assigned without conflict")
         # walk the order derivation along falsified premises
@@ -441,49 +415,41 @@ class Solver:
             return self._search()
 
     def _search(self) -> SolveResult:
-        try:
-            for cidx in range(len(self.clauses)):
-                conf = self._attach(cidx)
-                if conf is not None:
-                    if not self._handle_conflict(conf):
-                        return self._unsat()
-            while True:
-                conf = self._propagate()
-                if conf is not None:
-                    if not self._handle_conflict(conf):
-                        return self._unsat()
-                    continue
-                if len(self.trail) == self.f.nvars:
-                    raise SolverContractError(
-                        "complete assignment found; instance is not an ordering tautology"
-                    )
-                lit = self._pick_decision()
-                self.stats.decisions += 1
-                if self.trace:
-                    self.trace.decision(lit)
-                self._assign(lit, DECISION)
-        except _Exhausted:
-            return self._unsat()
+        for cidx in range(len(self.clauses)):
+            conf = self._attach(cidx)
+            if conf is not None and not self._handle_conflict(conf):
+                return self._unsat()
+        while True:
+            conf = self._propagate()
+            if conf is not None:
+                if not self._handle_conflict(conf):
+                    return self._unsat()
+                continue
+            if len(self.trail) == self.f.nvars:
+                raise SolverContractError(
+                    "complete assignment found; instance is not an ordering tautology"
+                )
+            lit = self._pick_decision()
+            self.stats.decisions += 1
+            if self.tracing:
+                self._pending.append(lit)
+            self._assign(lit, DECISION)
 
     def _unsat(self) -> SolveResult:
         trace = None
-        markers: dict[int, list[int]] = {}
-        if self.trace:
-            if self._final_node < 0 or self.trace.nodes[self._final_node].clause:
+        if self.tracing:
+            if self._final_node < 0 or self.nodes[self._final_node].clause:
                 raise SolverContractError("final trace node is not the empty clause")
-            trace = self.trace.finish()
-            markers = self.trace.markers
+            f = self.f
+            nodes = tuple(self.nodes)
+            trace = Derivation(nodes, len(nodes) - 1, DAG, family=f.family, n=f.n, seed=f.seed)
         return SolveResult(
             status="UNSAT",
             stats=self.stats,
-            learned_clauses=list(self.learned_clauses),
+            learned_clauses=self._as_set[self.n_original:],
             trace=trace,
-            decision_markers=markers,
+            decision_markers=self.markers,
         )
-
-
-class _Exhausted(Exception):
-    """Internal signal: conflict unwinding emptied the trail."""
 
 
 def solve(f: FormulaInstance, trace: bool = False, tie_seed: int = 0) -> SolveResult:

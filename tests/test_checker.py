@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from ggtkit.checker import (
     ALL_PROFILES,
     GREEDY_UP,
@@ -22,6 +24,7 @@ from ggtkit.proofs import (
     ProofNode,
     apply_rule,
 )
+from ggtkit.proof_io import ProofParseError, parse_proof, serialize_proof
 from ggtkit.propagation import unit_propagate
 
 
@@ -115,6 +118,39 @@ def test_forward_lemma_reference_fails_pool():
     bad = Derivation(tuple(nodes), root=2, shape=TREE, family="gt", n=2)
     report = check_proof(bad, f, (POOL,))
     assert any("not earlier" in v.message for v in report.violations)
+
+
+def _crossing_lemma_tree():
+    """A tree whose ids are not postorder places: its left subtree cites, by
+    a smaller id, a clause derived later in the root's postorder."""
+    f = FormulaInstance(family="gt", n=3, clauses=tuple(frozenset(c) for c in (
+        {1, 2, 3}, {-2, 4}, {-2, -4}, {-3, 5}, {-3, -5}, {-1, 2, 3})))
+    nodes = (
+        ProofNode(0, AXIOM, (-2, 4)),
+        ProofNode(1, AXIOM, (-2, -4)),
+        ProofNode(2, RESOLVE, (-2,), (0, 1), 4),
+        ProofNode(3, AXIOM, (-3, 5)),
+        ProofNode(4, AXIOM, (-3, -5)),
+        ProofNode(5, RESOLVE, (-3,), (3, 4), 5),
+        ProofNode(6, AXIOM, (1, 2, 3)),
+        ProofNode(7, LEMMA, (-3,), target=5),  # right subtree, later in postorder
+        ProofNode(8, RESOLVE, (1, 2), (6, 7), 3),
+        ProofNode(9, RESOLVE, (1,), (8, 2), 2),
+        ProofNode(10, AXIOM, (-1, 2, 3)),
+        ProofNode(11, LEMMA, (-2,), target=2),  # left subtree, earlier in postorder
+        ProofNode(12, RESOLVE, (-1, 3), (10, 11), 2),
+        ProofNode(13, RESOLVE, (-1,), (12, 5), 3),
+        ProofNode(14, RESOLVE, (), (9, 13), 1),
+    )
+    return Derivation(nodes, root=14, shape=TREE, family="gt", n=3), f
+
+
+def test_lemma_targets_compare_postorder_places_not_ids():
+    d, f = _crossing_lemma_tree()
+    report = check_proof(d, f, (VALID, INPUT_LEMMA))
+    assert [(v.profile, v.node) for v in report.violations] == [(POOL, 7)]
+    with pytest.raises(ProofParseError, match="node 9: premises"):
+        parse_proof(serialize_proof(d))
 
 
 def test_unused_node_fails_pool():

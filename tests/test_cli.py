@@ -290,3 +290,29 @@ def test_check_rejects_a_second_proof_header(tmp_path, capsys):
     prf.write_text("\n".join(lines) + "\n")
     _usage_error(capsys, ["check", "-f", str(cnf), "-p", str(prf)],
                  "line 12: second proof header; the first is line 1")
+
+
+@pytest.mark.parametrize("n, problem", [(-3, None), (0, "p cnf 0 0"), (1, "p cnf 0 0")])
+def test_solve_rejects_a_header_n_below_two(tmp_path, capsys, n, problem):
+    cnf = tmp_path / "f.cnf"
+    main(["gen", "--family", "gt", "--n", "4", "-o", str(cnf)])
+    text = cnf.read_text().replace("n=4", f"n={n}", 1)
+    if problem:
+        text = text.splitlines()[0] + "\n" + problem + "\n"
+    cnf.write_text(text)
+    _usage_error(capsys, ["solve", "-i", str(cnf)],
+                 f"line 1: n={n} in header; the families need n >= 2")
+
+
+def test_check_rejects_a_repeated_literal(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    prf = tmp_path / "p.prf"
+    main(["gen", "--family", "ggt", "--n", "5", "--seed", "0", "-o", str(cnf)])
+    main(["refute", "--mode", "pool", "-i", str(cnf), "-o", str(prf)])
+    lines = prf.read_text().splitlines()
+    nid, rule, first, *rest = lines[1].split()
+    assert (nid, rule) == ("0", "A")
+    lines[1] = " ".join([nid, rule, first, first] + rest)
+    prf.write_text("\n".join(lines) + "\n")
+    _usage_error(capsys, ["check", "-f", str(cnf), "-p", str(prf)],
+                 "line 2: duplicate literal in clause")

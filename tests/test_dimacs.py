@@ -95,3 +95,15 @@ def test_second_problem_line_rejected():
     with pytest.raises(DimacsError) as info:
         read_dimacs("\n".join(lines) + "\n")
     assert str(info.value) == "line 6: second problem line; the first is line 2"
+
+
+
+@pytest.mark.parametrize("n", (-3, 0, 1))
+def test_header_n_below_two_rejected(n):
+    if n < 0:  # num_vars(1 - n) == num_vars(n), so GT(4)'s problem line fits
+        text = write_dimacs(gen_gt(4)).replace("n=4", f"n={n}", 1)
+    else:
+        text = f"c family=gt n={n}\np cnf 0 0\n"
+    with pytest.raises(DimacsError) as info:
+        read_dimacs(text)
+    assert str(info.value) == f"line 1: n={n} in header; the families need n >= 2"

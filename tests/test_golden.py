@@ -18,6 +18,7 @@ from ggtkit.bpo import Bpo
 from ggtkit.cli import main
 from ggtkit.formulas import gen_ggt
 from ggtkit.gtproofs import build_pn, build_ppi
+from ggtkit.literals import clause_key
 from ggtkit.lr_engine import build_pool_with_stats, build_regrti_with_stats
 from ggtkit.proof_io import serialize_proof
 from ggtkit.solver import solve
@@ -28,6 +29,7 @@ LR_SIZES = range(4, 10)
 LR_LARGE_SIZES = range(10, 14)  # up to the benchmark's GGT(13), seed 0 only
 SOLVE_SIZES = range(4, 11)
 SOLVE_LARGE_SIZES = (11, 12)
+LEARNED_SIZES = range(4, 13)
 SEEDS = range(3)
 
 
@@ -60,6 +62,11 @@ def lr_digest(build, n: int, seed: int) -> int:
     d, st = build(n, seed)
     counters = (st.stages, st.case_iv, st.unfold_lines, st.segment_budget)
     return _crc(serialize_proof(d) + repr(counters))
+
+
+def learned_digest(n: int, seed: int) -> int:
+    learned = solve(gen_ggt(n, seed)).learned_clauses
+    return _crc("\n".join(" ".join(map(str, clause_key(c))) for c in learned))
 
 
 def solve_digest(n: int, seed: int) -> int:
@@ -108,6 +115,18 @@ SOLVE_LARGE = {
     (11, 0): 2792695501, (11, 1): 1785615566, (11, 2): 2112060917,
     (12, 0): 784605312, (12, 1): 729852753, (12, 2): 2070853552,
 }
+# the learned clauses of the untraced solver, in learn order
+LEARNED = {
+    (4, 0): 1838853596, (4, 1): 1118681726, (4, 2): 212506911,
+    (5, 0): 766867557, (5, 1): 2591755759, (5, 2): 22951012,
+    (6, 0): 1676580508, (6, 1): 3827308230, (6, 2): 1426473508,
+    (7, 0): 396976680, (7, 1): 1884113345, (7, 2): 3503167630,
+    (8, 0): 2479196683, (8, 1): 4006975478, (8, 2): 969484901,
+    (9, 0): 3110267845, (9, 1): 2262409330, (9, 2): 2447392478,
+    (10, 0): 1376301544, (10, 1): 3863024583, (10, 2): 1200886530,
+    (11, 0): 643408606, (11, 1): 2338798018, (11, 2): 128458704,
+    (12, 0): 1332981846, (12, 1): 4129422821, (12, 2): 1504732922,
+}
 # (decisions, propagations, conflicts, learned, restarts, skipped_decisions)
 SOLVE_GGT14_STATS = (5492, 88544, 5493, 682, 0, 0)
 # all four artifacts at n = 4..9, seeds 0-1, wall column zeroed
@@ -149,6 +168,11 @@ def test_solver_trace_markers_and_stats():
 def test_solver_trace_larger_sizes():
     got = {(n, s): solve_digest(n, s) for n in SOLVE_LARGE_SIZES for s in SEEDS}
     assert got == SOLVE_LARGE
+
+
+def test_solver_learned_clauses():
+    got = {(n, s): learned_digest(n, s) for n in LEARNED_SIZES for s in SEEDS}
+    assert got == LEARNED
 
 
 def test_solver_stats_untraced_ggt14():

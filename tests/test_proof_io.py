@@ -104,6 +104,18 @@ def test_second_header_rejected():
     assert str(info.value) == "line 12: second proof header; the first is line 1"
 
 
+def test_repeated_literal_rejected():
+    # kept, the repeat would widen the clause and re-serialize non-canonically
+    text = serialize_proof(build_pool_with_stats(5, 0)[0])
+    lines = text.splitlines()
+    assert lines[1] == "0 A -2 8 -9 10 0"
+    for bad in ("0 A -2 -2 8 -9 10 0", "0 A -2 8 -9 10 8 0"):
+        lines[1] = bad
+        with pytest.raises(ProofParseError) as info:
+            parse_proof("\n".join(lines) + "\n")
+        assert str(info.value) == "line 2: duplicate literal in clause"
+
+
 def _canonical_producers():
     for n in range(4, 11):
         yield build_pn(n)

@@ -128,7 +128,19 @@ def test_closure_decision_provokes_then_flips():
     assert conf is not None  # the triangle conflicts through the guarded pair
     assert s._handle_conflict(conf)
     assert trans_clause(0, 1, 2, n) in s.clause_set  # T{0,1,2} was learned
-    assert s._value(encode_lit(0, 2, n)) is True  # the flip follows the closure
+    assert s.lv[encode_lit(0, 2, n)] is True  # the flip follows the closure
+
+
+def test_learning_a_falsified_clause_breaks_the_contract():
+    # an unwind never learns a clause its flip leaves falsified; _learn checks
+    from ggtkit.literals import encode_lit, trans_clause
+
+    n = 4
+    s = Solver(gen_ggt(n, 0))
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        s._assign(encode_lit(a, b, n), DECISION)
+    with pytest.raises(SolverContractError, match="is falsified"):
+        s._learn(trans_clause(0, 1, 2, n), -1)
 
 
 def test_first_decision_is_base_derivation_root_pivot():
@@ -217,7 +229,7 @@ def test_literal_indexed_assignment_matches_dict_reference(n):
             ref[var] = lit > 0
         for l in lits:
             v = ref.get(abs(l))
-            assert s._value(l) is (None if v is None else v == (l > 0))
+            assert s.lv[l] is (None if v is None else v == (l > 0))
             assert s.lv[l] is not s.lv[-l] or s.lv[l] is None
         assert len(s.trail) == len(ref)
         succ = [0] * n
