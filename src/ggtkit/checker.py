@@ -15,6 +15,19 @@ Profiles:
                context from the available learned clauses, the node must
                be derived by an input subderivation avoiding path variables.
 
+valid is one pass over the node ids.  Each node's clause set is built
+once, kept until the last inference that uses the node as a premise and
+dropped there, so the sets alive at once are those of nodes still
+waiting for their last consumer; a node nothing uses keeps none.  A
+plain resolution step is accepted by set algebra: one premise holds the
+pivot and the other its negation, neither holds both, the clause is
+their union less the pivot pair, and no literal clashes.  With both
+premises clash-free a clash takes a literal of each, so only the shorter
+premise is searched.  Every other step, and every step the test does not
+accept, goes through `resolve_on_var`, the one source of violation
+messages.  A lemma compares its clause tuple with its target's and
+builds the target's set only when the tuples differ.
+
 Violations carry the offending node id.  Multi-input learning patterns
 (compositions of input proofs) are reported as flags, not failures.
 
@@ -33,12 +46,13 @@ not propagation refutes its context.  Every leaf is such a node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import neg
 
 from ggtkit.formulas import FormulaInstance
 from ggtkit.literals import bits
 from ggtkit.proofs import (
     AXIOM,
-    DEGEN_RESOLVE,
+    INFERENCE_RULES,
     LEAF_RULES,
     LEMMA,
     RESOLVE,
@@ -69,8 +83,6 @@ SELF_CHECK = {
     "regrti": (VALID, REGULAR, POOL, INPUT_LEMMA),
     "dpll": (VALID,),
 }
-
-_INFERENCES = (RESOLVE, W_RESOLVE, DEGEN_RESOLVE)
 
 
 @dataclass
@@ -105,36 +117,81 @@ class CheckReport:
 
 def _check_valid(d: Derivation, f: FormulaInstance, report: CheckReport) -> None:
     fset = f.clause_set()
-    for nd in d.nodes:
-        clause = nd.clause_set()
-        if nd.rule == AXIOM:
+    nodes = d.nodes
+    # the id of the last inference using each node as a premise: a node's
+    # clause set is kept until then, and not at all if nothing uses it
+    last = [-1] * len(nodes)
+    for nd in nodes:
+        if nd.premises:
+            p0, p1 = nd.premises
+            last[p0] = last[p1] = nd.nid
+    sets: list[frozenset | None] = [None] * len(nodes)
+    # whether each node's clause is free of a literal and its negation
+    clean = [False] * len(nodes)
+    for nd in nodes:
+        nid = nd.nid
+        rule = nd.rule
+        clause = frozenset(nd.clause)
+        if last[nid] >= 0:
+            sets[nid] = clause
+        if rule == AXIOM:
+            clean[nid] = clause.isdisjoint(map(neg, clause))
             if clause not in fset:
                 report.violations.append(
-                    Violation(VALID, nd.nid, "axiom clause not in the formula")
+                    Violation(VALID, nid, "axiom clause not in the formula")
                 )
-        elif nd.rule == LEMMA:
-            if clause != d.nodes[nd.target].clause_set():
-                report.violations.append(
-                    Violation(VALID, nd.nid, f"lemma clause differs from target {nd.target}")
-                )
-        else:
-            a = d.nodes[nd.premises[0]].clause_set()
-            b = d.nodes[nd.premises[1]].clause_set()
-            try:
-                expected = resolve_on_var(nd.rule, a, b, nd.pivot)
-            except RuleError as exc:
-                report.violations.append(Violation(VALID, nd.nid, str(exc)))
+            continue
+        if rule == LEMMA:
+            target = nodes[nd.target].clause
+            if nd.clause == target:
+                clean[nid] = clean[nd.target]
                 continue
-            if expected != clause:
+            clean[nid] = clause.isdisjoint(map(neg, clause))
+            if clause != frozenset(target):
                 report.violations.append(
-                    Violation(VALID, nd.nid, "clause is not the resolvent of its premises")
+                    Violation(VALID, nid, f"lemma clause differs from target {nd.target}")
                 )
+            continue
+        p0, p1 = nd.premises
+        a, b = sets[p0], sets[p1]
+        if last[p0] == nid:
+            sets[p0] = None
+        if last[p1] == nid:
+            sets[p1] = None
+        v = nd.pivot
+        if rule == RESOLVE and v > 0 and clean[p0] and clean[p1]:
+            # one premise holds v and the other -v, neither holds both, and
+            # the clause is their union less the pivot pair.  With both
+            # premises clean, a clash in the clause takes a literal of each,
+            # so the shorter premise is enough to look for one.
+            va = v in a
+            if (
+                va != (v in b)
+                and va != (-v in a)
+                and va == (-v in b)
+                and clause == (a | b) - {v, -v}
+                and clause.isdisjoint(map(neg, a if len(a) <= len(b) else b))
+            ):
+                clean[nid] = True
+                continue
+        # whatever the test above does not accept goes through the rule
+        # itself, the one source of violation messages
+        clean[nid] = clause.isdisjoint(map(neg, clause))
+        try:
+            expected = resolve_on_var(rule, a, b, v)
+        except RuleError as exc:
+            report.violations.append(Violation(VALID, nid, str(exc)))
+            continue
+        if expected != clause:
+            report.violations.append(
+                Violation(VALID, nid, "clause is not the resolvent of its premises")
+            )
 
 
 def _check_regular(d: Derivation, report: CheckReport) -> None:
     masks = below_pivot_masks([nd.premises for nd in d.nodes], [nd.pivot for nd in d.nodes])
     for nd in d.nodes:
-        if nd.rule in _INFERENCES and masks[nd.nid] >> nd.pivot & 1:
+        if nd.rule in INFERENCE_RULES and masks[nd.nid] >> nd.pivot & 1:
             report.violations.append(
                 Violation(
                     REGULAR,
@@ -145,7 +202,7 @@ def _check_regular(d: Derivation, report: CheckReport) -> None:
     root_vars = {abs(l) for l in d.nodes[d.root].clause}
     if root_vars:
         for nd in d.nodes:
-            if nd.rule in _INFERENCES and nd.pivot in root_vars:
+            if nd.rule in INFERENCE_RULES and nd.pivot in root_vars:
                 report.violations.append(
                     Violation(REGULAR, nd.nid, f"pivot {nd.pivot} occurs in the root clause")
                 )
@@ -222,8 +279,8 @@ def _check_input_lemma(d: Derivation, report: CheckReport) -> None:
 def _phantom_lit(d: Derivation, w_node, slot: int) -> int:
     """Pivot literal attributed to premise `slot` of a w-resolution."""
     v = w_node.pivot
-    a0 = d.nodes[w_node.premises[0]].clause_set()
-    a1 = d.nodes[w_node.premises[1]].clause_set()
+    a0 = d.nodes[w_node.premises[0]].clause
+    a1 = d.nodes[w_node.premises[1]].clause
     if v in a0 or -v in a1:
         return v if slot == 0 else -v
     if v in a1 or -v in a0:
@@ -242,7 +299,7 @@ def _check_greedy_up(d: Derivation, f: FormulaInstance, report: CheckReport) -> 
     pivots = [0] * len(nodes)
     composite = [True] * len(nodes)
     for nd in nodes:
-        if nd.rule in _INFERENCES:
+        if nd.rule in INFERENCE_RULES:
             p0, p1 = nd.premises
             pivots[nd.nid] = 1 << nd.pivot | pivots[p0] | pivots[p1]
             composite[nd.nid] = (is_input[p0] or is_input[p1]) and composite[p0] and composite[p1]
@@ -300,7 +357,7 @@ def _check_greedy_up(d: Derivation, f: FormulaInstance, report: CheckReport) -> 
                         "unit propagation refutes the path context but the subderivation is not input",
                     )
                 )
-        if is_input[nid] and nd.rule in _INFERENCES:
+        if is_input[nid] and nd.rule in INFERENCE_RULES:
             gamma.add(nd.clause)
 
 

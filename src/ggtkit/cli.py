@@ -207,7 +207,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DimacsError, ProofParseError, SizeError, BpoError, NodeBudgetExceeded,
-            UnsupportedFamilyError, FileNotFoundError) as exc:
+            UnsupportedFamilyError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

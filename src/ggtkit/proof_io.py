@@ -19,6 +19,7 @@ from ggtkit.literals import clause_key
 from ggtkit.proofs import (
     AXIOM,
     DAG,
+    INFERENCE_RULES,
     LEMMA,
     TREE,
     Derivation,
@@ -26,8 +27,6 @@ from ggtkit.proofs import (
     ProofStructureError,
     collector_paused,
 )
-
-_RULES = {"A", "L", "R", "W", "D"}
 
 
 class ProofParseError(ValueError):
@@ -76,6 +75,42 @@ def _parse_lits(parts: list[str], line_no: int) -> tuple[int, ...]:
     return lits
 
 
+def _clause(parts: list[str], line_no: int, lit_of: dict[str, int]) -> tuple[int, ...]:
+    """The clause of a line's literal tokens, in clause_key order.
+
+    `lit_of` maps each literal token met so far in the proof to its value;
+    a proof repeats few distinct tokens, so most are looked up, not
+    converted.  With no variable repeated, one sort by variable is
+    clause_key order.  Anything else (a repeat, a clash, a malformed token)
+    takes `_parse_lits`, which raises the error, and then `clause_key`.
+    """
+    if parts and parts[-1] == "0":
+        tokens = parts[:-1]
+        try:
+            lits = list(map(lit_of.__getitem__, tokens))
+        except KeyError:
+            lits = _new_literals(tokens, lit_of)
+        if lits is not None and len(set(map(abs, lits))) == len(lits):
+            lits.sort(key=abs)
+            return tuple(lits)
+    return clause_key(_parse_lits(parts, line_no))
+
+
+def _new_literals(tokens: list[str], lit_of: dict[str, int]) -> list[int] | None:
+    """Add the new tokens to `lit_of` and return the values of all of them;
+    None, adding nothing more, at a token that is not a nonzero integer."""
+    for tok in tokens:
+        if tok not in lit_of:
+            try:
+                lit = int(tok)
+            except ValueError:
+                return None
+            if not lit:
+                return None
+            lit_of[tok] = lit
+    return list(map(lit_of.__getitem__, tokens))
+
+
 def _int(text: str, line_no: int, what: str) -> int:
     try:
         return int(text)
@@ -96,55 +131,44 @@ def _parse(text: str) -> Derivation:
     shape = None
     header_line = 0
     nodes: list[ProofNode] = []
+    lit_of: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("d "):
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith("p "):
-            if header_line:
-                raise ProofParseError(line_no, f"second proof header; the first is line {header_line}")
-            parts = line.split()
-            if len(parts) < 3 or parts[1] != "proof":
-                raise ProofParseError(line_no, f"malformed proof header {line!r}")
-            family = parts[2]
-            for tok in parts[3:]:
-                if "=" not in tok:
-                    raise ProofParseError(line_no, f"malformed header token {tok!r}")
-                key, val = tok.split("=", 1)
-                if key == "n":
-                    n = _int(val, line_no, "n in header")
-                elif key == "seed":
-                    seed = _int(val, line_no, "seed in header")
-                elif key == "shape":
-                    shape = val
-            if shape not in (DAG, TREE):
-                raise ProofParseError(line_no, f"missing or unknown shape {shape!r}")
-            header_line = line_no
-            continue
-        if shape is None:
-            raise ProofParseError(line_no, "proof line before header")
-        parts = line.split()
         try:  # inline, not through _int: this runs once per line
             nid = int(parts[0])
         except ValueError:
+            # no node line: a comment, a decision marker, the header or an error
+            line = raw.strip()
+            if line[0] == "c" or line.startswith("d "):
+                continue
+            if line.startswith("p "):
+                if header_line:
+                    raise ProofParseError(
+                        line_no, f"second proof header; the first is line {header_line}"
+                    )
+                family, n, seed, shape = _header(parts, line, line_no)
+                header_line = line_no
+                continue
+            if shape is None:
+                raise ProofParseError(line_no, "proof line before header")
             raise ProofParseError(line_no, f"bad node id {parts[0]!r}") from None
+        if shape is None:
+            raise ProofParseError(line_no, "proof line before header")
         if nid != len(nodes):
             raise ProofParseError(line_no, f"node id {nid} out of order, expected {len(nodes)}")
         rule = parts[1] if len(parts) > 1 else ""
-        if rule not in _RULES:
-            raise ProofParseError(line_no, f"unknown rule {rule!r}")
         if rule == "A":
-            lits = _parse_lits(parts[2:], line_no)
-            nodes.append(ProofNode(nid, AXIOM, clause_key(lits)))
+            nodes.append(ProofNode(nid, AXIOM, _clause(parts[2:], line_no, lit_of)))
         elif rule == "L":
             if len(parts) != 3:
                 raise ProofParseError(line_no, "lemma line needs exactly a target id")
             target = _int(parts[2], line_no, "lemma target")
             if not (0 <= target < nid):
                 raise ProofParseError(line_no, f"lemma target {target} not earlier")
-            tclause = nodes[target].clause
-            nodes.append(ProofNode(nid, LEMMA, tclause, target=target))
-        else:
+            nodes.append(ProofNode(nid, LEMMA, nodes[target].clause, target=target))
+        elif rule in INFERENCE_RULES:
             if len(parts) < 6:
                 raise ProofParseError(line_no, "inference line too short")
             try:
@@ -153,31 +177,61 @@ def _parse(text: str) -> Derivation:
                 raise ProofParseError(line_no, "bad pivot or premise id") from None
             if pivot <= 0:
                 raise ProofParseError(line_no, f"pivot must be a positive variable, got {pivot}")
-            for p in (p1, p2):
-                if not (0 <= p < nid):
-                    raise ProofParseError(line_no, f"dangling premise {p}")
-            lits = _parse_lits(parts[5:], line_no)
-            nodes.append(ProofNode(nid, rule, clause_key(lits), (p1, p2), pivot))
+            if not 0 <= p1 < nid:
+                raise ProofParseError(line_no, f"dangling premise {p1}")
+            if not 0 <= p2 < nid:
+                raise ProofParseError(line_no, f"dangling premise {p2}")
+            nodes.append(ProofNode(nid, rule, _clause(parts[5:], line_no, lit_of), (p1, p2), pivot))
+        else:
+            raise ProofParseError(line_no, f"unknown rule {rule!r}")
     if not nodes:
         raise ProofParseError(0, "empty proof")
+    # the line checks give every structure condition but the tree's single
+    # use of each node, and a tree in postorder layout has that too
     d = Derivation(tuple(nodes), root=len(nodes) - 1, shape=shape, family=family, n=n, seed=seed)
-    try:
-        d.validate_structure()
-    except ProofStructureError as exc:
-        raise ProofParseError(0, str(exc)) from None
     if shape == TREE:
         _verify_postorder(d)
     return d
 
 
+def _header(parts: list[str], line: str, line_no: int) -> tuple[str, int, int | None, str]:
+    """Family, n, seed and shape of a `p proof` line split into `parts`."""
+    if len(parts) < 3 or parts[1] != "proof":
+        raise ProofParseError(line_no, f"malformed proof header {line!r}")
+    n, seed, shape = 0, None, None
+    for tok in parts[3:]:
+        if "=" not in tok:
+            raise ProofParseError(line_no, f"malformed header token {tok!r}")
+        key, val = tok.split("=", 1)
+        if key == "n":
+            n = _int(val, line_no, "n in header")
+        elif key == "seed":
+            seed = _int(val, line_no, "seed in header")
+        elif key == "shape":
+            shape = val
+    if shape not in (DAG, TREE):
+        raise ProofParseError(line_no, f"missing or unknown shape {shape!r}")
+    return parts[2], n, seed, shape
+
+
 def _verify_postorder(d: Derivation) -> None:
-    """Each tree node must directly follow its right subtree."""
+    """Each tree node must directly follow its right subtree.
+
+    A tree in this layout uses each node at most once, so `_parse` runs no
+    structure check.  At a break the structure check runs first, so that a
+    node used twice is reported as it names it.
+    """
     size = [1] * len(d.nodes)
     for nd in d.nodes:
         if nd.premises:
+            nid = nd.nid
             p1, p2 = nd.premises
-            size[nd.nid] = 1 + size[p1] + size[p2]
-            if p2 != nd.nid - 1 or p1 != nd.nid - 1 - size[p2]:
+            size[nid] = 1 + size[p1] + size[p2]
+            if p2 != nid - 1 or p1 != nid - 1 - size[p2]:
+                try:
+                    d.validate_structure()
+                except ProofStructureError as exc:
+                    raise ProofParseError(0, str(exc)) from None
                 raise ProofParseError(
-                    0, f"node {nd.nid}: premises {nd.premises} break postorder layout"
+                    0, f"node {nid}: premises {nd.premises} break postorder layout"
                 )

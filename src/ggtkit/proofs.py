@@ -21,6 +21,7 @@ W_RESOLVE = "W"
 DEGEN_RESOLVE = "D"
 
 LEAF_RULES = (AXIOM, LEMMA)
+INFERENCE_RULES = (RESOLVE, W_RESOLVE, DEGEN_RESOLVE)
 
 DAG = "dag"
 TREE = "tree"
@@ -121,9 +122,6 @@ class ProofNode:
     pivot: int | None = None  # positive variable id
     target: int | None = None  # lemma reference
 
-    def clause_set(self) -> Clause:
-        return frozenset(self.clause)
-
 
 @dataclass(frozen=True)
 class Derivation:
@@ -145,43 +143,55 @@ class Derivation:
         return max((len(nd.clause) for nd in self.nodes), default=0)
 
     def validate_structure(self) -> None:
-        """Ids contiguous, premises/targets earlier, rule arities right."""
-        for idx, nd in enumerate(self.nodes):
+        """Ids contiguous, premises/targets earlier, rule arities right.
+
+        A tree also uses each node at most once as a premise and never its
+        root.  Its premise uses are gathered in the node loop and counted
+        in one pass; only a failed count is scanned for the node to name.
+        """
+        nodes = self.nodes
+        tree = self.shape == TREE
+        uses: list[int] = []
+        for idx, nd in enumerate(nodes):
             if nd.nid != idx:
                 raise ProofStructureError(f"node {idx} carries id {nd.nid}")
-            if nd.rule == AXIOM:
-                if nd.premises or nd.target is not None:
-                    raise ProofStructureError(f"node {idx}: axiom with premises")
-            elif nd.rule == LEMMA:
-                if nd.premises or nd.target is None:
-                    raise ProofStructureError(f"node {idx}: lemma-ref needs a target")
-                # a forward target is a pool violation, not a malformed object
-                if not (0 <= nd.target < len(self.nodes)) or nd.target == idx:
-                    raise ProofStructureError(
-                        f"node {idx}: lemma target {nd.target} out of range"
-                    )
-            elif nd.rule in (RESOLVE, W_RESOLVE, DEGEN_RESOLVE):
-                if len(nd.premises) != 2 or nd.pivot is None:
+            rule = nd.rule
+            if rule in INFERENCE_RULES:
+                premises = nd.premises
+                if len(premises) != 2 or nd.pivot is None:
                     raise ProofStructureError(
                         f"node {idx}: inference needs two premises and a pivot"
                     )
-                if not all(0 <= p < idx for p in nd.premises):
+                p0, p1 = premises
+                if not (0 <= p0 < idx and 0 <= p1 < idx):
                     raise ProofStructureError(f"node {idx}: forward premise reference")
-            else:
-                raise ProofStructureError(f"node {idx}: unknown rule {nd.rule!r}")
-        if not (0 <= self.root < len(self.nodes)):
-            raise ProofStructureError(f"root {self.root} out of range")
-        if self.shape == TREE:
-            used = [0] * len(self.nodes)
-            for nd in self.nodes:
-                for p in nd.premises:
-                    used[p] += 1
-            for idx, count in enumerate(used):
-                if count > 1:
+                if tree:
+                    uses += premises
+            elif rule == AXIOM:
+                if nd.premises or nd.target is not None:
+                    raise ProofStructureError(f"node {idx}: axiom with premises")
+            elif rule == LEMMA:
+                if nd.premises or nd.target is None:
+                    raise ProofStructureError(f"node {idx}: lemma-ref needs a target")
+                # a forward target is a pool violation, not a malformed object
+                if not (0 <= nd.target < len(nodes)) or nd.target == idx:
                     raise ProofStructureError(
-                        f"node {idx} used {count} times as a premise in a tree"
+                        f"node {idx}: lemma target {nd.target} out of range"
                     )
-            if used[self.root] != 0:
+            else:
+                raise ProofStructureError(f"node {idx}: unknown rule {rule!r}")
+        if not (0 <= self.root < len(nodes)):
+            raise ProofStructureError(f"root {self.root} out of range")
+        if tree:
+            used = [0] * len(nodes)
+            for p in uses:
+                used[p] += 1
+            if max(used) > 1 or used[self.root]:
+                for idx, count in enumerate(used):
+                    if count > 1:
+                        raise ProofStructureError(
+                            f"node {idx} used {count} times as a premise in a tree"
+                        )
                 raise ProofStructureError("tree root used as a premise")
         elif self.shape != DAG:
             raise ProofStructureError(f"unknown shape {self.shape!r}")

@@ -67,7 +67,7 @@ def _path_contexts(d: Derivation) -> list[frozenset[int]]:
             ctx = cplus[pid]
             if pnode.rule == W_RESOLVE:
                 ctx = ctx | {_phantom_lit(d, pnode, slot)}
-        cplus[nid] = ctx | nd.clause_set()
+        cplus[nid] = ctx | frozenset(nd.clause)
     return cplus
 
 
@@ -108,7 +108,7 @@ def _check_greedy_up(d: Derivation, f: FormulaInstance, report: CheckReport) -> 
     is_input = input_subtrees(d)
     cplus = _path_contexts(d)
     pivots_in = _subtree_pivot_vars(d)
-    base = [nd.clause_set() for nd in d.nodes]
+    base = [frozenset(nd.clause) for nd in d.nodes]
     formula_clauses = list(f.clauses)
     for nd in d.nodes:
         ctx = cplus[nd.nid]

@@ -160,7 +160,7 @@ def test_criterion_6_soundness_oracle():
         emitted.append((solve(f, trace=True).trace, list(f.clauses), 4))
     for d, clauses, n in emitted:
         for nd in d.nodes:
-            assert semantic_entails(clauses, nd.clause_set(), n), (n, nd)
+            assert semantic_entails(clauses, frozenset(nd.clause), n), (n, nd)
             checked += 1
     elapsed = time.monotonic() - start
     _report("6 soundness oracle", elapsed, 120, f"({checked} clauses entailed)")

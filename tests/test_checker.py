@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from ggtkit.proofs import (
     W_RESOLVE,
     Derivation,
     ProofNode,
+    ProofStructureError,
     apply_rule,
 )
 from ggtkit.proof_io import ProofParseError, parse_proof, serialize_proof
@@ -323,3 +325,57 @@ def test_checker_is_deterministic():
     r1 = check_proof(d, f, (VALID, REGULAR, POOL))
     r2 = check_proof(d, f, (VALID, REGULAR, POOL))
     assert r1.lines() == r2.lines()
+
+
+def _malformed(change, **fields):
+    """The tiny refutation with node `change` replaced field by field, or
+    with the derivation's own fields replaced when `change` is None."""
+    d, f = tiny_refutation()
+    nodes = list(d.nodes)
+    if change is not None:
+        nodes[change] = dataclasses.replace(nodes[change], **fields)
+        fields = {}
+    return dataclasses.replace(d, nodes=tuple(nodes), **fields), f
+
+
+def _twice_used(extra_root_use):
+    # nodes 0 and 1 each feed two inferences; with `extra_root_use` a node
+    # after the root also uses the root
+    nodes = [
+        ProofNode(0, AXIOM, (1,)),
+        ProofNode(1, AXIOM, (-1,)),
+        ProofNode(2, RESOLVE, (), (0, 1), 1),
+        ProofNode(3, RESOLVE, (), (0, 1), 1),
+    ]
+    if extra_root_use:
+        nodes.append(ProofNode(4, RESOLVE, (), (2, 3), 1))
+    return Derivation(tuple(nodes), root=2, shape=TREE, family="gt", n=2), gen_gt(2)
+
+
+@pytest.mark.parametrize("malformed, message", [
+    (_malformed(1, nid=2), "node 1 carries id 2"),
+    (_malformed(0, premises=(1, 1)), "node 0: axiom with premises"),
+    (_malformed(0, target=1), "node 0: axiom with premises"),
+    (_malformed(1, rule=LEMMA), "node 1: lemma-ref needs a target"),
+    (_malformed(1, rule=LEMMA, target=5), "node 1: lemma target 5 out of range"),
+    (_malformed(1, rule=LEMMA, target=1), "node 1: lemma target 1 out of range"),
+    (_malformed(2, premises=(0,)), "node 2: inference needs two premises and a pivot"),
+    (_malformed(2, pivot=None), "node 2: inference needs two premises and a pivot"),
+    (_malformed(2, premises=(0, 2)), "node 2: forward premise reference"),
+    (_malformed(2, premises=(-1, 1)), "node 2: forward premise reference"),
+    (_malformed(1, rule="X"), "node 1: unknown rule 'X'"),
+    (_malformed(None, root=3), "root 3 out of range"),
+    (_malformed(None, shape="forest"), "unknown shape 'forest'"),
+    (_malformed(2, premises=(0, 0)), "node 0 used 2 times as a premise in a tree"),
+    (_twice_used(False), "node 0 used 2 times as a premise in a tree"),
+    (_twice_used(True), "node 0 used 2 times as a premise in a tree"),
+    (_malformed(None, root=1), "tree root used as a premise"),
+])
+def test_structure_error_messages(malformed, message):
+    d, f = malformed
+    with pytest.raises(ProofStructureError) as info:
+        d.validate_structure()
+    assert str(info.value) == message
+    with pytest.raises(ProofStructureError) as info:
+        check_proof(d, f, (VALID,))
+    assert str(info.value) == message

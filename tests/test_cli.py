@@ -316,3 +316,21 @@ def test_check_rejects_a_repeated_literal(tmp_path, capsys):
     prf.write_text("\n".join(lines) + "\n")
     _usage_error(capsys, ["check", "-f", str(cnf), "-p", str(prf)],
                  "line 2: duplicate literal in clause")
+
+
+@pytest.mark.parametrize("command", ["check-proof-dir", "check-proof-bytes", "refute-input-dir"])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, command):
+    cnf = tmp_path / "f.cnf"
+    main(["gen", "--family", "ggt", "--n", "4", "--seed", "0", "-o", str(cnf)])
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    raw = tmp_path / "p.prf"
+    raw.write_bytes(b"p proof ggt n=4 seed=0 shape=tree\n0 A \xff 0\n")
+    args = {
+        "check-proof-dir": ["check", "-f", str(cnf), "-p", str(folder)],
+        "check-proof-bytes": ["check", "-f", str(cnf), "-p", str(raw)],
+        "refute-input-dir": ["refute", "--mode", "pool", "-i", str(folder), "-o", str(raw)],
+    }[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -39,7 +39,7 @@ class _Tree:
 
     def infer(self, rule, a: int, b: int, var: int) -> int:
         clause = resolve_on_var(
-            rule, self.nodes[a].clause_set(), self.nodes[b].clause_set(), var
+            rule, frozenset(self.nodes[a].clause), frozenset(self.nodes[b].clause), var
         )
         self.nodes.append(ProofNode(len(self.nodes), rule, tuple(clause_key(clause)), (a, b), var))
         return len(self.nodes) - 1

@@ -44,7 +44,7 @@ def test_pn_soundness_oracle():
     d = build_pn(n)
     clauses = list(gen_gt(n).clauses)
     for nd in d.nodes:
-        assert semantic_entails(clauses, nd.clause_set(), n)
+        assert semantic_entails(clauses, frozenset(nd.clause), n)
 
 
 def test_ppi_empty_equals_pn():
@@ -81,7 +81,7 @@ def test_ppi_randomized():
                 if nd.pivot is not None:
                     assert nd.pivot in allowed
                 else:
-                    assert nd.clause_set() in fset  # leaves are formula clauses only
+                    assert frozenset(nd.clause) in fset  # leaves are formula clauses only
             assert len(d) <= 4 * n**3
 
 

@@ -21,7 +21,7 @@ def test_regrti_transitivity_lemmas_are_three_node_inputs():
         if nd.rule != LEMMA:
             continue
         target = d.nodes[nd.target]
-        if triangle_of(target.clause_set(), n) is None:
+        if triangle_of(frozenset(target.clause), n) is None:
             continue
         if target.rule == AXIOM:
             continue

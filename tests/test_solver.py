@@ -72,7 +72,7 @@ def test_trace_replays_as_valid_derivation():
 def test_learned_clause_nodes_in_trace():
     f = gen_ggt(5, 3)
     result = solve(f, trace=True)
-    clauses_in_trace = {nd.clause_set() for nd in result.trace.nodes}
+    clauses_in_trace = {frozenset(nd.clause) for nd in result.trace.nodes}
     for learned in result.learned_clauses:
         assert learned in clauses_in_trace
 
