@@ -15,18 +15,31 @@ Profiles:
                context from the available learned clauses, the node must
                be derived by an input subderivation avoiding path variables.
 
-valid is one pass over the node ids.  Each node's clause set is built
-once, kept until the last inference that uses the node as a premise and
-dropped there, so the sets alive at once are those of nodes still
-waiting for their last consumer; a node nothing uses keeps none.  A
-plain resolution step is accepted by set algebra: one premise holds the
-pivot and the other its negation, neither holds both, the clause is
-their union less the pivot pair, and no literal clashes.  With both
-premises clash-free a clash takes a literal of each, so only the shorter
-premise is searched.  Every other step, and every step the test does not
-accept, goes through `resolve_on_var`, the one source of violation
-messages.  A lemma compares its clause tuple with its target's and
-builds the target's set only when the tuples differ.
+valid is one pass over the node ids on literal bitmasks.  The literal v
+of a formula variable (1..nvars) is bit 2v of a mask and -v is bit 2v+1,
+looked up in a dict keyed by literal, so a literal that equals none of
++-1..+-nvars (0, or one past nvars) has no bit.  A clause's mask is the sum of
+its literals' bits; it counts only if it has as many bits as the clause
+has literals, which also rules out a repeated literal.  A plain
+resolution step on a pivot v in 1..nvars is accepted on masks when one
+premise holds v and not -v, the other holds -v and not v, the clause is
+their union less the pivot pair, and no literal of the clause sits
+beside its negation: exactly the steps `resolve_on_var` accepts.  The
+pivot's bits come from the same dict, so no mask is shifted by a pivot.
+Every other step goes through `resolve_on_var` over frozensets of the
+premises' clauses, the one source of violation messages: w-resolution
+and degenerate steps, steps with a clause that has no mask, and steps
+the mask test rejects.  Axioms are looked up as frozensets in the
+formula; a lemma compares its clause tuple with its target's and builds
+sets only when the tuples differ.  A node's mask is made only if the
+node is a plain resolution step or some inference uses it, is kept
+until its last use as a premise and dropped there, so the masks alive at
+once are those of nodes still waiting for their last consumer (GT(40)
+masks have 1 560 bits).
+
+regular numbers the proof's distinct pivots densely and tracks them as
+bits, so a mask is as wide as the count of distinct pivots, whatever
+their values; a pivot that is not a positive variable is reported.
 
 Violations carry the offending node id.  Multi-input learning patterns
 (compositions of input proofs) are reported as flags, not failures.
@@ -40,14 +53,14 @@ context is consistent and which are not input-derived nodes free of
 pivots on path variables.  At every other node the verdict does not
 depend on the propagation: an inconsistent context is flagged without
 it, and an input node resolving on no path variable passes whether or
-not propagation refutes its context.  Every leaf is such a node.
+not propagation refutes its context.  Every leaf is such a node.  A
+pivot that is not a positive variable, which valid reports, adds no
+pivot bit and no phantom literal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import neg
-
 from ggtkit.formulas import FormulaInstance
 from ggtkit.literals import bits
 from ggtkit.proofs import (
@@ -115,83 +128,113 @@ class CheckReport:
         return out
 
 
+def _literal_bits(nvars: int) -> dict[int, int]:
+    """Bit 2v for the literal v and bit 2v+1 for -v, for v in 1..nvars.
+
+    A dict, not a list indexed from its end: such a list would read the
+    literal -(nvars + 1) as the bit of a positive literal.
+    """
+    bit = {}
+    for v in range(1, nvars + 1):
+        bit[v] = 1 << 2 * v
+        bit[-v] = 1 << 2 * v + 1
+    return bit
+
+
 def _check_valid(d: Derivation, f: FormulaInstance, report: CheckReport) -> None:
     fset = f.clause_set()
     nodes = d.nodes
     # the id of the last inference using each node as a premise: a node's
-    # clause set is kept until then, and not at all if nothing uses it
+    # mask is kept until then, and not at all if nothing uses it
     last = [-1] * len(nodes)
     for nd in nodes:
         if nd.premises:
             p0, p1 = nd.premises
             last[p0] = last[p1] = nd.nid
-    sets: list[frozenset | None] = [None] * len(nodes)
-    # whether each node's clause is free of a literal and its negation
-    clean = [False] * len(nodes)
+    bit = _literal_bits(f.nvars)
+    lit_bit = bit.__getitem__
+    even = (4 ** (f.nvars + 1) - 1) // 3  # bits 0, 2, 4, ...: the positive literals
+    masks: list[int | None] = [None] * len(nodes)
     for nd in nodes:
         nid = nd.nid
         rule = nd.rule
-        clause = frozenset(nd.clause)
-        if last[nid] >= 0:
-            sets[nid] = clause
+        clause = nd.clause
+        m = None
+        if rule == RESOLVE or last[nid] >= 0:
+            # None for a clause with a literal that has no bit; a repeated
+            # literal carries into another bit, so the count tells it too
+            try:
+                m = sum(map(lit_bit, clause))
+            except KeyError:
+                pass
+            else:
+                if m.bit_count() != len(clause):
+                    m = None
+            if last[nid] >= 0:
+                masks[nid] = m
         if rule == AXIOM:
-            clean[nid] = clause.isdisjoint(map(neg, clause))
-            if clause not in fset:
+            if frozenset(clause) not in fset:
                 report.violations.append(
                     Violation(VALID, nid, "axiom clause not in the formula")
                 )
             continue
         if rule == LEMMA:
             target = nodes[nd.target].clause
-            if nd.clause == target:
-                clean[nid] = clean[nd.target]
-                continue
-            clean[nid] = clause.isdisjoint(map(neg, clause))
-            if clause != frozenset(target):
+            if clause != target and frozenset(clause) != frozenset(target):
                 report.violations.append(
                     Violation(VALID, nid, f"lemma clause differs from target {nd.target}")
                 )
             continue
         p0, p1 = nd.premises
-        a, b = sets[p0], sets[p1]
+        a, b = masks[p0], masks[p1]
         if last[p0] == nid:
-            sets[p0] = None
+            masks[p0] = None
         if last[p1] == nid:
-            sets[p1] = None
+            masks[p1] = None
         v = nd.pivot
-        if rule == RESOLVE and v > 0 and clean[p0] and clean[p1]:
-            # one premise holds v and the other -v, neither holds both, and
-            # the clause is their union less the pivot pair.  With both
-            # premises clean, a clash in the clause takes a literal of each,
-            # so the shorter premise is enough to look for one.
-            va = v in a
-            if (
-                va != (v in b)
-                and va != (-v in a)
-                and va == (-v in b)
-                and clause == (a | b) - {v, -v}
-                and clause.isdisjoint(map(neg, a if len(a) <= len(b) else b))
-            ):
-                clean[nid] = True
-                continue
+        if rule == RESOLVE and m is not None and a is not None and b is not None and v > 0:
+            pos = bit.get(v)
+            if pos:
+                # one premise holds v and the other -v, neither holds both,
+                # the clause is their union less the pivot pair, and no
+                # literal of it sits beside its negation
+                pair = pos | pos << 1
+                ha, hb = a & pair, b & pair
+                if ha and hb and ha ^ hb == pair and m == (a | b) ^ pair and not m >> 1 & m & even:
+                    continue
         # whatever the test above does not accept goes through the rule
         # itself, the one source of violation messages
-        clean[nid] = clause.isdisjoint(map(neg, clause))
         try:
-            expected = resolve_on_var(rule, a, b, v)
+            expected = resolve_on_var(
+                rule, frozenset(nodes[p0].clause), frozenset(nodes[p1].clause), v
+            )
         except RuleError as exc:
             report.violations.append(Violation(VALID, nid, str(exc)))
             continue
-        if expected != clause:
+        if expected != frozenset(clause):
             report.violations.append(
                 Violation(VALID, nid, "clause is not the resolvent of its premises")
             )
 
 
 def _check_regular(d: Derivation, report: CheckReport) -> None:
-    masks = below_pivot_masks([nd.premises for nd in d.nodes], [nd.pivot for nd in d.nodes])
-    for nd in d.nodes:
-        if nd.rule in INFERENCE_RULES and masks[nd.nid] >> nd.pivot & 1:
+    nodes = d.nodes
+    # each distinct pivot gets the next bit, so a mask is as wide as the
+    # proof has distinct pivots, whatever their values
+    slot: dict[int, int] = {}
+    slots = [0] * len(nodes)
+    for nd in nodes:
+        if nd.premises:
+            slots[nd.nid] = slot.setdefault(nd.pivot, len(slot))
+    masks = below_pivot_masks([nd.premises for nd in nodes], slots)
+    for nd in nodes:
+        if nd.rule not in INFERENCE_RULES:
+            continue
+        if nd.pivot <= 0:
+            report.violations.append(
+                Violation(REGULAR, nd.nid, f"pivot {nd.pivot} is not a variable")
+            )
+        elif masks[nd.nid] >> slots[nd.nid] & 1:
             report.violations.append(
                 Violation(
                     REGULAR,
@@ -301,7 +344,10 @@ def _check_greedy_up(d: Derivation, f: FormulaInstance, report: CheckReport) -> 
     for nd in nodes:
         if nd.rule in INFERENCE_RULES:
             p0, p1 = nd.premises
-            pivots[nd.nid] = 1 << nd.pivot | pivots[p0] | pivots[p1]
+            pivots[nd.nid] = pivots[p0] | pivots[p1]
+            # a pivot that is not a variable (valid reports it) adds no bit
+            if nd.pivot > 0:
+                pivots[nd.nid] |= 1 << nd.pivot
             composite[nd.nid] = (is_input[p0] or is_input[p1]) and composite[p0] and composite[p1]
     # top-down: the path context C+ as positive and negative variable masks;
     # premises come before their consumer, and each has at most one in a tree
@@ -318,7 +364,7 @@ def _check_greedy_up(d: Derivation, f: FormulaInstance, report: CheckReport) -> 
         pos[nid], neg[nid] = p, q
         for slot, child in enumerate(nd.premises):
             pos[child], neg[child] = p, q
-            if nd.rule == W_RESOLVE:
+            if nd.rule == W_RESOLVE and nd.pivot > 0:
                 lit = _phantom_lit(d, nd, slot)
                 if lit > 0:
                     pos[child] |= 1 << lit

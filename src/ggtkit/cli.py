@@ -18,6 +18,25 @@ from ggtkit.solver import UnsupportedFamilyError, solve
 USAGE_ERROR = 2
 
 
+class NotUtf8Error(ValueError):
+    """An input file that is not UTF-8 text."""
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file; an error names the file and the line of
+    the first byte that is not UTF-8, numbered as the parsers number them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        # "x" stands for the bad byte, so a line that starts with it counts
+        line = len((data[: exc.start].decode() + "x").splitlines())
+        raise NotUtf8Error(
+            f"{path}: line {line}: not UTF-8 text (byte {data[exc.start]:#04x})"
+        ) from None
+
+
 def _parse_pi(text: str, n: int) -> Bpo:
     pairs = []
     if text:
@@ -54,8 +73,7 @@ def _self_check(proof, inst, profiles) -> bool:
 
 
 def _cmd_refute(args) -> int:
-    with open(args.input) as fh:
-        inst = read_dimacs(fh.read())
+    inst = read_dimacs(_read_text(args.input))
     if args.mode == "pn":
         if inst.family != GT:
             print(f"mode pn needs a gt instance, got {inst.family}", file=sys.stderr)
@@ -81,10 +99,8 @@ def _cmd_refute(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    with open(args.formula) as fh:
-        inst = read_dimacs(fh.read())
-    with open(args.proof) as fh:
-        proof = parse_proof(fh.read())
+    inst = read_dimacs(_read_text(args.formula))
+    proof = parse_proof(_read_text(args.proof))
     profiles = tuple(p.strip() for p in args.profiles.split(",") if p.strip())
     if not profiles:
         print(f"no profile given; choose from {','.join(ALL_PROFILES)}", file=sys.stderr)
@@ -100,8 +116,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    with open(args.input) as fh:
-        inst = read_dimacs(fh.read())
+    inst = read_dimacs(_read_text(args.input))
     result = solve(inst, trace=args.trace is not None, tie_seed=args.tie_seed)
     st = result.stats
     print(result.status)
@@ -207,7 +222,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DimacsError, ProofParseError, SizeError, BpoError, NodeBudgetExceeded,
-            UnsupportedFamilyError, OSError, UnicodeDecodeError) as exc:
+            UnsupportedFamilyError, OSError, NotUtf8Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -113,8 +113,19 @@ def resolve_on_var(mode: str, a: Clause, b: Clause, var: int) -> Clause:
     return apply_rule(mode, a, b, var)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProofNode:
+    """One line of a derivation: its id, rule, clause and references.
+
+    Slotted and not frozen: a node has no instance `__dict__`, and its
+    constructor stores each field directly instead of through one
+    `object.__setattr__` call per field, which a frozen dataclass makes.
+    Parsing and every producer build one node per proof line, so that
+    cost is paid per line.  Nodes are never mutated or hashed: builders
+    make a new node (`dataclasses.replace`) instead, and `==` and the
+    repr are the dataclass's, field by field.
+    """
+
     nid: int
     rule: str
     clause: tuple[int, ...]  # in clause_key order; serialize_proof writes it as stored

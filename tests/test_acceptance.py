@@ -22,6 +22,7 @@ from ggtkit.lr_engine import (
     build_regrti_with_stats,
 )
 from ggtkit.proof_io import serialize_proof
+from ggtkit.proofs import AXIOM, LEMMA, RESOLVE
 from ggtkit.solver import solve
 from tests.oracles import allowed_pivot_vars, is_satisfiable, semantic_entails
 
@@ -214,3 +215,18 @@ def test_criterion_9_determinism():
     assert to_csv(r1) == to_csv(r2)
     elapsed = time.monotonic() - start
     _report("9 determinism", elapsed, 120)
+
+
+def test_criterion_10_no_degenerate_inferences():
+    # the paper's pool refutations have no degenerate resolution step, and
+    # these builders make no w-resolution step either
+    start = time.monotonic()
+    for n in range(4, 11):
+        for seed in range(4):
+            for build in (build_pool_with_stats, build_regrti_with_stats):
+                d, _ = build(n, seed)
+                rules = {nd.rule for nd in d.nodes}
+                assert rules <= {AXIOM, LEMMA, RESOLVE}, (build.__name__, n, seed, rules)
+    elapsed = time.monotonic() - start
+    assert elapsed < 60.0
+    _report("10 no degenerate inferences (pool, regRTI; n 4..10, seeds 0-3)", elapsed, 60)

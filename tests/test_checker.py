@@ -15,6 +15,7 @@ from ggtkit.checker import (
 )
 from ggtkit.formulas import FormulaInstance, gen_ggt, gen_gt
 from ggtkit.literals import clause_key
+from ggtkit.lr_engine import build_regrti_with_stats
 from ggtkit.proofs import (
     AXIOM,
     LEMMA,
@@ -84,6 +85,49 @@ def test_repeated_pivot_fails_regular():
     assert not [v for v in report.violations if v.profile == VALID]
     regs = [v for v in report.violations if v.profile == REGULAR]
     assert regs and any(v.node == 2 for v in regs)
+
+
+REGRTI_5, _ = build_regrti_with_stats(5, 0)
+
+
+@pytest.mark.parametrize("profile", ALL_PROFILES)
+@pytest.mark.parametrize("pivot", [-1, 0])
+@pytest.mark.parametrize("rule", [RESOLVE, W_RESOLVE])
+def test_non_positive_pivot_is_reported_not_raised(profile, pivot, rule):
+    d, f = REGRTI_5, gen_ggt(5, 0)
+    nid = next(nd.nid for nd in d.nodes if nd.rule == RESOLVE and nd.nid > 20)
+    nodes = list(d.nodes)
+    nodes[nid] = dataclasses.replace(nodes[nid], pivot=pivot, rule=rule)
+    lines = check_proof(dataclasses.replace(d, nodes=tuple(nodes)), f, (profile,)).lines()
+    if profile == VALID:
+        assert f"[valid] node {nid}: pivot variable must be positive, got {pivot}" in lines
+    elif profile == GREEDY_UP:
+        # a pivot that is not a variable resolves on no path variable
+        assert lines == check_proof(d, f, (profile,)).lines()
+    else:
+        assert f"[regular] node {nid}: pivot {pivot} is not a variable" in lines
+
+
+def test_regular_reports_a_repeated_huge_pivot():
+    # the masks number the distinct pivots, so no mask is as wide as a pivot
+    big = 10**9
+    c_a, c_b, c_c, c_d = (big, 2), (-big, 3), (-3, big), (-big,)
+    f = FormulaInstance(family="gt", n=3, clauses=tuple(map(frozenset, (c_a, c_b, c_c, c_d))))
+    nodes = (
+        ProofNode(0, AXIOM, c_a),
+        ProofNode(1, AXIOM, c_b),
+        ProofNode(2, RESOLVE, (2, 3), (0, 1), big),
+        ProofNode(3, AXIOM, c_c),
+        ProofNode(4, RESOLVE, (2, big), (2, 3), 3),
+        ProofNode(5, AXIOM, c_d),
+        ProofNode(6, RESOLVE, (2,), (4, 5), big),
+    )
+    d = Derivation(nodes, root=6, shape=TREE, family="gt", n=3)
+    assert check_proof(d, f, (VALID, REGULAR)).lines() == [
+        "valid: PASS",
+        "regular: FAIL (1)",
+        f"[regular] node 2: variable {big} is resolved again on the path below",
+    ]
 
 
 def test_root_clause_variable_pivot_fails_regular():

@@ -334,3 +334,30 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys, command):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check -p", "check -f", "refute -i", "solve -i"])
+def test_non_utf8_input_names_the_file_and_line(tmp_path, capsys, command):
+    cnf = tmp_path / "f.cnf"
+    prf = tmp_path / "p.prf"
+    main(["gen", "--family", "ggt", "--n", "4", "--seed", "0", "-o", str(cnf)])
+    main(["refute", "--mode", "pool", "-i", str(cnf), "-o", str(prf)])
+    bad = prf if command == "check -p" else cnf
+    lines = bad.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b" ", b" \xff", 1)
+    bad.write_bytes(b"\n".join(lines))
+    args = {
+        "check -p": ["check", "-f", str(cnf), "-p", str(prf)],
+        "check -f": ["check", "-f", str(cnf), "-p", str(prf)],
+        "refute -i": ["refute", "--mode", "pool", "-i", str(cnf), "-o", str(tmp_path / "q")],
+        "solve -i": ["solve", "-i", str(cnf)],
+    }[command]
+    _usage_error(capsys, args, f"{bad}: line 3: not UTF-8 text (byte 0xff)")
+
+
+def test_non_utf8_byte_opening_a_line_is_counted_on_that_line(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    main(["gen", "--family", "gt", "--n", "4", "-o", str(cnf)])
+    cnf.write_bytes(cnf.read_bytes() + b"\xff1 2 0\n")
+    lines = cnf.read_bytes().count(b"\n")
+    _usage_error(capsys, ["solve", "-i", str(cnf)], f"{cnf}: line {lines}: not UTF-8 text (byte 0xff)")

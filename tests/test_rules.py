@@ -6,8 +6,10 @@ from ggtkit.formulas import gen_ggt
 from ggtkit.literals import encode_lit, trans_clause
 from ggtkit.proofs import (
     DEGEN_RESOLVE,
+    LEMMA,
     RESOLVE,
     W_RESOLVE,
+    ProofNode,
     RuleError,
     apply_rule,
     resolve_on_var,
@@ -108,3 +110,15 @@ def test_resolve_on_var_orients():
     assert resolve_on_var(RESOLVE, a, b, 2) == frozenset({3, 4})
     with pytest.raises(RuleError):
         resolve_on_var(RESOLVE, frozenset({3}), frozenset({4}), 2)
+
+
+def test_proof_node_is_slotted_and_compares_field_by_field():
+    node = ProofNode(3, RESOLVE, (2, -4), (1, 2), 5)
+    assert not hasattr(node, "__dict__")
+    assert node == ProofNode(3, RESOLVE, (2, -4), (1, 2), 5)
+    assert node != ProofNode(3, RESOLVE, (2, -4), (1, 2), 6)
+    assert node != ProofNode(3, RESOLVE, (2, -4), (2, 1), 5)
+    assert ProofNode(4, LEMMA, (2,), target=1) == ProofNode(4, LEMMA, (2,), (), None, 1)
+    assert repr(node) == (
+        "ProofNode(nid=3, rule='R', clause=(2, -4), premises=(1, 2), pivot=5, target=None)"
+    )

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from ggtkit.checker import ALL_PROFILES, VALID, check_proof
+from ggtkit.checker import ALL_PROFILES, REGULAR, VALID, check_proof
 from ggtkit.formulas import FormulaInstance, gen_ggt, gen_gt, gen_gt_pi
 from ggtkit.gtproofs import build_pn, build_ppi
 from ggtkit.lr_engine import build_pool_with_stats, build_regrti_with_stats
@@ -78,8 +78,7 @@ def _mutants(d: Derivation, rng: random.Random, count: int):
         nd = rng.choice(nodes)
         kind = rng.randrange(6)
         if kind == 0 and nd.premises:
-            # not below 0: `regular` shifts by the pivot
-            nd = dataclasses.replace(nd, pivot=rng.randint(0, nvars))
+            nd = dataclasses.replace(nd, pivot=rng.randint(-1, nvars))
         elif kind == 1 and nd.clause:
             drop = rng.randrange(len(nd.clause))
             nd = dataclasses.replace(nd, clause=nd.clause[:drop] + nd.clause[drop + 1:])
@@ -173,6 +172,34 @@ STEPS = {
         _dag((AXIOM, (1,), (), None, None), (LEMMA, (-1,), (), None, 2),
              (AXIOM, (-1,), (), None, None), (RESOLVE, (), (0, 1), 1, None),
              formula=((1,), (-1,))), None),
+    # the formulas of these steps have 6 variables: literals past 6, the
+    # literal 0 and repeated literals have no mask and take the set path
+    "literal past nvars": (_step((1, 7), (-1, 3), RESOLVE, 1, (3, 7)), None),
+    "negative literal past nvars": (_step((1, -7), (-1, 3), RESOLVE, 1, (-7, 3)), None),
+    # a literal table indexed from its end would read -8 as the literal 5
+    "negative literal past nvars, not the resolvent": (
+        _step((1, -8), (-1, 3), RESOLVE, 1, (3, 5)), _BAD_STEP),
+    "negative literal past nvars, clause": (_step((1, 5), (-1, 3), RESOLVE, 1, (-8, 3)), _BAD_STEP),
+    # 0 is its own negation
+    "literal 0 in a premise": (
+        _step((1, 0), (-1, 3), RESOLVE, 1, (0, 3)), "tautological resolvent: contains 0 and 0"),
+    "literal 0 in the clause only": (_step((1, 2), (-1, 3), RESOLVE, 1, (0, 2, 3)), _BAD_STEP),
+    "repeated literal in a premise": (_step((1, 2, 2), (-1, 3), RESOLVE, 1, (2, 3)), None),
+    # summed bits would carry 2 + 2 into -2: the count of bits rules it out
+    "repeated literal in a premise, carried": (
+        _step((1, 2, 2), (-1, 3), RESOLVE, 1, (-2, 3)), _BAD_STEP),
+    "repeated literal in the clause, carried": (
+        _step((1, -2), (-1, 3), RESOLVE, 1, (2, 2, 3)), _BAD_STEP),
+    "repeated pivot in a premise": (_step((1, 1, 2), (-1, 3), RESOLVE, 1, (2, 3)), None),
+    "pivot past nvars": (_step((7, 2), (-7, 3), RESOLVE, 7, (2, 3)), None),
+    "huge pivot": (
+        _step((1, 2), (-1, 3), RESOLVE, 4_000_000_000, (2, 3)),
+        "pivot variable 4000000000 missing from both premises"),
+    "w-resolution with both pivot literals": (_step((1, 2), (-1, 3), W_RESOLVE, 1, (2, 3)), None),
+    "w-resolution, pivot kept": (_step((1, 2), (-1, 3), W_RESOLVE, 1, (1, 2, 3)), _BAD_STEP),
+    "degenerate with both pivot literals": (_step((1, 2), (-1, 3), DEGEN_RESOLVE, 1, (2, 3)), None),
+    "degenerate, tautological resolvent": (
+        _step((1, 2), (-1, -2), DEGEN_RESOLVE, 1, (2, -2)), "tautological resolvent: contains "),
     "axiom not in the formula": (
         _dag((AXIOM, (1,), (), None, None), (AXIOM, (-1, 5), (), None, None),
              (RESOLVE, (5,), (0, 1), 1, None), formula=((1,), (-1,))),
@@ -188,6 +215,17 @@ def test_every_rule_message_matches_the_reference(case):
         assert lines == ["valid: PASS"]
     else:
         assert len(lines) == 2 and lines[1].startswith(f"[valid] node ") and message in lines[1]
+
+
+def test_clauses_over_more_than_64_variables_get_the_reference_report():
+    # GT(12) has 66 variables, so its literal masks need more than one word
+    rng = random.Random(12)
+    pi = seeded_order(12, 1)
+    for d, f in ((build_pn(12), gen_gt(12)), (build_ppi(12, pi), gen_gt_pi(12, pi))):
+        assert f.nvars > 64
+        assert _same_as_reference(d, f, (VALID, REGULAR)) == ["valid: PASS", "regular: PASS"]
+        for mutant in _mutants(d, rng, 40):
+            _same_as_reference(mutant, f, (VALID, REGULAR))
 
 
 # --- parsing ---------------------------------------------------------------
