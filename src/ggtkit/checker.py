@@ -18,9 +18,9 @@ Profiles:
 valid is one pass over the node ids on literal bitmasks.  The literal v
 of a formula variable (1..nvars) is bit 2v of a mask and -v is bit 2v+1,
 looked up in a dict keyed by literal, so a literal that equals none of
-+-1..+-nvars (0, or one past nvars) has no bit.  A clause's mask is the sum of
-its literals' bits; it counts only if it has as many bits as the clause
-has literals, which also rules out a repeated literal.  A plain
++-1..+-nvars (0, or one past nvars) has no bit.  A clause's mask is the
+sum of its literals' bits; it counts only if it has as many bits as the
+clause has literals, which also rules out a repeated literal.  A plain
 resolution step on a pivot v in 1..nvars is accepted on masks when one
 premise holds v and not -v, the other holds -v and not v, the clause is
 their union less the pivot pair, and no literal of the clause sits
@@ -28,34 +28,36 @@ beside its negation: exactly the steps `resolve_on_var` accepts.  The
 pivot's bits come from the same dict, so no mask is shifted by a pivot.
 Every other step goes through `resolve_on_var` over frozensets of the
 premises' clauses, the one source of violation messages: w-resolution
-and degenerate steps, steps with a clause that has no mask, and steps
-the mask test rejects.  Axioms are looked up as frozensets in the
-formula; a lemma compares its clause tuple with its target's and builds
-sets only when the tuples differ.  A node's mask is made only if the
-node is a plain resolution step or some inference uses it, is kept
-until its last use as a premise and dropped there, so the masks alive at
-once are those of nodes still waiting for their last consumer (GT(40)
-masks have 1 560 bits).
+steps, steps with a clause that has no mask, and steps the mask test
+rejects.  Axioms are looked up as frozensets in the formula; a lemma
+compares its clause tuple with its target's and builds sets only when
+the tuples differ.  A node's mask is made only if the node is a plain
+resolution step or some inference uses it, is kept until its last use as
+a premise and dropped there, so the masks alive at once are those of
+nodes still waiting for their last consumer (GT(40) masks have 1 560
+bits).
 
-regular numbers the proof's distinct pivots densely and tracks them as
-bits, so a mask is as wide as the count of distinct pivots, whatever
-their values; a pivot that is not a positive variable is reported.
+regular numbers the proof's distinct pivots densely (`_dense`) and
+tracks them as bits, so a mask is as wide as the count of distinct
+pivots, whatever their values; a pivot that is not a positive variable
+is reported.
 
 Violations carry the offending node id.  Multi-input learning patterns
 (compositions of input proofs) are reported as flags, not failures.
 
 greedy_up is one pass over the node ids.  Path contexts, subtree pivot
-variables and the composite-input predicate are bitmasks and flags filled
-in beforehand, and the available learned clauses (the input-derived
-inference clauses with smaller ids) go into one append-only ClauseIndex
-after each node is checked.  Unit propagation runs only at nodes whose
-context is consistent and which are not input-derived nodes free of
-pivots on path variables.  At every other node the verdict does not
-depend on the propagation: an inconsistent context is flagged without
-it, and an input node resolving on no path variable passes whether or
-not propagation refutes its context.  Every leaf is such a node.  A
-pivot that is not a positive variable, which valid reports, adds no
-pivot bit and no phantom literal.
+variables and the composite-input predicate are bitmasks and flags
+filled in beforehand, their bits numbering the proof's variables in
+increasing order through regular's `_dense`; the available learned
+clauses (the input-derived inference clauses with smaller ids) go into
+one append-only ClauseIndex after each node is checked.  Unit
+propagation runs only at nodes whose context is consistent and which are
+not input-derived nodes free of pivots on path variables.  At every
+other node the verdict does not depend on the propagation: an
+inconsistent context is flagged without it, and an input node resolving
+on no path variable passes whether or not propagation refutes its
+context.  Every leaf is such a node.  A pivot that is not a positive
+variable, which valid reports, adds no pivot bit and no phantom literal.
 """
 
 from __future__ import annotations
@@ -217,15 +219,17 @@ def _check_valid(d: Derivation, f: FormulaInstance, report: CheckReport) -> None
             )
 
 
+def _dense(values) -> tuple[list[int], dict[int, int]]:
+    """The distinct values in increasing order, and each one's place: masks
+    over the places are as wide as the count of values, whatever they are."""
+    order = sorted(set(values))
+    return order, {v: i for i, v in enumerate(order)}
+
+
 def _check_regular(d: Derivation, report: CheckReport) -> None:
     nodes = d.nodes
-    # each distinct pivot gets the next bit, so a mask is as wide as the
-    # proof has distinct pivots, whatever their values
-    slot: dict[int, int] = {}
-    slots = [0] * len(nodes)
-    for nd in nodes:
-        if nd.premises:
-            slots[nd.nid] = slot.setdefault(nd.pivot, len(slot))
+    _, slot = _dense(nd.pivot for nd in nodes if nd.premises)
+    slots = [slot[nd.pivot] if nd.premises else 0 for nd in nodes]
     masks = below_pivot_masks([nd.premises for nd in nodes], slots)
     for nd in nodes:
         if nd.rule not in INFERENCE_RULES:
@@ -303,11 +307,10 @@ def input_subtrees(d: Derivation) -> list[bool]:
     return is_input
 
 
-def _check_input_lemma(d: Derivation, report: CheckReport) -> None:
+def _check_input_lemma(d: Derivation, is_input: list[bool], report: CheckReport) -> None:
     if d.shape != TREE:
         report.violations.append(Violation(INPUT_LEMMA, d.root, "proof is not tree-shaped"))
         return
-    is_input = input_subtrees(d)
     for nd in d.nodes:
         if nd.rule == LEMMA and not is_input[nd.target]:
             report.violations.append(
@@ -331,12 +334,16 @@ def _phantom_lit(d: Derivation, w_node, slot: int) -> int:
     return v if slot == 0 else -v  # both phantom; premise order fixes polarity
 
 
-def _check_greedy_up(d: Derivation, f: FormulaInstance, report: CheckReport) -> None:
+def _check_greedy_up(d: Derivation, f: FormulaInstance, is_input: list[bool], report: CheckReport):
     if d.shape != TREE:
         report.violations.append(Violation(GREEDY_UP, d.root, "profile needs a tree proof"))
         return
     nodes = d.nodes
-    is_input = input_subtrees(d)
+    # variable var[i] is bit i; a pivot that is not a variable (valid
+    # reports it) gets no bit and no phantom literal
+    var, place = _dense([abs(lit) for nd in nodes for lit in nd.clause]
+                        + [nd.pivot for nd in nodes if nd.premises and nd.pivot > 0])
+    bit = {v: 1 << i for v, i in place.items()}
     # bottom-up: the pivot variables of each subtree, and whether every
     # inference in it has an input-derived premise
     pivots = [0] * len(nodes)
@@ -345,9 +352,8 @@ def _check_greedy_up(d: Derivation, f: FormulaInstance, report: CheckReport) -> 
         if nd.rule in INFERENCE_RULES:
             p0, p1 = nd.premises
             pivots[nd.nid] = pivots[p0] | pivots[p1]
-            # a pivot that is not a variable (valid reports it) adds no bit
             if nd.pivot > 0:
-                pivots[nd.nid] |= 1 << nd.pivot
+                pivots[nd.nid] |= bit[nd.pivot]
             composite[nd.nid] = (is_input[p0] or is_input[p1]) and composite[p0] and composite[p1]
     # top-down: the path context C+ as positive and negative variable masks;
     # premises come before their consumer, and each has at most one in a tree
@@ -358,18 +364,18 @@ def _check_greedy_up(d: Derivation, f: FormulaInstance, report: CheckReport) -> 
         p, q = pos[nid], neg[nid]
         for lit in nd.clause:
             if lit > 0:
-                p |= 1 << lit
+                p |= bit[lit]
             else:
-                q |= 1 << -lit
+                q |= bit[-lit]
         pos[nid], neg[nid] = p, q
         for slot, child in enumerate(nd.premises):
             pos[child], neg[child] = p, q
             if nd.rule == W_RESOLVE and nd.pivot > 0:
                 lit = _phantom_lit(d, nd, slot)
                 if lit > 0:
-                    pos[child] |= 1 << lit
+                    pos[child] |= bit[lit]
                 else:
-                    neg[child] |= 1 << -lit
+                    neg[child] |= bit[-lit]
     gamma = ClauseIndex(f.clauses)
     for nd in nodes:
         nid = nd.nid
@@ -381,14 +387,14 @@ def _check_greedy_up(d: Derivation, f: FormulaInstance, report: CheckReport) -> 
             )
         # an input node resolving on no path variable passes either way
         elif bad or not is_input[nid]:
-            assignment = [-v for v in bits(p)] + list(bits(q))
+            assignment = [-var[i] for i in bits(p)] + [var[i] for i in bits(q)]
             refuted = unit_propagate(gamma, assignment).conflict is not None
             if refuted and bad:
                 report.violations.append(
                     Violation(
                         GREEDY_UP,
                         nid,
-                        f"input refutation of the path context exists but the subderivation resolves on path variables {list(bits(bad))}",
+                        f"input refutation of the path context exists but the subderivation resolves on path variables {[var[i] for i in bits(bad)]}",
                     )
                 )
             elif refuted and composite[nid]:
@@ -437,8 +443,11 @@ def check_proof(d: Derivation, f: FormulaInstance, profiles) -> CheckReport:
             _check_regular(d, report)
         if POOL in profiles:
             _check_pool(d, report)
+        # both profiles read the same input-derivation flags
+        if INPUT_LEMMA in profiles or GREEDY_UP in profiles:
+            is_input = input_subtrees(d)
         if INPUT_LEMMA in profiles:
-            _check_input_lemma(d, report)
+            _check_input_lemma(d, is_input, report)
         if GREEDY_UP in profiles:
-            _check_greedy_up(d, f, report)
+            _check_greedy_up(d, f, is_input, report)
     return report

@@ -5,7 +5,10 @@ reproduce the instance; comments after it carry no metadata:
 
     c family=ggt n=6 seed=1
     c family=gtpi n=4 pi=1:3,2:3
-    c guards=unguarded          (GGT below n=4)
+    c guards=unguarded          (GGT with no guarded clause: n < 4)
+
+The seed is provenance only: a GGT instance's guards are read off its
+guarded clause copies, and the `guards` key is not read back.
 
 Clause order is canonical (minimality clauses by vertex, then transitivity
 clauses by canonical triple) so identical parameters give byte-identical
@@ -15,7 +18,7 @@ files.
 from __future__ import annotations
 
 from ggtkit.bpo import Bpo
-from ggtkit.formulas import GGT, GT, GT_PI, FormulaInstance, guards
+from ggtkit.formulas import GGT, GT, GT_PI, FormulaInstance, GuardError
 from ggtkit.literals import clause_key, make_clause, num_vars, PairError, TautologyError
 
 
@@ -35,7 +38,7 @@ def write_dimacs(instance: FormulaInstance) -> str:
         assert instance.pi is not None
         pairs = ",".join(f"{a}:{b}" for a, b in sorted(instance.pi.pairs))
         lines[0] += f" pi={pairs}"
-    if instance.unguarded:
+    if instance.family == GGT and instance.guard_map is None:
         lines.append("c guards=unguarded")
     lines.append(f"p cnf {instance.nvars} {len(instance.clauses)}")
     for clause in instance.clauses:
@@ -118,8 +121,6 @@ def read_dimacs(text: str) -> FormulaInstance:
     n = meta["n"]
     if num_vars(n) != nvars:
         raise DimacsError(0, f"n={n} implies {num_vars(n)} vars, header says {nvars}")
-    seed = meta.get("seed")
-    unguarded = meta.get("guards") == "unguarded"
     pi = None
     if family == GT_PI:
         try:
@@ -131,15 +132,9 @@ def read_dimacs(text: str) -> FormulaInstance:
             pi = Bpo.of(n, pairs)
         except (ValueError, PairError) as exc:
             raise DimacsError(0, f"malformed pi in header: {exc}") from None
-    gmap = None
-    if family == GGT and seed is not None and not unguarded:
-        gmap = guards(n, seed)
-    return FormulaInstance(
-        family=family,
-        n=n,
-        clauses=tuple(clauses),
-        seed=seed,
-        guard_map=gmap,
-        pi=pi,
-        unguarded=unguarded,
-    )
+    instance = FormulaInstance(family=family, n=n, clauses=tuple(clauses), seed=meta.get("seed"), pi=pi)
+    try:
+        instance.guard_map  # read once here, so a bad pair is a parse error
+    except GuardError as exc:
+        raise DimacsError(0, str(exc)) from None
+    return instance

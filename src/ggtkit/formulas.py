@@ -10,7 +10,8 @@ triples.  GT_pi restricts the family to a bipartite partial order pi.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from ggtkit.bpo import Bpo
 from ggtkit.literals import (
@@ -19,7 +20,6 @@ from ggtkit.literals import (
     alpha_clause,
     encode_lit,
     make_clause,
-    min_first,
     num_vars,
     trans_clause,
     triangle_of,
@@ -34,6 +34,10 @@ _GUARD_KEY_BASE = 1 << 21  # mixes (seed, i, j, k) into one deterministic int
 
 class SizeError(ValueError):
     """Raised when the size parameter is too small for the requested family."""
+
+
+class GuardError(ValueError):
+    """Raised when the guarded copies of a triangle do not form one opposite pair."""
 
 
 def cyclic_classes(n: int) -> list[tuple[int, int, int]]:
@@ -52,29 +56,6 @@ def cyclic_classes(n: int) -> list[tuple[int, int, int]]:
     return reps
 
 
-@dataclass(frozen=True)
-class GuardMap:
-    """Seeded guard assignment, one (r, s) pair per cyclic class.
-
-    `lits` holds each class's guard as the signed literal x[r,s], keyed
-    like `table` by the min-first triangle.  The guarded copy carrying
-    +lits[tri] is the one listed first.
-    """
-
-    n: int
-    seed: int
-    table: dict[tuple[int, int, int], tuple[int, int]] = field(repr=False)
-    lits: dict[tuple[int, int, int], int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        lits = {tri: encode_lit(r, s, self.n) for tri, (r, s) in self.table.items()}
-        object.__setattr__(self, "lits", lits)
-
-    def guard(self, i: int, j: int, k: int) -> tuple[int, int]:
-        """Guard pair for the class of (i, j, k); invariant under rotation."""
-        return self.table[min_first(i, j, k)]
-
-
 def _admissible_guards(n: int, triple: tuple[int, int, int]) -> list[tuple[int, int]]:
     inside = set(triple)
     return [
@@ -85,35 +66,68 @@ def _admissible_guards(n: int, triple: tuple[int, int, int]) -> list[tuple[int, 
     ]
 
 
-def guards(n: int, seed: int) -> GuardMap:
+def guards(n: int, seed: int) -> dict[tuple[int, int, int], int]:
     """Draw guard pairs uniformly per class with a per-class seeded RNG.
 
-    Requires n >= 4 so that a guard outside the triple exists.  The RNG key
-    mixes the seed with the canonical representative, so the table does not
-    depend on iteration order.
+    Returns each class's guard as the signed literal x[r,s], keyed by the
+    class's min-first triangle.  Requires n >= 4 so that a guard outside
+    the triple exists.  The RNG key mixes the seed with the canonical
+    representative, so the draw does not depend on iteration order.
     """
     if n < 4:
         raise SizeError(f"guards need n >= 4, got {n}")
-    table = {}
+    gmap = {}
     for rep in cyclic_classes(n):
         i, j, k = rep
         options = _admissible_guards(n, rep)
         key = ((seed * _GUARD_KEY_BASE + i) * _GUARD_KEY_BASE + j) * _GUARD_KEY_BASE + k
-        table[rep] = options[random.Random(key).randrange(len(options))]
-    return GuardMap(n=n, seed=seed, table=table)
+        gmap[rep] = encode_lit(*options[random.Random(key).randrange(len(options))], n)
+    return gmap
+
+
+def read_guards(n: int, clauses) -> dict[tuple[int, int, int], int] | None:
+    """Each triangle's guard literal, read off the GGT clauses; None if no clause is guarded.
+
+    A guarded copy is a transitivity clause plus its guard literal.  Each
+    triangle needs two copies with opposite guards, else GuardError names
+    it; the guard kept is the first copy's, as `gen_ggt` lists them.
+    Four-literal minimality clauses (n = 5) hold no triangle.
+    """
+    tri_of = {trans_clause(*rep, n): rep for rep in cyclic_classes(n)}
+    copies: dict[tuple[int, int, int], list[int]] = {}
+    for clause in clauses:
+        if len(clause) == 4:
+            for g in clause:
+                tri = tri_of.get(clause - {g})
+                if tri is not None:
+                    copies.setdefault(tri, []).append(g)
+                    break
+    if not copies:
+        return None
+    gmap = {}
+    for tri in tri_of.values():
+        found = copies.get(tri, [])
+        if len(found) != 2 or found[0] != -found[1]:
+            raise GuardError(f"triangle {tri} has guarded copies {found}; it needs one opposite pair")
+        gmap[tri] = found[0]
+    return gmap
 
 
 @dataclass(frozen=True)
 class FormulaInstance:
-    """A generated CNF together with the metadata needed to reproduce it."""
+    """A CNF with the metadata that reproduces it; the seed is provenance
+    only, as a GGT instance's guards are read off its clauses."""
 
     family: str
     n: int
     clauses: tuple[Clause, ...]
     seed: int | None = None
-    guard_map: GuardMap | None = None
     pi: Bpo | None = None
-    unguarded: bool = False  # GGT below n=4 falls back to plain GT clauses
+
+    @cached_property
+    def guard_map(self) -> dict[tuple[int, int, int], int] | None:
+        """Each triangle's guard literal; None unless a GGT clause is guarded."""
+        return read_guards(self.n, self.clauses) if self.family == GGT else None
 
     @property
     def nvars(self) -> int:
@@ -137,24 +151,21 @@ def gen_ggt(n: int, seed: int) -> FormulaInstance:
     """The guarded family: each transitivity clause split on its guard.
 
     For n in {2, 3} there is no admissible guard, so the unguarded GT
-    clauses are emitted with the `unguarded` flag set; the seed is still
-    recorded for reproducibility of the file headers.
+    clauses are emitted; the seed is still recorded for reproducibility of
+    the file headers.  The copy carrying +g comes first.
     """
     if n < 2:
         raise SizeError(f"ggt needs n >= 2, got {n}")
     if n < 4:
-        base = gen_gt(n)
-        return FormulaInstance(
-            family=GGT, n=n, clauses=base.clauses, seed=seed, unguarded=True
-        )
+        return FormulaInstance(family=GGT, n=n, clauses=gen_gt(n).clauses, seed=seed)
     gmap = guards(n, seed)
     clauses = [alpha_clause(i, n) for i in range(n)]
     for rep in cyclic_classes(n):
         t = trans_clause(*rep, n)
-        g = gmap.lits[rep]
+        g = gmap[rep]
         clauses.append(make_clause(t | {g}))
         clauses.append(make_clause(t | {-g}))
-    return FormulaInstance(family=GGT, n=n, clauses=tuple(clauses), seed=seed, guard_map=gmap)
+    return FormulaInstance(family=GGT, n=n, clauses=tuple(clauses), seed=seed)
 
 
 def gt_pi_clauses(n: int, pi: Bpo) -> tuple[list[Clause], list[Clause], list[Clause]]:
@@ -193,15 +204,5 @@ def gen_gt_pi(n: int, pi: Bpo) -> FormulaInstance:
     if pi.n != n:
         raise PairError(f"pi is over {pi.n} vertices, formula wants {n}")
     alphas, betas, gammas = gt_pi_clauses(n, pi)
-    trans = sorted(betas + gammas, key=_triple_sort_key(n))
+    trans = sorted(betas + gammas, key=lambda clause: triangle_of(clause, n))
     return FormulaInstance(family=GT_PI, n=n, clauses=tuple(alphas + trans), pi=pi)
-
-
-def _triple_sort_key(n: int):
-    def key(clause: Clause):
-        tri = triangle_of(clause, n)
-        assert tri is not None
-        return tri
-
-    return key
-

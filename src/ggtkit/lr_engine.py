@@ -125,10 +125,10 @@ class LrStats:
 class _Engine:
     def __init__(self, formula: FormulaInstance, mode: str, max_nodes: int | None):
         if formula.guard_map is None:
-            raise SizeError("pool construction needs a guarded instance (ggt, n >= 4, seeded)")
+            raise SizeError("pool construction needs a guarded instance (ggt, n >= 4)")
         self.f = formula
         self.n = formula.n
-        self.glits = formula.guard_map.lits
+        self.glits = formula.guard_map
         self.mode = mode
         self.max_nodes = max_nodes
         self.node_count = 0

@@ -5,7 +5,7 @@ One node per line, ids 0-based and strictly increasing:
     p proof <family> n=<n> [seed=<s>] shape=<dag|tree>
     <id> A <lits> 0
     <id> L <target-id>
-    <id> R|W|D <pivot-var> <p1> <p2> <lits> 0
+    <id> R|W <pivot-var> <p1> <p2> <lits> 0
 
 For tree shape the ids are postorder positions and the parser re-verifies
 the postorder discipline (each node directly follows its right subtree).

@@ -1,4 +1,4 @@
-"""Proof objects and the three resolution rule variants.
+"""Proof objects and the two resolution rule variants.
 
 A derivation is a list of nodes; premises always point at earlier ids.
 Tree-shaped derivations carry lemma references (leaf nodes repeating a
@@ -12,16 +12,15 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 
-from ggtkit.literals import Clause, clause_key
+from ggtkit.literals import Clause
 
 AXIOM = "A"
 LEMMA = "L"
 RESOLVE = "R"
 W_RESOLVE = "W"
-DEGEN_RESOLVE = "D"
 
 LEAF_RULES = (AXIOM, LEMMA)
-INFERENCE_RULES = (RESOLVE, W_RESOLVE, DEGEN_RESOLVE)
+INFERENCE_RULES = (RESOLVE, W_RESOLVE)
 
 DAG = "dag"
 TREE = "tree"
@@ -63,11 +62,9 @@ class collector_paused:
 def apply_rule(mode: str, a: Clause, b: Clause, x: int) -> Clause:
     """Resolvent of clauses a and b on pivot literal x.
 
-    All modes require -x not in a and x not in b.  Plain resolution also
+    Both modes require -x not in a and x not in b.  Plain resolution also
     requires x in a and -x in b; w-resolution drops both membership
-    requirements (phantom pivots); degenerate resolution returns the
-    surviving premise when a pivot occurrence is missing, with a
-    lexicographic tiebreak when both are.  A resolvent containing opposite
+    requirements (phantom pivots).  A resolvent containing opposite
     literals is an error, never silently produced.
     """
     if -x in a:
@@ -79,14 +76,6 @@ def apply_rule(mode: str, a: Clause, b: Clause, x: int) -> Clause:
             raise RuleError(f"pivot {x} missing from premise A")
         if -x not in b:
             raise RuleError(f"pivot {-x} missing from premise B")
-    elif mode == DEGEN_RESOLVE:
-        in_a, in_b = x in a, -x in b
-        if in_a and not in_b:
-            return b
-        if in_b and not in_a:
-            return a
-        if not in_a and not in_b:
-            return min(a, b, key=clause_key)
     elif mode != W_RESOLVE:
         raise RuleError(f"unknown rule mode {mode!r}")
     resolvent = (a - {x}) | (b - {-x})

@@ -34,7 +34,7 @@ or None, and a negative literal indexes from the end, so `lv[lit]` and
 `lv[-lit]` are the two polarities of one variable.  Watch lists are
 indexed the same way.  The vertex pair of every literal (`pair`) is
 tabulated once when the solver is made, and the guard of every triangle
-is read from the instance's `GuardMap.lits`.  The search allocates only
+is read from the instance's `guard_map`.  The search allocates only
 acyclic objects (trail tuples, frozensets, trace nodes), so
 `Solver.solve` runs under `proofs.collector_paused`: the cyclic garbage
 collector would otherwise scan the growing trace over and over and free
@@ -361,8 +361,8 @@ class Solver:
         if walk is None:
             skel = build_skeleton(n, minimals, succ)
             taxioms = []
-            if self.f.guard_map is not None:
-                glits = self.f.guard_map.lits
+            glits = self.f.guard_map
+            if glits is not None:
                 masks = skel.masks()
                 for nid, kind in enumerate(skel.kind):
                     if kind is not None and kind[0] != "alpha":

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from ggtkit.checker import GREEDY_UP, CheckReport, Violation, _phantom_lit, input_subtrees
 from ggtkit.formulas import FormulaInstance
-from ggtkit.proofs import AXIOM, DEGEN_RESOLVE, LEMMA, RESOLVE, TREE, W_RESOLVE, Derivation
+from ggtkit.proofs import AXIOM, LEMMA, RESOLVE, TREE, W_RESOLVE, Derivation
 from ggtkit.propagation import InconsistentAssignment, PropagationResult
 
-_INFERENCES = (RESOLVE, W_RESOLVE, DEGEN_RESOLVE)
+_INFERENCES = (RESOLVE, W_RESOLVE)
 
 
 def scan_unit_propagate(clauses, assignment) -> PropagationResult:

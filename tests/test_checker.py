@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import ggtkit.checker
 from ggtkit.checker import (
     ALL_PROFILES,
     GREEDY_UP,
@@ -423,3 +424,19 @@ def test_structure_error_messages(malformed, message):
     with pytest.raises(ProofStructureError) as info:
         check_proof(d, f, (VALID,))
     assert str(info.value) == message
+
+
+def test_input_subtrees_runs_once_per_check(monkeypatch):
+    # input_lemma and greedy_up read the same flags
+    f = gen_ggt(5, 0)
+    d = build_regrti_with_stats(f)[0]
+    expected = check_proof(d, f, ALL_PROFILES).lines()
+    calls = []
+
+    def counted(proof):
+        calls.append(proof)
+        return input_subtrees(proof)
+
+    monkeypatch.setattr(ggtkit.checker, "input_subtrees", counted)
+    assert check_proof(d, f, ALL_PROFILES).lines() == expected
+    assert calls == [d]

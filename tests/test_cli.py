@@ -7,6 +7,8 @@ import ggtkit.cli
 from ggtkit.bench import ARTIFACTS
 from ggtkit.checker import ALL_PROFILES, SELF_CHECK
 from ggtkit.cli import main, make_parser
+from ggtkit.formulas import gen_ggt
+from ggtkit.literals import clause_key, trans_clause
 from ggtkit.proofs import RESOLVE
 
 
@@ -145,18 +147,75 @@ def test_refute_mode_mismatch(tmp_path):
     assert main(["refute", "--mode", "pool", "-i", str(cnf), "-o", str(tmp_path / "p")]) == 2
 
 
-def test_refute_ggt_without_seed(tmp_path, capsys):
-    # without a seed the header does not name the guard map
-    cnf = tmp_path / "f.cnf"
-    main(["gen", "--family", "ggt", "--n", "5", "--seed", "0", "-o", str(cnf)])
-    cnf.write_text(cnf.read_text().replace(" seed=0", "", 1))
+def _gen_ggt(directory, n, seed, edit=lambda text: text):
+    """A generated GGT(n) file in a new directory, its text edited."""
+    directory.mkdir()
+    cnf = directory / "f.cnf"
+    main(["gen", "--family", "ggt", "--n", str(n), "--seed", str(seed), "-o", str(cnf)])
+    cnf.write_text(edit(cnf.read_text()))
+    return cnf
+
+
+def _refute_and_solve(capsys, cnf):
+    """Exit code, stdout, stderr and proof file of refute (both modes) and
+    solve --trace, the proofs written beside the formula."""
     capsys.readouterr()
-    for mode in ("pool", "regrti"):
-        prf = tmp_path / f"{mode}.prf"
-        assert main(["refute", "--mode", mode, "-i", str(cnf), "-o", str(prf)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "guarded instance" in err
-        assert not prf.exists()
+    out = {}
+    for args in (["refute", "--mode", "pool"], ["refute", "--mode", "regrti"], ["solve"]):
+        prf = cnf.parent / f"{args[-1]}.prf"
+        code = main(args + ["-i", str(cnf), "--trace" if args == ["solve"] else "-o", str(prf)])
+        captured = capsys.readouterr()
+        out[args[-1]] = (code, captured.out.replace(str(prf), "P"), captured.err, prf.read_text())
+    return out
+
+
+def _body(text: str) -> str:
+    return text.split("\n", 1)[1]
+
+
+def test_refute_ggt_without_seed(tmp_path, capsys):
+    # the guards are read off the clauses, so a seedless file refutes, and
+    # its proofs are the seeded file's bar the header's seed
+    seeded = _refute_and_solve(capsys, _gen_ggt(tmp_path / "a", 5, 0))
+    cnf = _gen_ggt(tmp_path / "b", 5, 0, lambda text: text.replace(" seed=0", "", 1))
+    assert cnf.read_text().startswith("c family=ggt n=5\n")
+    seedless = _refute_and_solve(capsys, cnf)
+    for mode in ("pool", "regrti", "solve"):
+        code, out, err, proof = seedless[mode]
+        assert (code, err) == (0, "") and out.endswith("self-check passed\n")
+        assert out == seeded[mode][1]
+        assert proof.startswith("p proof ggt n=5 shape=")
+        assert _body(proof) == _body(seeded[mode][3])
+
+
+def test_header_seed_does_not_select_the_guards(tmp_path, capsys):
+    # a GGT(6) seed-1 file whose header says seed=2 gets the proofs of its
+    # own clauses, not those of seed 2's guard map
+    one = _refute_and_solve(capsys, _gen_ggt(tmp_path / "a", 6, 1))
+    cnf = _gen_ggt(tmp_path / "b", 6, 1, lambda text: text.replace(" seed=1", " seed=2", 1))
+    assert cnf.read_text().startswith("c family=ggt n=6 seed=2\n")
+    relabelled = _refute_and_solve(capsys, cnf)
+    for mode in ("pool", "regrti", "solve"):
+        code, out, err, proof = relabelled[mode]
+        assert (code, err) == (0, "") and out.endswith("self-check passed\n")
+        assert out == one[mode][1]
+        assert proof.startswith("p proof ggt n=6 seed=2 shape=")
+        assert _body(proof) == _body(one[mode][3])
+
+
+def test_refute_rejects_an_unpaired_guard_copy(tmp_path, capsys):
+    # the second copy of triangle (0, 1, 2) carries a third literal, not -g
+    f = gen_ggt(6, 1)
+    t, g = trans_clause(0, 1, 2, 6), f.guard_map[(0, 1, 2)]
+    h = next(v for v in range(1, 16) if v != abs(g) and v not in map(abs, t))
+    line = lambda clause: " ".join(map(str, clause_key(clause))) + " 0\n"
+    cnf = _gen_ggt(tmp_path / "a", 6, 1, lambda text: text.replace(line(t | {-g}), line(t | {h})))
+    assert line(t | {h}) in cnf.read_text()
+    for args in (["refute", "--mode", "pool", "-i", str(cnf), "-o", str(tmp_path / "p")],
+                 ["solve", "-i", str(cnf)]):
+        _usage_error(capsys, args, f"line 0: triangle (0, 1, 2) has guarded copies "
+                                   f"[{g}, {h}]; it needs one opposite pair")
+    assert not (tmp_path / "p").exists()
 
 
 def test_refute_ignores_metadata_after_the_problem_line(tmp_path, capsys):
@@ -361,3 +420,17 @@ def test_non_utf8_byte_opening_a_line_is_counted_on_that_line(tmp_path, capsys):
     cnf.write_bytes(cnf.read_bytes() + b"\xff1 2 0\n")
     lines = cnf.read_bytes().count(b"\n")
     _usage_error(capsys, ["solve", "-i", str(cnf)], f"{cnf}: line {lines}: not UTF-8 text (byte 0xff)")
+
+
+def test_check_rejects_a_degenerate_step(tmp_path, capsys):
+    # the proof format has plain (R) and w-resolution (W) steps only
+    cnf = tmp_path / "f.cnf"
+    prf = tmp_path / "p.prf"
+    main(["gen", "--family", "ggt", "--n", "5", "--seed", "0", "-o", str(cnf)])
+    main(["refute", "--mode", "pool", "-i", str(cnf), "-o", str(prf)])
+    lines = prf.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.split()[1] == "R")
+    lines[i] = lines[i].replace(" R ", " D ", 1)
+    prf.write_text("\n".join(lines) + "\n")
+    _usage_error(capsys, ["check", "-f", str(cnf), "-p", str(prf)],
+                 f"line {i + 1}: unknown rule 'D'")

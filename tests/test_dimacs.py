@@ -2,7 +2,7 @@ import pytest
 
 from ggtkit.bpo import Bpo
 from ggtkit.dimacs import DimacsError, read_dimacs, write_dimacs
-from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
+from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi, guards
 
 
 def test_write_gt3_header():
@@ -16,7 +16,7 @@ def test_roundtrip_ggt():
     g = read_dimacs(write_dimacs(f))
     assert g.family == f.family and g.n == f.n and g.seed == 7
     assert g.clause_set() == f.clause_set()
-    assert g.guard_map is not None and g.guard_map.table == f.guard_map.table
+    assert g.guard_map is not None and g.guard_map == f.guard_map
 
 
 def test_roundtrip_gt_pi():
@@ -30,7 +30,7 @@ def test_roundtrip_gt_pi():
 def test_roundtrip_unguarded():
     f = gen_ggt(3, 2)
     g = read_dimacs(write_dimacs(f))
-    assert g.unguarded and g.guard_map is None
+    assert g.family == "ggt" and g.guard_map is None
     assert g.clause_set() == f.clause_set()
 
 
@@ -84,7 +84,7 @@ def test_metadata_comes_from_the_header_only():
     text = write_dimacs(gen_ggt(5, 0)) + "c seed=3 n=6 family=gt\n"
     g = read_dimacs(text)
     assert g.family == "ggt" and g.n == 5 and g.seed == 0
-    assert g.guard_map.table == gen_ggt(5, 0).guard_map.table
+    assert g.guard_map == gen_ggt(5, 0).guard_map
 
 
 def test_second_problem_line_rejected():
@@ -107,3 +107,19 @@ def test_header_n_below_two_rejected(n):
     with pytest.raises(DimacsError) as info:
         read_dimacs(text)
     assert str(info.value) == f"line 1: n={n} in header; the families need n >= 2"
+
+
+def test_guard_map_round_trips_from_the_clauses():
+    for n in range(2, 14):
+        for seed in range(4):
+            f = gen_ggt(n, seed)
+            g = read_dimacs(write_dimacs(f))
+            assert g.guard_map == f.guard_map == (guards(n, seed) if n >= 4 else None)
+
+
+def test_header_seed_does_not_select_the_guards():
+    text = write_dimacs(gen_ggt(6, 1))
+    for header in ("c family=ggt n=6 seed=2", "c family=ggt n=6", "c family=ggt n=6 seed=1\nc guards=unguarded"):
+        g = read_dimacs(text.replace("c family=ggt n=6 seed=1", header, 1))
+        assert g.guard_map == guards(6, 1)
+

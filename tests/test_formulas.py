@@ -5,7 +5,10 @@ import pytest
 
 from ggtkit.bpo import Bpo, PartialSpec, associated_bpo
 from ggtkit.formulas import (
-    GuardMap,
+    GGT,
+    _admissible_guards,
+    FormulaInstance,
+    GuardError,
     SizeError,
     cyclic_classes,
     gen_ggt,
@@ -13,8 +16,9 @@ from ggtkit.formulas import (
     gen_gt_pi,
     gt_pi_clauses,
     guards,
+    read_guards,
 )
-from ggtkit.literals import clause_key, encode_lit, trans_clause
+from ggtkit.literals import clause_key, decode_lit, encode_lit, make_clause, min_first, trans_clause
 from tests.oracles import all_assignments, is_satisfiable, satisfies
 
 
@@ -59,8 +63,7 @@ def test_guard_resolution_recovers_transitivity():
     gmap = f.guard_map
     for (i, j, k) in cyclic_classes(n):
         t = trans_clause(i, j, k, n)
-        r, s = gmap.guard(i, j, k)
-        g = encode_lit(r, s, n)
+        g = gmap[min_first(i, j, k)]
         assert frozenset(t | {g}) in f.clause_set()
         assert frozenset(t | {-g}) in f.clause_set()
 
@@ -68,7 +71,8 @@ def test_guard_resolution_recovers_transitivity():
 def test_guard_invariants():
     for seed in range(10):
         gmap = guards(6, seed)
-        for (i, j, k), (r, s) in gmap.table.items():
+        for (i, j, k), g in gmap.items():
+            r, s = decode_lit(g, 6)
             assert r != s
             assert not {r, s} <= {i, j, k}
 
@@ -77,28 +81,76 @@ def test_guard_lits_match_guard_pairs():
     for n in range(4, 13):
         for seed in range(3):
             gmap = guards(n, seed)
-            assert set(gmap.lits) == set(cyclic_classes(n))
+            assert set(gmap) == set(cyclic_classes(n))
             for rep in cyclic_classes(n):
-                assert gmap.lits[rep] == encode_lit(*gmap.guard(*rep), n)
-    # a map built directly from a table derives the same literals
-    table = {rep: (rep[1], 3 if rep[1] != 3 else 2) for rep in cyclic_classes(4)}
-    direct = GuardMap(4, -1, table)
-    assert direct.lits == {rep: encode_lit(*table[rep], 4) for rep in cyclic_classes(4)}
-    assert direct == GuardMap(4, -1, dict(table))
+                assert decode_lit(gmap[rep], n) in _admissible_guards(n, rep)
+    # a map read off clauses built from a pair table holds the table's literals
+    table = {rep: _admissible_guards(4, rep)[-1] for rep in cyclic_classes(4)}
+    direct = _instance(4, {rep: encode_lit(*table[rep], 4) for rep in table}).guard_map
+    assert direct == {rep: encode_lit(*table[rep], 4) for rep in cyclic_classes(4)}
 
 
 def test_guard_cyclic_invariance():
     gmap = guards(5, 4)
-    assert gmap.guard(1, 2, 3) == gmap.guard(2, 3, 1) == gmap.guard(3, 1, 2)
+    assert gmap[min_first(1, 2, 3)] == gmap[min_first(2, 3, 1)] == gmap[min_first(3, 1, 2)]
 
 
 def test_guards_differ_across_seeds():
     a, b = guards(6, 0), guards(6, 1)
-    assert any(a.table[key] != b.table[key] for key in a.table)
+    assert any(a[key] != b[key] for key in a)
 
 
 def test_guards_determinism():
-    assert guards(7, 5).table == guards(7, 5).table
+    assert guards(7, 5) == guards(7, 5)
+
+
+def _instance(n, gmap, copies=None):
+    """GGT(n) clauses with the guards of `gmap`; `copies(t, g)` lists a
+    triangle's guarded copies, by default the +g copy first."""
+    copies = copies or (lambda t, g: [t | {g}, t | {-g}])
+    clauses = [c for c in gen_gt(n).clauses if len(c) != 3]
+    for rep in cyclic_classes(n):
+        clauses.extend(make_clause(c) for c in copies(trans_clause(*rep, n), gmap[rep]))
+    return FormulaInstance(family=GGT, n=n, clauses=tuple(clauses))
+
+
+def test_guard_map_is_read_off_the_clauses():
+    for n in range(4, 14):
+        for seed in range(4):
+            f = gen_ggt(n, seed)
+            assert f.guard_map == guards(n, seed) == read_guards(n, f.clauses)
+    # at n = 5 the minimality clauses have four literals too, and hold no triangle
+    assert all(len(c) == 4 for c in gen_ggt(5, 0).clauses[:5])
+
+
+def test_guard_map_sign_is_the_first_copy_s_guard():
+    gmap = guards(6, 2)
+    swapped = _instance(6, gmap, lambda t, g: [t | {-g}, t | {g}]).guard_map
+    assert swapped == {rep: -g for rep, g in gmap.items()}
+
+
+def test_guard_map_of_unguarded_and_other_families():
+    assert gen_ggt(3, 1).guard_map is None
+    assert FormulaInstance(family=GGT, n=5, clauses=gen_gt(5).clauses).guard_map is None
+    assert gen_gt(6).guard_map is None
+    assert read_guards(6, gen_gt(6).clauses) is None
+
+
+@pytest.mark.parametrize("guards_of_copies, found", [
+    (lambda g, h: [g], "[{g}]"),
+    (lambda g, h: [g, -g, h], "[{g}, {neg}, {h}]"),
+    (lambda g, h: [g, h], "[{g}, {h}]"),
+], ids=["one copy", "three copies", "not opposite"])
+def test_unpaired_guards_name_the_triangle(guards_of_copies, found):
+    f = gen_ggt(6, 0)
+    tri, g = (0, 1, 2), f.guard_map[(0, 1, 2)]
+    t = trans_clause(*tri, 6)
+    h = next(v for v in range(1, 16) if v != abs(g) and v not in map(abs, t))
+    clauses = [c for c in f.clauses if not t < c] + [t | {x} for x in guards_of_copies(g, h)]
+    with pytest.raises(GuardError) as info:
+        read_guards(6, clauses)
+    want = found.format(g=g, neg=-g, h=h)
+    assert str(info.value) == f"triangle {tri} has guarded copies {want}; it needs one opposite pair"
 
 
 def test_guards_reject_small_n():
@@ -108,7 +160,7 @@ def test_guards_reject_small_n():
 
 def test_ggt_small_n_falls_back_unguarded():
     f = gen_ggt(3, 9)
-    assert f.unguarded and f.seed == 9
+    assert f.family == GGT and f.guard_map is None and f.seed == 9
     assert f.clauses == gen_gt(3).clauses
 
 

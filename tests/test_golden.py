@@ -16,7 +16,8 @@ import zlib
 from ggtkit.bench import ARTIFACTS, bench_run, to_csv
 from ggtkit.bpo import Bpo
 from ggtkit.cli import main
-from ggtkit.formulas import gen_ggt
+from ggtkit.dimacs import write_dimacs
+from ggtkit.formulas import gen_ggt, gen_gt_pi
 from ggtkit.gtproofs import build_pn, build_ppi
 from ggtkit.literals import clause_key
 from ggtkit.lr_engine import build_pool_with_stats, build_regrti_with_stats
@@ -133,6 +134,24 @@ SOLVE_GGT14_STATS = (5492, 88544, 5493, 682, 0, 0)
 BENCH_CSV = 2803520527
 # `ggt refute --stage-log` for GGT(8) seed 3
 STAGE_LOG = {"pool": 404010773, "regrti": 2120618279}
+# `write_dimacs` of GGT(n), n = 2..13, seeds 0-2: the `c guards=unguarded`
+# line below n = 4 and the clause order
+DIMACS_GGT = {
+    (2, 0): 2473785360, (2, 1): 1010199127, (2, 2): 378198751,
+    (3, 0): 2803646182, (3, 1): 2099634190, (3, 2): 3357443447,
+    (4, 0): 1642807278, (4, 1): 1021202565, (4, 2): 251227210,
+    (5, 0): 1344682366, (5, 1): 2609627930, (5, 2): 3855841851,
+    (6, 0): 2010475585, (6, 1): 3966165904, (6, 2): 3196106680,
+    (7, 0): 2508279494, (7, 1): 269329039, (7, 2): 1652475102,
+    (8, 0): 3497052428, (8, 1): 539090782, (8, 2): 152680093,
+    (9, 0): 3772003067, (9, 1): 2464533249, (9, 2): 1066936593,
+    (10, 0): 1497250500, (10, 1): 1394797478, (10, 2): 578466883,
+    (11, 0): 2783135541, (11, 1): 1204085811, (11, 2): 2310211687,
+    (12, 0): 52061483, (12, 1): 3947180645, (12, 2): 1753370859,
+    (13, 0): 978862664, (13, 1): 3985166055, (13, 2): 4187552906,
+}
+# `write_dimacs` of GT_pi(12) over seeded_order(12, s), seeds 0-2
+DIMACS_GTPI = {0: 1864816450, 1: 2427005155, 2: 3306492658}
 
 
 def test_pn_bytes():
@@ -195,3 +214,10 @@ def test_stage_log_bytes(tmp_path):
         assert main(args) == 0
         got[mode] = _crc(log.read_text())
     assert got == STAGE_LOG
+
+
+def test_dimacs_writer_bytes():
+    got = {(n, s): _crc(write_dimacs(gen_ggt(n, s))) for n in range(2, 14) for s in SEEDS}
+    assert got == DIMACS_GGT
+    got = {s: _crc(write_dimacs(gen_gt_pi(PPI_N, seeded_order(PPI_N, s)))) for s in SEEDS}
+    assert got == DIMACS_GTPI

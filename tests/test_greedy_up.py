@@ -5,8 +5,11 @@ their mutants are checked against the quadratic reference implementation
 in greedy_reference.
 """
 
+import dataclasses
 import itertools
 import random
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -202,3 +205,23 @@ def test_a_node_is_checked_before_its_clause_becomes_available():
         _COMPOSITE.format(13),
         _OPPOSITE.format(16),
     ]
+
+
+def test_mask_width_follows_the_count_of_variables_not_their_values():
+    # one pivot of a GGT(5) seed-1 regRTI proof set to 10**7: the report is
+    # the one before the edit (crc pinned), and the masks stay small
+    f = gen_ggt(5, 1)
+    d = build_regrti_with_stats(f)[0]
+    nid = next(nd.nid for nd in d.nodes if nd.premises)
+    nodes = list(d.nodes)
+    nodes[nid] = dataclasses.replace(nodes[nid], pivot=10**7)
+    tracemalloc.start()
+    try:
+        lines = check_proof(dataclasses.replace(d, nodes=tuple(nodes)), f, (GREEDY_UP,)).lines()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (nid, len(lines), lines[0]) == (2, 22, "greedy_up: PASS")
+    assert zlib.crc32("\n".join(lines).encode()) == 1935280292
+    assert lines == check_proof(d, f, (GREEDY_UP,)).lines()
+    assert peak < 1 << 20

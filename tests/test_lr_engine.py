@@ -4,7 +4,7 @@ from functools import partial
 import pytest
 
 from ggtkit.checker import POOL, REGULAR, VALID, check_proof
-from ggtkit.formulas import FormulaInstance, GuardMap, GGT, gen_ggt, cyclic_classes
+from ggtkit.formulas import FormulaInstance, GGT, gen_ggt, cyclic_classes
 from ggtkit.gtproofs import Skeleton, build_pn, build_ppi_dag, ppi_clauses
 from ggtkit.bpo import Bpo
 from ggtkit.literals import encode_lit, trans_clause, make_clause
@@ -50,8 +50,9 @@ def test_pool_deterministic():
 def test_pool_needs_guarded_instance():
     from ggtkit.formulas import SizeError
 
-    with pytest.raises(SizeError):
+    with pytest.raises(SizeError) as info:
         build_pool_with_stats(3, 0)
+    assert str(info.value) == "pool construction needs a guarded instance (ggt, n >= 4)"
 
 
 def test_node_budget_enforced():
@@ -67,12 +68,12 @@ def test_lemma_targets_precede_references():
             assert d.nodes[nd.target].clause == nd.clause
 
 
-def _avoiding_guards(n: int) -> tuple[GuardMap, int]:
+def _avoiding_guards(n: int) -> tuple[dict[tuple[int, int, int], int], int]:
     """Guards outside each axiom's resolution cone wherever possible.
 
     The deepest transitivity use of the base derivation has every variable
     below it, so one triple per size cannot be covered; returns the guard
-    map and how many triples stayed uncovered.
+    map (each triple's guard literal) and how many triples stayed uncovered.
     """
     from ggtkit.formulas import _admissible_guards
 
@@ -89,23 +90,23 @@ def _avoiding_guards(n: int) -> tuple[GuardMap, int]:
         options = _admissible_guards(n, rep)
         free = [g for g in options if not mask >> abs(encode_lit(*g, n)) & 1]
         if free:
-            table[rep] = free[0]
+            table[rep] = encode_lit(*free[0], n)
         else:
             uncovered += 1
-            table[rep] = options[0]
-    return GuardMap(n=n, seed=-1, table=table), uncovered
+            table[rep] = encode_lit(*options[0], n)
+    return table, uncovered
 
 
-def _instance_for(gmap: GuardMap, n: int) -> FormulaInstance:
+def _instance_for(gmap: dict[tuple[int, int, int], int], n: int) -> FormulaInstance:
     from ggtkit.literals import alpha_clause
 
     clauses = [alpha_clause(i, n) for i in range(n)]
     for rep in cyclic_classes(n):
         t = trans_clause(*rep, n)
-        g = gmap.lits[rep]
+        g = gmap[rep]
         clauses.append(make_clause(t | {g}))
         clauses.append(make_clause(t | {-g}))
-    return FormulaInstance(family=GGT, n=n, clauses=tuple(clauses), seed=-1, guard_map=gmap)
+    return FormulaInstance(family=GGT, n=n, clauses=tuple(clauses), seed=-1)
 
 
 def test_cone_avoiding_guards_suppress_branching():
@@ -115,6 +116,7 @@ def test_cone_avoiding_guards_suppress_branching():
     gmap, uncovered = _avoiding_guards(n)
     assert uncovered == 1  # the deepest use sees every variable below it
     f = _instance_for(gmap, n)
+    assert f.guard_map == gmap
     d, st = build_pool_with_stats(f)
     assert check_proof(d, f, (VALID, REGULAR, POOL)).ok
     assert st.stages == 1 + 2 * st.case_iv_gamma + 3 * st.case_iv_beta

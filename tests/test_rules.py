@@ -5,7 +5,7 @@ import pytest
 from ggtkit.formulas import gen_ggt
 from ggtkit.literals import encode_lit, trans_clause
 from ggtkit.proofs import (
-    DEGEN_RESOLVE,
+    INFERENCE_RULES,
     LEMMA,
     RESOLVE,
     W_RESOLVE,
@@ -24,8 +24,7 @@ def test_guarded_pair_resolves_to_transitivity():
     n = 5
     f = gen_ggt(n, 0)
     t = trans_clause(0, 1, 2, n)
-    r, s = f.guard_map.guard(0, 1, 2)
-    g = encode_lit(r, s, n)
+    g = f.guard_map[(0, 1, 2)]
     assert apply_rule(RESOLVE, t | {g}, t | {-g}, g) == t
 
 
@@ -51,14 +50,12 @@ def test_w_resolution_one_side():
     assert apply_rule(W_RESOLVE, frozenset({2, 5}), frozenset({6}), 2) == frozenset({5, 6})
 
 
-def test_degenerate_four_cases():
-    a, b = frozenset({1, 4}), frozenset({-1, 5})
-    assert apply_rule(DEGEN_RESOLVE, a, b, 1) == frozenset({4, 5})
-    assert apply_rule(DEGEN_RESOLVE, frozenset({1, 4}), frozenset({5}), 1) == frozenset({5})
-    assert apply_rule(DEGEN_RESOLVE, frozenset({4}), frozenset({-1, 5}), 1) == frozenset({4})
-    # neither side mentions the pivot: lexicographically smaller premise
-    assert apply_rule(DEGEN_RESOLVE, frozenset({4}), frozenset({3}), 1) == frozenset({3})
-    assert apply_rule(DEGEN_RESOLVE, frozenset({2}), frozenset({3}), 1) == frozenset({2})
+def test_no_degenerate_rule():
+    # the inferences are plain and w-resolution; degenerate steps are not derivations
+    assert INFERENCE_RULES == (RESOLVE, W_RESOLVE)
+    with pytest.raises(RuleError) as info:
+        apply_rule("D", frozenset({1, 4}), frozenset({5}), 1)
+    assert str(info.value) == "unknown rule mode 'D'"
 
 
 def test_side_conditions():

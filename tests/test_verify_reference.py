@@ -19,7 +19,6 @@ from ggtkit.proof_io import ProofParseError, parse_proof, serialize_proof
 from ggtkit.proofs import (
     AXIOM,
     DAG,
-    DEGEN_RESOLVE,
     LEMMA,
     RESOLVE,
     W_RESOLVE,
@@ -91,7 +90,7 @@ def _mutants(d: Derivation, rng: random.Random, count: int):
         elif kind == 5 and nd.rule == LEMMA:
             nd = dataclasses.replace(nd, target=rng.randrange(nd.nid))
         elif kind == 5 and nd.premises:
-            nd = dataclasses.replace(nd, rule=rng.choice((RESOLVE, W_RESOLVE, DEGEN_RESOLVE)))
+            nd = dataclasses.replace(nd, rule=rng.choice((RESOLVE, W_RESOLVE)))
         else:
             nd = dataclasses.replace(nd, clause=nd.clause[::-1])
         out = list(nodes)
@@ -153,9 +152,6 @@ STEPS = {
     "w-resolution, wrong clause": (_step((2,), (-1, 3), W_RESOLVE, 1, (2,)), _BAD_STEP),
     "w-resolution, negated pivot in A": (
         _step((1, -1, 2), (3,), W_RESOLVE, 1, (2, 3)), "premise A contains the negated pivot -1"),
-    "degenerate, pivot in A only": (_step((1, 2), (3,), DEGEN_RESOLVE, 1, (3,)), None),
-    "degenerate, pivot in neither": (_step((2,), (3,), DEGEN_RESOLVE, 1, (2,)), None),
-    "degenerate, wrong clause": (_step((1, 2), (3,), DEGEN_RESOLVE, 1, (2, 3)), _BAD_STEP),
     "lemma with its target's set, unsorted": (
         _dag((AXIOM, (2, 3), (), None, None), (LEMMA, (3, 2), (), None, 0),
              (AXIOM, (-2,), (), None, None), (RESOLVE, (3,), (1, 2), 2, None),
@@ -197,9 +193,6 @@ STEPS = {
         "pivot variable 4000000000 missing from both premises"),
     "w-resolution with both pivot literals": (_step((1, 2), (-1, 3), W_RESOLVE, 1, (2, 3)), None),
     "w-resolution, pivot kept": (_step((1, 2), (-1, 3), W_RESOLVE, 1, (1, 2, 3)), _BAD_STEP),
-    "degenerate with both pivot literals": (_step((1, 2), (-1, 3), DEGEN_RESOLVE, 1, (2, 3)), None),
-    "degenerate, tautological resolvent": (
-        _step((1, 2), (-1, -2), DEGEN_RESOLVE, 1, (2, -2)), "tautological resolvent: contains "),
     "axiom not in the formula": (
         _dag((AXIOM, (1,), (), None, None), (AXIOM, (-1, 5), (), None, None),
              (RESOLVE, (5,), (0, 1), 1, None), formula=((1,), (-1,))),
@@ -251,7 +244,7 @@ def _outcome(parse, text):
         return (str(exc), exc.line_no)
 
 
-def _node_lines(lines, rules="ARWDL", min_lits=0):
+def _node_lines(lines, rules="ARWL", min_lits=0):
     out = []
     for i, line in enumerate(lines):
         parts = line.split()
@@ -265,7 +258,7 @@ def _node_lines(lines, rules="ARWDL", min_lits=0):
 def _edit_literals(edit, min_lits=1):
     """A corruption that rewrites the literal tokens of one clause line."""
     def corrupt(lines, rng):
-        i = rng.choice(_node_lines(lines, "ARWD", min_lits))
+        i = rng.choice(_node_lines(lines, "ARW", min_lits))
         parts = lines[i].split()
         start = 2 if parts[1] == "A" else 5
         lits = edit(parts[start:-1], rng)
@@ -280,7 +273,7 @@ def _insert(make):
 
 
 def _drop_terminator(lines, rng):
-    i = rng.choice(_node_lines(lines, "ARWD", 2))
+    i = rng.choice(_node_lines(lines, "ARW", 2))
     lines[i] = lines[i].rsplit(" ", 1)[0]
 
 
@@ -299,7 +292,7 @@ def _tabs(lines, rng):
 
 
 def _retarget(lines, rng):
-    i = rng.choice(_node_lines(lines, "RWDL"))
+    i = rng.choice(_node_lines(lines, "RWL"))
     parts = lines[i].split()
     nid = int(parts[0])
     slot = 2 if parts[1] == "L" else rng.choice((3, 4))

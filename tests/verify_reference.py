@@ -23,6 +23,7 @@ from ggtkit.checker import (
     _check_input_lemma,
     _check_pool,
     _check_regular,
+    input_subtrees,
 )
 from ggtkit.formulas import FormulaInstance
 from ggtkit.literals import clause_key
@@ -30,7 +31,6 @@ from ggtkit.proof_io import ProofParseError
 from ggtkit.proofs import (
     AXIOM,
     DAG,
-    DEGEN_RESOLVE,
     LEMMA,
     RESOLVE,
     TREE,
@@ -42,7 +42,7 @@ from ggtkit.proofs import (
     resolve_on_var,
 )
 
-_RULES = {"A", "L", "R", "W", "D"}
+_RULES = {"A", "L", "R", "W"}
 
 
 def validate_structure(d: Derivation) -> None:
@@ -58,7 +58,7 @@ def validate_structure(d: Derivation) -> None:
                 raise ProofStructureError(f"node {idx}: lemma-ref needs a target")
             if not (0 <= nd.target < len(d.nodes)) or nd.target == idx:
                 raise ProofStructureError(f"node {idx}: lemma target {nd.target} out of range")
-        elif nd.rule in (RESOLVE, W_RESOLVE, DEGEN_RESOLVE):
+        elif nd.rule in (RESOLVE, W_RESOLVE):
             if len(nd.premises) != 2 or nd.pivot is None:
                 raise ProofStructureError(f"node {idx}: inference needs two premises and a pivot")
             if not all(0 <= p < idx for p in nd.premises):
@@ -122,9 +122,9 @@ def reference_report(d: Derivation, f: FormulaInstance, profiles) -> CheckReport
     if POOL in profiles:
         _check_pool(d, report)
     if INPUT_LEMMA in profiles:
-        _check_input_lemma(d, report)
+        _check_input_lemma(d, input_subtrees(d), report)
     if GREEDY_UP in profiles:
-        _check_greedy_up(d, f, report)
+        _check_greedy_up(d, f, input_subtrees(d), report)
     return report
 
 
