@@ -127,17 +127,13 @@ def summarize(records) -> list[str]:
         good = [r for r in records if r.artifact == artifact and r.status == OK and r.n >= 6]
         if not good:
             continue
-        best = {}
-        for r in good:
-            best.setdefault((r.n, r.seed), r)
-        pts = list(best.values())
         if artifact == "dpll":
-            slope = fit_slope([(r.n, r.conflicts) for r in pts])
+            slope = fit_slope([(r.n, r.conflicts) for r in good])
             if slope is not None:
                 lines.append(f"slope {artifact} conflicts: {slope:.2f}")
         else:
-            slope = fit_slope([(r.n, r.lines) for r in pts])
-            wslope = fit_slope([(r.n, r.maxWidth) for r in pts])
+            slope = fit_slope([(r.n, r.lines) for r in good])
+            wslope = fit_slope([(r.n, r.maxWidth) for r in good])
             if slope is not None:
                 lines.append(f"slope {artifact} lines: {slope:.2f}")
             if wslope is not None:

@@ -18,12 +18,14 @@ files.
 from __future__ import annotations
 
 from ggtkit.bpo import Bpo
-from ggtkit.formulas import GGT, GT, GT_PI, FormulaInstance, GuardError
+from ggtkit.formulas import GGT, GT, GT_PI, FormulaInstance, GuardError, guarded_copies
 from ggtkit.literals import clause_key, make_clause, num_vars, PairError, TautologyError
 
 
 class DimacsError(ValueError):
-    """Parse error carrying the offending 1-based line number."""
+    """Parse error carrying the 1-based number of the line that holds its
+    cause: a clause, the problem line or the header comment that set a key;
+    0 when no line does (no problem line, no `family` or `n`)."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -38,7 +40,7 @@ def write_dimacs(instance: FormulaInstance) -> str:
         assert instance.pi is not None
         pairs = ",".join(f"{a}:{b}" for a, b in sorted(instance.pi.pairs))
         lines[0] += f" pi={pairs}"
-    if instance.family == GGT and instance.guard_map is None:
+    if instance.family == GGT and next(guarded_copies(instance.n, instance.clauses), None) is None:
         lines.append("c guards=unguarded")
     lines.append(f"p cnf {instance.nvars} {len(instance.clauses)}")
     for clause in instance.clauses:
@@ -46,7 +48,7 @@ def write_dimacs(instance: FormulaInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header_comment(text: str, meta: dict, line_no: int) -> None:
+def _parse_header_comment(text: str, meta: dict, meta_line: dict, line_no: int) -> None:
     for tok in text.split():
         if "=" in tok:
             key, val = tok.split("=", 1)
@@ -58,13 +60,16 @@ def _parse_header_comment(text: str, meta: dict, line_no: int) -> None:
                 if key == "n" and val < 2:
                     raise DimacsError(line_no, f"n={val} in header; the families need n >= 2")
             meta[key] = val
+            meta_line[key] = line_no
 
 
 def read_dimacs(text: str) -> FormulaInstance:
     meta: dict[str, str | int] = {}
+    meta_line: dict[str, int] = {}  # the line that set each key
     nvars = nclauses = None
     problem_line = 0
     clauses = []
+    clause_lines = []
     seen = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -72,7 +77,7 @@ def read_dimacs(text: str) -> FormulaInstance:
             continue
         if line.startswith("c"):
             if nvars is None:
-                _parse_header_comment(line[1:], meta, line_no)
+                _parse_header_comment(line[1:], meta, meta_line, line_no)
             continue
         if line.startswith("p"):
             if nvars is not None:
@@ -108,19 +113,20 @@ def read_dimacs(text: str) -> FormulaInstance:
             raise DimacsError(line_no, "duplicate clause")
         seen.add(clause)
         clauses.append(clause)
+        clause_lines.append(line_no)
     if nvars is None:
         raise DimacsError(0, "missing problem line")
     if nclauses != len(clauses):
-        raise DimacsError(0, f"header promised {nclauses} clauses, found {len(clauses)}")
+        raise DimacsError(problem_line, f"header promised {nclauses} clauses, found {len(clauses)}")
 
     family = meta.get("family")
     if family not in (GT, GGT, GT_PI):
-        raise DimacsError(0, f"missing or unknown family in header: {family!r}")
+        raise DimacsError(meta_line.get("family", 0), f"missing or unknown family in header: {family!r}")
     if "n" not in meta:
         raise DimacsError(0, "missing n in header")
     n = meta["n"]
     if num_vars(n) != nvars:
-        raise DimacsError(0, f"n={n} implies {num_vars(n)} vars, header says {nvars}")
+        raise DimacsError(problem_line, f"n={n} implies {num_vars(n)} vars, header says {nvars}")
     pi = None
     if family == GT_PI:
         try:
@@ -131,10 +137,12 @@ def read_dimacs(text: str) -> FormulaInstance:
             ]
             pi = Bpo.of(n, pairs)
         except (ValueError, PairError) as exc:
-            raise DimacsError(0, f"malformed pi in header: {exc}") from None
+            raise DimacsError(meta_line.get("pi", 0), f"malformed pi in header: {exc}") from None
     instance = FormulaInstance(family=family, n=n, clauses=tuple(clauses), seed=meta.get("seed"), pi=pi)
     try:
         instance.guard_map  # read once here, so a bad pair is a parse error
     except GuardError as exc:
-        raise DimacsError(0, str(exc)) from None
+        # no guarded copy: the triangle is missing from the clauses the problem line opens
+        line_no = problem_line if exc.index is None else clause_lines[exc.index]
+        raise DimacsError(line_no, str(exc)) from None
     return instance

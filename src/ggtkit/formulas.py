@@ -37,7 +37,12 @@ class SizeError(ValueError):
 
 
 class GuardError(ValueError):
-    """Raised when the guarded copies of a triangle do not form one opposite pair."""
+    """Raised when the guarded copies of a triangle do not form one opposite
+    pair; `index` is the position of its last copy among the clauses, if any."""
+
+    def __init__(self, message: str, index: int | None):
+        super().__init__(message)
+        self.index = index
 
 
 def cyclic_classes(n: int) -> list[tuple[int, int, int]]:
@@ -85,30 +90,40 @@ def guards(n: int, seed: int) -> dict[tuple[int, int, int], int]:
     return gmap
 
 
-def read_guards(n: int, clauses) -> dict[tuple[int, int, int], int] | None:
-    """Each triangle's guard literal, read off the GGT clauses; None if no clause is guarded.
+def guarded_copies(n: int, clauses):
+    """(index, triangle, guard) of each guarded copy among the clauses, in order.
 
-    A guarded copy is a transitivity clause plus its guard literal.  Each
-    triangle needs two copies with opposite guards, else GuardError names
-    it; the guard kept is the first copy's, as `gen_ggt` lists them.
+    A guarded copy is a transitivity clause plus its guard literal.
     Four-literal minimality clauses (n = 5) hold no triangle.
     """
     tri_of = {trans_clause(*rep, n): rep for rep in cyclic_classes(n)}
-    copies: dict[tuple[int, int, int], list[int]] = {}
-    for clause in clauses:
+    for idx, clause in enumerate(clauses):
         if len(clause) == 4:
             for g in clause:
                 tri = tri_of.get(clause - {g})
                 if tri is not None:
-                    copies.setdefault(tri, []).append(g)
+                    yield idx, tri, g
                     break
+
+
+def read_guards(n: int, clauses) -> dict[tuple[int, int, int], int] | None:
+    """Each triangle's guard literal, read off the GGT clauses; None if no clause is guarded.
+
+    Each triangle needs two guarded copies with opposite guards, else
+    GuardError names it; the guard kept is the first copy's, as `gen_ggt`
+    lists them.
+    """
+    copies: dict[tuple[int, int, int], list[int]] = {}
+    for _, tri, g in guarded_copies(n, clauses):
+        copies.setdefault(tri, []).append(g)
     if not copies:
         return None
     gmap = {}
-    for tri in tri_of.values():
+    for tri in cyclic_classes(n):
         found = copies.get(tri, [])
         if len(found) != 2 or found[0] != -found[1]:
-            raise GuardError(f"triangle {tri} has guarded copies {found}; it needs one opposite pair")
+            last = max((i for i, t, _ in guarded_copies(n, clauses) if t == tri), default=None)
+            raise GuardError(f"triangle {tri} has guarded copies {found}; it needs one opposite pair", last)
         gmap[tri] = found[0]
     return gmap
 

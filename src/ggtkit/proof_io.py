@@ -7,10 +7,10 @@ One node per line, ids 0-based and strictly increasing:
     <id> L <target-id>
     <id> R|W <pivot-var> <p1> <p2> <lits> 0
 
-For tree shape the ids are postorder positions and the parser re-verifies
-the postorder discipline (each node directly follows its right subtree).
-`c` comment lines and `d <lit>` decision markers (solver traces) are
-ignored.  The root is the last node.
+For tree shape the ids are postorder positions; the parser checks that
+layout with `proofs.check_postorder`, the routine `validate_structure`
+runs on a tree.  `c` comment lines and `d <lit>` decision markers (solver
+traces) are ignored.  The root is the last node.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from ggtkit.proofs import (
     Derivation,
     ProofNode,
     ProofStructureError,
+    check_postorder,
     collector_paused,
 )
 
@@ -186,12 +187,14 @@ def _parse(text: str) -> Derivation:
             raise ProofParseError(line_no, f"unknown rule {rule!r}")
     if not nodes:
         raise ProofParseError(0, "empty proof")
-    # the line checks give every structure condition but the tree's single
-    # use of each node, and a tree in postorder layout has that too
-    d = Derivation(tuple(nodes), root=len(nodes) - 1, shape=shape, family=family, n=n, seed=seed)
+    # the line checks give every structure condition but the tree's
+    # postorder layout, and a tree's last node is its root, which no node uses
     if shape == TREE:
-        _verify_postorder(d)
-    return d
+        try:
+            check_postorder(nodes)
+        except ProofStructureError as exc:
+            raise ProofParseError(0, str(exc)) from None
+    return Derivation(tuple(nodes), root=len(nodes) - 1, shape=shape, family=family, n=n, seed=seed)
 
 
 def _header(parts: list[str], line: str, line_no: int) -> tuple[str, int, int | None, str]:
@@ -212,26 +215,3 @@ def _header(parts: list[str], line: str, line_no: int) -> tuple[str, int, int | 
     if shape not in (DAG, TREE):
         raise ProofParseError(line_no, f"missing or unknown shape {shape!r}")
     return parts[2], n, seed, shape
-
-
-def _verify_postorder(d: Derivation) -> None:
-    """Each tree node must directly follow its right subtree.
-
-    A tree in this layout uses each node at most once, so `_parse` runs no
-    structure check.  At a break the structure check runs first, so that a
-    node used twice is reported as it names it.
-    """
-    size = [1] * len(d.nodes)
-    for nd in d.nodes:
-        if nd.premises:
-            nid = nd.nid
-            p1, p2 = nd.premises
-            size[nid] = 1 + size[p1] + size[p2]
-            if p2 != nid - 1 or p1 != nid - 1 - size[p2]:
-                try:
-                    d.validate_structure()
-                except ProofStructureError as exc:
-                    raise ProofParseError(0, str(exc)) from None
-                raise ProofParseError(
-                    0, f"node {nid}: premises {nd.premises} break postorder layout"
-                )

@@ -2,7 +2,8 @@
 
 A derivation is a list of nodes; premises always point at earlier ids.
 Tree-shaped derivations carry lemma references (leaf nodes repeating a
-clause derived earlier in postorder) and their ids are postorder positions.
+clause derived earlier in postorder) and their ids are postorder
+positions, which `validate_structure` requires.
 Pivots are stored as positive variable ids; the checker works out which
 premise holds which polarity.
 """
@@ -145,28 +146,22 @@ class Derivation:
     def validate_structure(self) -> None:
         """Ids contiguous, premises/targets earlier, rule arities right.
 
-        A tree also uses each node at most once as a premise and never its
-        root.  Its premise uses are gathered in the node loop and counted
-        in one pass; only a failed count is scanned for the node to name.
+        A tree is also numbered in postorder (`check_postorder`), which
+        uses each node at most once as a premise, and never uses its root.
         """
         nodes = self.nodes
-        tree = self.shape == TREE
-        uses: list[int] = []
         for idx, nd in enumerate(nodes):
             if nd.nid != idx:
                 raise ProofStructureError(f"node {idx} carries id {nd.nid}")
             rule = nd.rule
             if rule in INFERENCE_RULES:
-                premises = nd.premises
-                if len(premises) != 2 or nd.pivot is None:
+                if len(nd.premises) != 2 or nd.pivot is None:
                     raise ProofStructureError(
                         f"node {idx}: inference needs two premises and a pivot"
                     )
-                p0, p1 = premises
+                p0, p1 = nd.premises
                 if not (0 <= p0 < idx and 0 <= p1 < idx):
                     raise ProofStructureError(f"node {idx}: forward premise reference")
-                if tree:
-                    uses += premises
             elif rule == AXIOM:
                 if nd.premises or nd.target is not None:
                     raise ProofStructureError(f"node {idx}: axiom with premises")
@@ -182,19 +177,28 @@ class Derivation:
                 raise ProofStructureError(f"node {idx}: unknown rule {rule!r}")
         if not (0 <= self.root < len(nodes)):
             raise ProofStructureError(f"root {self.root} out of range")
-        if tree:
-            used = [0] * len(nodes)
-            for p in uses:
-                used[p] += 1
-            if max(used) > 1 or used[self.root]:
-                for idx, count in enumerate(used):
-                    if count > 1:
-                        raise ProofStructureError(
-                            f"node {idx} used {count} times as a premise in a tree"
-                        )
+        if self.shape == TREE:
+            check_postorder(nodes)
+            # only a later node can use the root
+            if any(self.root in nd.premises for nd in nodes[self.root + 1:]):
                 raise ProofStructureError("tree root used as a premise")
         elif self.shape != DAG:
             raise ProofStructureError(f"unknown shape {self.shape!r}")
+
+
+def check_postorder(nodes) -> None:
+    """Raise ProofStructureError unless the tree nodes (premises earlier) are
+    numbered in postorder: every inference right after its right premise's
+    subtree, and that right after its left premise's.  Each subtree is then
+    a run of ids, so no node is used twice as a premise."""
+    size = [1] * len(nodes)
+    for nd in nodes:
+        if nd.premises:
+            nid = nd.nid
+            p0, p1 = nd.premises
+            if p1 != nid - 1 or p0 != nid - 1 - size[p1]:
+                raise ProofStructureError(f"node {nid}: premises {nd.premises} break postorder layout")
+            size[nid] = 1 + size[p0] + size[p1]
 
 
 def below_pivot_masks(premises, pivots) -> list[int]:

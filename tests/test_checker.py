@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from ggtkit.proofs import (
     ProofNode,
     ProofStructureError,
     apply_rule,
+    check_postorder,
 )
 from ggtkit.proof_io import ProofParseError, parse_proof, serialize_proof
 from ggtkit.propagation import unit_propagate
@@ -167,11 +169,13 @@ def test_forward_lemma_reference_fails_pool():
     assert any("not earlier" in v.message for v in report.violations)
 
 
+_CROSSING_FORMULA = FormulaInstance(family="gt", n=3, clauses=tuple(frozenset(c) for c in (
+    {1, 2, 3}, {-2, 4}, {-2, -4}, {-3, 5}, {-3, -5}, {-1, 2, 3})))
+
+
 def _crossing_lemma_tree():
     """A tree whose ids are not postorder places: its left subtree cites, by
     a smaller id, a clause derived later in the root's postorder."""
-    f = FormulaInstance(family="gt", n=3, clauses=tuple(frozenset(c) for c in (
-        {1, 2, 3}, {-2, 4}, {-2, -4}, {-3, 5}, {-3, -5}, {-1, 2, 3})))
     nodes = (
         ProofNode(0, AXIOM, (-2, 4)),
         ProofNode(1, AXIOM, (-2, -4)),
@@ -189,32 +193,64 @@ def _crossing_lemma_tree():
         ProofNode(13, RESOLVE, (-1,), (12, 5), 3),
         ProofNode(14, RESOLVE, (), (9, 13), 1),
     )
-    return Derivation(nodes, root=14, shape=TREE, family="gt", n=3), f
+    return Derivation(nodes, root=14, shape=TREE, family="gt", n=3), _CROSSING_FORMULA
+
+
+def _crossing_lemma_tree_in_postorder():
+    """The same tree numbered in postorder: the left subtree's lemma (node
+    1) now cites a larger id, and the right subtree's (node 8) a smaller one."""
+    nodes = (
+        ProofNode(0, AXIOM, (1, 2, 3)),
+        ProofNode(1, LEMMA, (-3,), target=12),
+        ProofNode(2, RESOLVE, (1, 2), (0, 1), 3),
+        ProofNode(3, AXIOM, (-2, 4)),
+        ProofNode(4, AXIOM, (-2, -4)),
+        ProofNode(5, RESOLVE, (-2,), (3, 4), 4),
+        ProofNode(6, RESOLVE, (1,), (2, 5), 2),
+        ProofNode(7, AXIOM, (-1, 2, 3)),
+        ProofNode(8, LEMMA, (-2,), target=5),
+        ProofNode(9, RESOLVE, (-1, 3), (7, 8), 2),
+        ProofNode(10, AXIOM, (-3, 5)),
+        ProofNode(11, AXIOM, (-3, -5)),
+        ProofNode(12, RESOLVE, (-3,), (10, 11), 5),
+        ProofNode(13, RESOLVE, (-1,), (9, 12), 3),
+        ProofNode(14, RESOLVE, (), (6, 13), 1),
+    )
+    return Derivation(nodes, root=14, shape=TREE, family="gt", n=3), _CROSSING_FORMULA
 
 
 def test_lemma_targets_compare_postorder_places_not_ids():
+    # numbered otherwise, the tree is malformed for the checker as for the
+    # parser, with the same message
     d, f = _crossing_lemma_tree()
-    report = check_proof(d, f, (VALID, INPUT_LEMMA))
-    assert [(v.profile, v.node) for v in report.violations] == [(POOL, 7)]
-    with pytest.raises(ProofParseError, match="node 9: premises"):
+    with pytest.raises(ProofStructureError) as checked:
+        check_proof(d, f, (VALID, INPUT_LEMMA))
+    assert str(checked.value) == "node 9: premises (8, 2) break postorder layout"
+    with pytest.raises(ProofParseError) as parsed:
         parse_proof(serialize_proof(d))
+    assert str(parsed.value) == f"line 0: {checked.value}"
+    # numbered in postorder, ids are places
+    d, f = _crossing_lemma_tree_in_postorder()
+    report = check_proof(d, f, (VALID, INPUT_LEMMA))
+    assert [(v.profile, v.node) for v in report.violations] == [(POOL, 1)]
 
 
 def test_unused_node_fails_pool():
-    # the GT2 refutation plus an axiom that no inference uses
-    d, f = tiny_refutation()
-    nodes = d.nodes[:2] + (ProofNode(2, AXIOM, (1,)), ProofNode(3, RESOLVE, (), (0, 1), 1))
+    # the GT2 refutation after an axiom that no inference uses
+    _, f = tiny_refutation()
+    nodes = (ProofNode(0, AXIOM, (1,)), ProofNode(1, AXIOM, (1,)), ProofNode(2, AXIOM, (-1,)),
+             ProofNode(3, RESOLVE, (), (1, 2), 1))
     bad = Derivation(nodes, root=3, shape=TREE, family="gt", n=2)
     assert check_proof(bad, f, (VALID, REGULAR, GREEDY_UP)).ok
     for profile in (POOL, INPUT_LEMMA):
         report = check_proof(bad, f, (profile,))
-        assert [(v.profile, v.node) for v in report.violations] == [(POOL, 2)]
+        assert [(v.profile, v.node) for v in report.violations] == [(POOL, 0)]
     assert check_proof(bad, f, (POOL,)).lines() == [
-        "regular: PASS", "pool: FAIL (1)", "[pool] node 2: no inference uses this node",
+        "regular: PASS", "pool: FAIL (1)", "[pool] node 0: no inference uses this node",
     ]
     assert check_proof(bad, f, (INPUT_LEMMA,)).lines() == [
         "regular: PASS", "pool: FAIL (1)", "input_lemma: PASS",
-        "[pool] node 2: no inference uses this node",
+        "[pool] node 0: no inference uses this node",
     ]
 
 
@@ -411,9 +447,9 @@ def _twice_used(extra_root_use):
     (_malformed(1, rule="X"), "node 1: unknown rule 'X'"),
     (_malformed(None, root=3), "root 3 out of range"),
     (_malformed(None, shape="forest"), "unknown shape 'forest'"),
-    (_malformed(2, premises=(0, 0)), "node 0 used 2 times as a premise in a tree"),
-    (_twice_used(False), "node 0 used 2 times as a premise in a tree"),
-    (_twice_used(True), "node 0 used 2 times as a premise in a tree"),
+    (_malformed(2, premises=(0, 0)), "node 2: premises (0, 0) break postorder layout"),
+    (_twice_used(False), "node 3: premises (0, 1) break postorder layout"),
+    (_twice_used(True), "node 3: premises (0, 1) break postorder layout"),
     (_malformed(None, root=1), "tree root used as a premise"),
 ])
 def test_structure_error_messages(malformed, message):
@@ -424,6 +460,29 @@ def test_structure_error_messages(malformed, message):
     with pytest.raises(ProofStructureError) as info:
         check_proof(d, f, (VALID,))
     assert str(info.value) == message
+
+
+def test_postorder_layout_uses_each_node_at_most_once():
+    # every premise assignment of up to 7 nodes: each node a leaf or an
+    # inference on two earlier ids.  validate_structure and the parser rely
+    # on the layout check alone to rule out a node used twice in a tree.
+    laid_out = []
+    for k in range(1, 8):
+        options = [[ProofNode(i, AXIOM, ())]
+                   + [ProofNode(i, RESOLVE, (), (a, b), 1) for a in range(i) for b in range(i)]
+                   for i in range(k)]
+        count = 0
+        for nodes in itertools.product(*options):
+            try:
+                check_postorder(nodes)
+            except ProofStructureError:
+                continue
+            count += 1
+            uses = [p for nd in nodes for p in nd.premises]
+            assert len(set(uses)) == len(uses), nodes
+        laid_out.append(count)
+    # the sequences of binary trees, each in postorder, with k nodes in all
+    assert laid_out == [1, 1, 2, 3, 6, 10, 20]
 
 
 def test_input_subtrees_runs_once_per_check(monkeypatch):

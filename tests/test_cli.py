@@ -210,10 +210,12 @@ def test_refute_rejects_an_unpaired_guard_copy(tmp_path, capsys):
     h = next(v for v in range(1, 16) if v != abs(g) and v not in map(abs, t))
     line = lambda clause: " ".join(map(str, clause_key(clause))) + " 0\n"
     cnf = _gen_ggt(tmp_path / "a", 6, 1, lambda text: text.replace(line(t | {-g}), line(t | {h})))
-    assert line(t | {h}) in cnf.read_text()
+    # the edited copy is line 10: a header comment, the problem line, six
+    # minimality clauses and the first copy come before it
+    assert cnf.read_text().splitlines()[9] + "\n" == line(t | {h})
     for args in (["refute", "--mode", "pool", "-i", str(cnf), "-o", str(tmp_path / "p")],
                  ["solve", "-i", str(cnf)]):
-        _usage_error(capsys, args, f"line 0: triangle (0, 1, 2) has guarded copies "
+        _usage_error(capsys, args, f"line 10: triangle (0, 1, 2) has guarded copies "
                                    f"[{g}, {h}]; it needs one opposite pair")
     assert not (tmp_path / "p").exists()
 

@@ -3,6 +3,7 @@ import pytest
 from ggtkit.bpo import Bpo
 from ggtkit.dimacs import DimacsError, read_dimacs, write_dimacs
 from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi, guards
+from ggtkit.literals import clause_key, trans_clause
 
 
 def test_write_gt3_header():
@@ -32,6 +33,15 @@ def test_roundtrip_unguarded():
     g = read_dimacs(write_dimacs(f))
     assert g.family == "ggt" and g.guard_map is None
     assert g.clause_set() == f.clause_set()
+
+
+def test_writer_reads_no_guard_map():
+    # the first guarded copy decides whether `c guards=unguarded` is written
+    for n in (3, 5, 9):
+        f = gen_ggt(n, 0)
+        text = write_dimacs(f)
+        assert "guard_map" not in vars(f)
+        assert ("c guards=unguarded" in text) == (n < 4)
 
 
 def test_determinism_byte_identical():
@@ -97,7 +107,6 @@ def test_second_problem_line_rejected():
     assert str(info.value) == "line 6: second problem line; the first is line 2"
 
 
-
 @pytest.mark.parametrize("n", (-3, 0, 1))
 def test_header_n_below_two_rejected(n):
     if n < 0:  # num_vars(1 - n) == num_vars(n), so GT(4)'s problem line fits
@@ -123,3 +132,54 @@ def test_header_seed_does_not_select_the_guards():
         g = read_dimacs(text.replace("c family=ggt n=6 seed=1", header, 1))
         assert g.guard_map == guards(6, 1)
 
+
+
+def _ggt6_with_copies(edit):
+    """GGT(6), seed 1, with the lines of triangle (0, 1, 2)'s guarded copies
+    (9 and 10) replaced by `edit(t, g, h)`: t is the triangle's clause, g its
+    guard and h a variable that is neither."""
+    f = gen_ggt(6, 1)
+    t, g = trans_clause(0, 1, 2, 6), f.guard_map[(0, 1, 2)]
+    h = next(v for v in range(1, 16) if v != abs(g) and v not in map(abs, t))
+    lines = write_dimacs(f).splitlines()
+    assert lines[8:10] == [" ".join(map(str, clause_key(t | {x}))) + " 0" for x in (g, -g)]
+    new = [" ".join(map(str, clause_key(c))) + " 0" for c in edit(t, g, h)]
+    lines[8:10] = new
+    lines[1] = f"p cnf 15 {len(f.clauses) - 2 + len(new)}"
+    return "\n".join(lines) + "\n", g, h
+
+
+@pytest.mark.parametrize("edit, line, found", [
+    (lambda t, g, h: [t | {g}, t | {h}], 10, "[{g}, {h}]"),  # not opposite: the second copy
+    (lambda t, g, h: [t | {g}], 9, "[{g}]"),  # one copy
+    (lambda t, g, h: [t | {g}, t | {-g}, t | {h}], 11, "[{g}, {neg}, {h}]"),  # the third copy
+    (lambda t, g, h: [t, frozenset({h})], 2, "[]"),  # no copy: the problem line
+])
+def test_unpaired_triangle_names_a_copy_s_line(edit, line, found):
+    text, g, h = _ggt6_with_copies(edit)
+    with pytest.raises(DimacsError) as info:
+        read_dimacs(text)
+    want = found.format(g=g, neg=-g, h=h)
+    assert str(info.value) == (
+        f"line {line}: triangle (0, 1, 2) has guarded copies {want}; it needs one opposite pair"
+    )
+
+
+_GTPI4 = write_dimacs(gen_gt_pi(4, Bpo.of(4, [(0, 3)])))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("c family=gt n=2\np cnf 1 2\n1 0\n", "line 2: header promised 2 clauses, found 1"),
+    ("c family=gt n=3\nc\np cnf 1 1\n1 0\n", "line 3: n=3 implies 3 vars, header says 1"),
+    ("c n=2\nc family=xyz\np cnf 1 1\n1 0\n", "line 2: missing or unknown family in header: 'xyz'"),
+    (_GTPI4.replace(" pi=0:3", "\nc pi=0:x", 1),
+     "line 2: malformed pi in header: invalid literal for int() with base 10: 'x'"),
+    # no line holds the cause
+    ("c n=2\np cnf 1 1\n1 0\n", "line 0: missing or unknown family in header: None"),
+    ("c family=gt\np cnf 1 1\n1 0\n", "line 0: missing n in header"),
+    ("c family=gt n=2\n", "line 0: missing problem line"),
+])
+def test_whole_file_errors_name_the_line_of_their_cause(text, message):
+    with pytest.raises(DimacsError) as info:
+        read_dimacs(text)
+    assert str(info.value) == message

@@ -15,6 +15,7 @@ from ggtkit.formulas import (
     gen_gt,
     gen_gt_pi,
     gt_pi_clauses,
+    guarded_copies,
     guards,
     read_guards,
 )
@@ -151,6 +152,17 @@ def test_unpaired_guards_name_the_triangle(guards_of_copies, found):
         read_guards(6, clauses)
     want = found.format(g=g, neg=-g, h=h)
     assert str(info.value) == f"triangle {tri} has guarded copies {want}; it needs one opposite pair"
+
+
+def test_guarded_copies_follow_the_clause_order():
+    for n in (4, 5, 7):
+        f = gen_ggt(n, 1)
+        copies = list(guarded_copies(n, f.clauses))
+        # after the n minimality clauses, each class's +g and -g copies in turn
+        assert [idx for idx, _, _ in copies] == list(range(n, len(f.clauses)))
+        assert [(tri, g) for _, tri, g in copies[::2]] == list(f.guard_map.items())
+        assert all(g == -h for (_, _, g), (_, _, h) in zip(copies[::2], copies[1::2]))
+    assert list(guarded_copies(3, gen_ggt(3, 0).clauses)) == []
 
 
 def test_guards_reject_small_n():

@@ -136,7 +136,7 @@ def test_repeated_pivot_mutants():
                         len(nodes),
                         RESOLVE,
                         tuple(clause_key(running)),
-                        (ax.nid, ax.nid - 1),
+                        (ax.nid - 1, ax.nid),  # postorder: the running clause, then the axiom
                         abs(pivlit),
                     )
                 )

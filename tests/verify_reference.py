@@ -3,9 +3,9 @@
 These are the straightforward versions of the three passes a proof check
 runs per node: the `valid` profile builds each node's clause set anew at
 every use and sends every step through `resolve_on_var`; the structure
-check counts premise uses node by node; the parser converts, checks and
-sorts every literal of every line and then runs the structure check over
-the whole proof.  `ggtkit.checker`, `ggtkit.proofs` and `ggtkit.proof_io`
+check lays a tree out in postorder node by node and looks for its root
+among all premises; the parser converts, checks and sorts every literal
+of every line and then runs the structure check over the whole proof.  `ggtkit.checker`, `ggtkit.proofs` and `ggtkit.proof_io`
 must agree with them on every verdict, message and line number.
 """
 
@@ -68,14 +68,18 @@ def validate_structure(d: Derivation) -> None:
     if not (0 <= d.root < len(d.nodes)):
         raise ProofStructureError(f"root {d.root} out of range")
     if d.shape == TREE:
-        used = [0] * len(d.nodes)
+        # each inference right after its right subtree, which comes right
+        # after its left subtree
+        size = [1] * len(d.nodes)
         for nd in d.nodes:
-            for p in nd.premises:
-                used[p] += 1
-        for idx, count in enumerate(used):
-            if count > 1:
-                raise ProofStructureError(f"node {idx} used {count} times as a premise in a tree")
-        if used[d.root] != 0:
+            if nd.premises:
+                left, right = nd.premises
+                size[nd.nid] = 1 + size[left] + size[right]
+                if right != nd.nid - 1 or left != nd.nid - 1 - size[right]:
+                    raise ProofStructureError(
+                        f"node {nd.nid}: premises {nd.premises} break postorder layout"
+                    )
+        if any(d.root in nd.premises for nd in d.nodes):
             raise ProofStructureError("tree root used as a premise")
     elif d.shape != DAG:
         raise ProofStructureError(f"unknown shape {d.shape!r}")
@@ -225,14 +229,4 @@ def parse(text: str) -> Derivation:
         validate_structure(d)
     except ProofStructureError as exc:
         raise ProofParseError(0, str(exc)) from None
-    if shape == TREE:
-        size = [1] * len(d.nodes)
-        for nd in d.nodes:
-            if nd.premises:
-                p1, p2 = nd.premises
-                size[nd.nid] = 1 + size[p1] + size[p2]
-                if p2 != nd.nid - 1 or p1 != nd.nid - 1 - size[p2]:
-                    raise ProofParseError(
-                        0, f"node {nd.nid}: premises {nd.premises} break postorder layout"
-                    )
     return d
