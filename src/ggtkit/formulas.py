@@ -12,17 +12,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from ggtkit.bpo import Bpo
 from ggtkit.literals import (
     Clause,
     PairError,
     alpha_clause,
+    cyclic_classes,
     encode_lit,
     make_clause,
+    min_first,
     num_vars,
     trans_clause,
-    triangle_of,
+    triangle_table,
 )
 
 GT = "gt"
@@ -43,22 +46,6 @@ class GuardError(ValueError):
     def __init__(self, message: str, index: int | None):
         super().__init__(message)
         self.index = index
-
-
-def cyclic_classes(n: int) -> list[tuple[int, int, int]]:
-    """Canonical representatives of transitivity-clause classes.
-
-    Each unordered triple {i,j,k} yields two classes (the two orientations
-    of the triangle); the representative rotates the smallest vertex first.
-    """
-    reps = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                reps.append((i, j, k))
-                reps.append((i, k, j))
-    reps.sort()
-    return reps
 
 
 def _admissible_guards(n: int, triple: tuple[int, int, int]) -> list[tuple[int, int]]:
@@ -96,7 +83,7 @@ def guarded_copies(n: int, clauses):
     A guarded copy is a transitivity clause plus its guard literal.
     Four-literal minimality clauses (n = 5) hold no triangle.
     """
-    tri_of = {trans_clause(*rep, n): rep for rep in cyclic_classes(n)}
+    tri_of = triangle_table(n)
     for idx, clause in enumerate(clauses):
         if len(clause) == 4:
             for g in clause:
@@ -114,16 +101,18 @@ def read_guards(n: int, clauses) -> dict[tuple[int, int, int], int] | None:
     lists them.
     """
     copies: dict[tuple[int, int, int], list[int]] = {}
-    for _, tri, g in guarded_copies(n, clauses):
+    last: dict[tuple[int, int, int], int] = {}  # the index of each triangle's last copy
+    for idx, tri, g in guarded_copies(n, clauses):
         copies.setdefault(tri, []).append(g)
+        last[tri] = idx
     if not copies:
         return None
     gmap = {}
     for tri in cyclic_classes(n):
         found = copies.get(tri, [])
         if len(found) != 2 or found[0] != -found[1]:
-            last = max((i for i, t, _ in guarded_copies(n, clauses) if t == tri), default=None)
-            raise GuardError(f"triangle {tri} has guarded copies {found}; it needs one opposite pair", last)
+            message = f"triangle {tri} has guarded copies {found}; it needs one opposite pair"
+            raise GuardError(message, last.get(tri))
         gmap[tri] = found[0]
     return gmap
 
@@ -183,18 +172,11 @@ def gen_ggt(n: int, seed: int) -> FormulaInstance:
     return FormulaInstance(family=GGT, n=n, clauses=tuple(clauses), seed=seed)
 
 
-def gt_pi_clauses(n: int, pi: Bpo) -> tuple[list[Clause], list[Clause], list[Clause]]:
-    """The (alpha, beta, gamma) clause groups of GT_pi."""
+def gt_pi_triangles(n: int, pi: Bpo) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """The min-first triangles of GT_pi's beta and gamma transitivity clauses."""
     minimals = sorted(pi.minimals)
     mset = pi.minimals
-    alphas = [alpha_clause(i, n) for i in minimals]
-    betas = []
-    for x in range(len(minimals)):
-        for y in range(x + 1, len(minimals)):
-            for z in range(y + 1, len(minimals)):
-                a, b, c = minimals[x], minimals[y], minimals[z]
-                betas.append(trans_clause(a, b, c, n))
-                betas.append(trans_clause(a, c, b, n))
+    betas = [t for a, b, c in combinations(minimals, 3) for t in ((a, b, c), (a, c, b))]
     gammas = []
     for k in range(n):
         if k in mset:
@@ -202,8 +184,8 @@ def gt_pi_clauses(n: int, pi: Bpo) -> tuple[list[Clause], list[Clause], list[Cla
         for j in sorted(pi.below(k)):
             for i in minimals:
                 if i != j and not pi.precedes(i, k):
-                    gammas.append(trans_clause(i, j, k, n))
-    return alphas, betas, gammas
+                    gammas.append(min_first(i, j, k))
+    return betas, gammas
 
 
 def gen_gt_pi(n: int, pi: Bpo) -> FormulaInstance:
@@ -211,13 +193,14 @@ def gen_gt_pi(n: int, pi: Bpo) -> FormulaInstance:
 
     Minimality clauses only for pi-minimal vertices, transitivity inside
     the minimal set, and the mixed transitivity clauses T[i,j,k] with
-    i, j minimal, j below k, and i not below k.  For empty pi this is
-    exactly gen_gt(n).
+    i, j minimal, j below k, and i not below k, in triangle order.  For
+    empty pi this is exactly gen_gt(n).
     """
     if n < 2:
         raise SizeError(f"gtpi needs n >= 2, got {n}")
     if pi.n != n:
         raise PairError(f"pi is over {pi.n} vertices, formula wants {n}")
-    alphas, betas, gammas = gt_pi_clauses(n, pi)
-    trans = sorted(betas + gammas, key=lambda clause: triangle_of(clause, n))
+    alphas = [alpha_clause(i, n) for i in sorted(pi.minimals)]
+    betas, gammas = gt_pi_triangles(n, pi)
+    trans = [trans_clause(*tri, n) for tri in sorted(betas + gammas)]
     return FormulaInstance(family=GT_PI, n=n, clauses=tuple(alphas + trans), pi=pi)

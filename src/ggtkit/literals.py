@@ -5,11 +5,17 @@ literals x[i,j] and -x[j,i] are identified: canonically, the pair with
 i < j gets a positive DIMACS id and the reversed pair is its negation.
 Clauses are duplicate-free frozensets of nonzero ints; a clause containing
 a literal together with its negation is rejected as tautological.
+
+`decode_lit` and `triangle_of` read the codec's one inverse: read-only
+tables per n, built once from `encode_lit` and `trans_clause` alone.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import cache
+from itertools import combinations, permutations
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 Clause = frozenset  # frozenset[int]
 
@@ -40,16 +46,22 @@ def encode_lit(i: int, j: int, n: int) -> int:
     return -(j * n - j * (j + 1) // 2 + (i - j))
 
 
+@cache
+def pair_table(n: int) -> tuple[tuple[int, int] | None, ...]:
+    """Each literal's vertex pair, indexed by literal: a negative one counts
+    from the end, so -(C(n,2) + 1) aliases +C(n,2); range-check first."""
+    pair: list[tuple[int, int] | None] = [None] * (2 * num_vars(n) + 1)
+    for i, j in permutations(range(n), 2):
+        pair[encode_lit(i, j, n)] = (i, j)
+    return tuple(pair)
+
+
 def decode_lit(lit: int, n: int) -> tuple[int, int]:
     """Invert encode_lit: the (i, j) with encode_lit(i, j, n) == lit."""
-    v = abs(lit)
-    if not (1 <= v <= num_vars(n)):
+    pair = pair_table(n)
+    if not 0 < abs(lit) <= len(pair) // 2:
         raise PairError(f"literal {lit} out of range for n={n}")
-    i = 0
-    while i * n - i * (i + 1) // 2 + (n - 1 - i) < v:
-        i += 1
-    j = v - (i * n - i * (i + 1) // 2) + i
-    return (i, j) if lit > 0 else (j, i)
+    return pair[lit]
 
 
 def order_pair(lit: int, n: int) -> tuple[int, int]:
@@ -117,25 +129,22 @@ def bits(mask: int):
         mask ^= low
 
 
-def triangle_of(clause: Clause, n: int) -> tuple[int, int, int] | None:
-    """If clause is a transitivity clause, its canonical (min-rotated) triple.
+def cyclic_classes(n: int) -> list[tuple[int, int, int]]:
+    """Canonical representatives of transitivity-clause classes.
 
-    Returns the rotation (a, b, c) with a minimal such that the clause is
-    T[a,b,c]; None if the clause is not of that shape.
+    Each unordered triple {i,j,k} yields two classes (the two orientations
+    of the triangle); the representative rotates the smallest vertex first.
     """
-    if len(clause) != 3:
-        return None
-    succ: dict[int, int] = {}
-    for lit in clause:
-        i, j = order_pair(lit, n)
-        if i in succ:
-            return None
-        succ[i] = j
-    a = min(succ)
-    b = succ.get(a)
-    if b is None or succ.get(b) is None:
-        return None
-    c = succ[b]
-    if succ.get(c) != a or len({a, b, c}) != 3:
-        return None
-    return (a, b, c)
+    return sorted(t for i, j, k in combinations(range(n), 3) for t in ((i, j, k), (i, k, j)))
+
+
+@cache
+def triangle_table(n: int) -> Mapping[Clause, tuple[int, int, int]]:
+    """Each transitivity clause over n vertices, mapped to its min-first triangle."""
+    return MappingProxyType({trans_clause(*rep, n): rep for rep in cyclic_classes(n)})
+
+
+def triangle_of(clause: Clause, n: int) -> tuple[int, int, int] | None:
+    """The min-first triangle (a, b, c) of a transitivity clause T[a,b,c]
+    over n vertices; None for any other clause."""
+    return triangle_table(n).get(clause)

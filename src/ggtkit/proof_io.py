@@ -132,14 +132,19 @@ def _parse(text: str) -> Derivation:
     shape = None
     header_line = 0
     nodes: list[ProofNode] = []
+    # per line without a node, the count of nodes before it, which gives each
+    # node's line; a list of those would keep one int per node (1.5 MB at 42k)
+    skipped: list[int] = []
     lit_of: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
+            skipped.append(len(nodes))
             continue
         try:  # inline, not through _int: this runs once per line
             nid = int(parts[0])
         except ValueError:
+            skipped.append(len(nodes))
             # no node line: a comment, a decision marker, the header or an error
             line = raw.strip()
             if line[0] == "c" or line.startswith("d "):
@@ -193,7 +198,8 @@ def _parse(text: str) -> Derivation:
         try:
             check_postorder(nodes)
         except ProofStructureError as exc:
-            raise ProofParseError(0, str(exc)) from None
+            line_no = exc.node + 1 + sum(k <= exc.node for k in skipped)
+            raise ProofParseError(line_no, str(exc)) from None
     return Derivation(tuple(nodes), root=len(nodes) - 1, shape=shape, family=family, n=n, seed=seed)
 
 

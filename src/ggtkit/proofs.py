@@ -32,7 +32,12 @@ class RuleError(ValueError):
 
 
 class ProofStructureError(ValueError):
-    """A derivation object that is not structurally well-formed."""
+    """A derivation object that is not structurally well-formed; `node` is
+    the id of the node that breaks the postorder layout, else None."""
+
+    def __init__(self, message: str, node: int | None = None):
+        super().__init__(message)
+        self.node = node
 
 
 class collector_paused:
@@ -197,7 +202,7 @@ def check_postorder(nodes) -> None:
             nid = nd.nid
             p0, p1 = nd.premises
             if p1 != nid - 1 or p0 != nid - 1 - size[p1]:
-                raise ProofStructureError(f"node {nid}: premises {nd.premises} break postorder layout")
+                raise ProofStructureError(f"node {nid}: premises {nd.premises} break postorder layout", nid)
             size[nid] = 1 + size[p0] + size[p1]
 
 

@@ -32,14 +32,14 @@ Assignments are stored by literal, as in MiniSat (Een & Sorensson 2003):
 `lv` is one list of length 2*nvars + 1 in which `lv[lit]` is True, False
 or None, and a negative literal indexes from the end, so `lv[lit]` and
 `lv[-lit]` are the two polarities of one variable.  Watch lists are
-indexed the same way.  The vertex pair of every literal (`pair`) is
-tabulated once when the solver is made, and the guard of every triangle
-is read from the instance's `guard_map`.  The search allocates only
-acyclic objects (trail tuples, frozensets, trace nodes), so
-`Solver.solve` runs under `proofs.collector_paused`: the cyclic garbage
-collector would otherwise scan the growing trace over and over and free
-nothing.  The helper restores the caller's setting when the search
-returns or raises.
+indexed the same way.  `pair` is `literals.pair_table(n)`, and each
+triangle's guard is read from the instance's `guard_map`.  A triangle is
+learned once, and only on a guarded instance: on any other, every
+transitivity clause is an input.  The search allocates only acyclic
+objects (trail tuples, frozensets, trace nodes), so `Solver.solve` runs
+under `proofs.collector_paused`: the cyclic garbage collector would
+otherwise scan the growing trace over and over and free nothing.  The
+helper restores the caller's setting when the search returns or raises.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 from ggtkit.formulas import GGT, GT, FormulaInstance
 from ggtkit.gtproofs import Skeleton, build_skeleton
-from ggtkit.literals import bits, clause_key, encode_lit, min_first, triangle_of
+from ggtkit.literals import bits, clause_key, encode_lit, min_first, pair_table, triangle_of
 from ggtkit.proofs import AXIOM, DAG, RESOLVE, Derivation, ProofNode, collector_paused
 
 DECISION = -1
@@ -99,7 +99,6 @@ class Solver:
         if tie_seed:
             random.Random(tie_seed).shuffle(self._vertex_order)
         self.clauses: list[list[int]] = [list(clause_key(c)) for c in f.clauses]
-        self.clause_set = {frozenset(c) for c in f.clauses}
         self._as_set = [frozenset(c) for c in f.clauses]  # clause index -> its literals
         self.n_original = len(self.clauses)
         size = 2 * f.nvars + 1  # literal-indexed lists; lit < 0 counts from the end
@@ -107,12 +106,7 @@ class Solver:
         self.lv: list[bool | None] = [None] * size
         # per variable: the trail depth of its assignment, 0 while unassigned
         self._stamp = [0] * (f.nvars + 1)
-        self.pair: list[tuple[int, int] | None] = [None] * size  # lit -> decode_lit(lit)
-        for i in range(f.n):
-            for j in range(i + 1, f.n):
-                v = encode_lit(i, j, f.n)
-                self.pair[v] = (i, j)
-                self.pair[-v] = (j, i)
+        self.pair = pair_table(f.n)  # lit -> decode_lit(lit)
         # vertex adjacency bitmasks for the order the trail currently asserts
         self._succ = [0] * f.n
         self._adj = [0] * f.n  # assigned pair variables, per endpoint
@@ -271,6 +265,7 @@ class Solver:
         tracing = self.tracing
         node = self._reason_node(conf_idx) if tracing else -1
         learn = None
+        guarded = self.f.guard_map is not None
         trail = self.trail
         unassign = self._unassign
         while trail:
@@ -296,8 +291,9 @@ class Solver:
                 node = self._emit(
                     RESOLVE, tuple(sorted(k, key=abs)), (self._reason_node(reason), node), abs(lit)
                 )
-            if learn is None and len(k) == 3 and k not in self.clause_set:
-                if triangle_of(k, self.n) is not None:
+            if learn is None and guarded and len(k) == 3:
+                tri = triangle_of(k, self.n)
+                if tri is not None and tri not in self.learned_tris:
                     learn = (k, node)
         if k:
             raise SolverContractError(f"trail exhausted with nonempty clause {sorted(k)}")
@@ -310,7 +306,6 @@ class Solver:
     def _learn(self, clause: frozenset, node: int) -> None:
         """Store a transitivity clause derived by the unwind, at trace node `node`."""
         self.stats.learned += 1
-        self.clause_set.add(clause)
         self.learned_tris.add(triangle_of(clause, self.n))
         cidx = len(self.clauses)
         self.clauses.append(list(clause_key(clause)))

@@ -3,13 +3,15 @@
 The truth-table oracles enumerate every total assignment over the
 canonical variables, so they run only at desk scale (n <= 5, 2^10
 assignments).  `allowed_pivot_vars` states which variables the pi
-derivation of `ggtkit.gtproofs` may resolve on.
+derivation of `ggtkit.gtproofs` may resolve on.  `triangle_of` names a
+transitivity clause by decoding its three literals, the reference for the
+package's table lookup.
 """
 
 from __future__ import annotations
 
 from ggtkit.bpo import Bpo
-from ggtkit.literals import Clause, encode_lit, num_vars
+from ggtkit.literals import Clause, encode_lit, num_vars, order_pair
 
 
 class OracleScaleError(ValueError):
@@ -60,3 +62,27 @@ def allowed_pivot_vars(pi: Bpo, n: int) -> frozenset[int]:
             if k not in pi.minimals and not pi.precedes(i, k):
                 allowed.add(abs(encode_lit(i, k, n)))
     return frozenset(allowed)
+
+
+def triangle_of(clause: Clause, n: int) -> tuple[int, int, int] | None:
+    """If clause is a transitivity clause, its canonical (min-rotated) triple.
+
+    Each literal, falsified, commits one ordered pair; the clause is a
+    transitivity clause when the three pairs form a directed 3-cycle.
+    """
+    if len(clause) != 3:
+        return None
+    succ: dict[int, int] = {}
+    for lit in clause:
+        i, j = order_pair(lit, n)
+        if i in succ:
+            return None
+        succ[i] = j
+    a = min(succ)
+    b = succ.get(a)
+    if b is None or succ.get(b) is None:
+        return None
+    c = succ[b]
+    if succ.get(c) != a or len({a, b, c}) != 3:
+        return None
+    return (a, b, c)

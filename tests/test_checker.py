@@ -228,7 +228,8 @@ def test_lemma_targets_compare_postorder_places_not_ids():
     assert str(checked.value) == "node 9: premises (8, 2) break postorder layout"
     with pytest.raises(ProofParseError) as parsed:
         parse_proof(serialize_proof(d))
-    assert str(parsed.value) == f"line 0: {checked.value}"
+    # node 9 is on line 11, after the header and nodes 0-8
+    assert str(parsed.value) == f"line 11: {checked.value}"
     # numbered in postorder, ids are places
     d, f = _crossing_lemma_tree_in_postorder()
     report = check_proof(d, f, (VALID, INPUT_LEMMA))

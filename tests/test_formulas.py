@@ -14,7 +14,7 @@ from ggtkit.formulas import (
     gen_ggt,
     gen_gt,
     gen_gt_pi,
-    gt_pi_clauses,
+    gt_pi_triangles,
     guarded_copies,
     guards,
     read_guards,
@@ -184,9 +184,9 @@ def test_gt_pi_empty_equals_gt():
 def test_gt_pi_gamma_enumeration():
     # pi = {(1,3)} over n=4: gamma clauses exactly for k=3, j=1, i in {0,2}
     pi = Bpo.of(4, [(1, 3)])
-    _, betas, gammas = gt_pi_clauses(4, pi)
+    betas, gammas = gt_pi_triangles(4, pi)
     expect = {trans_clause(0, 1, 3, 4), trans_clause(2, 1, 3, 4)}
-    assert set(gammas) == expect
+    assert {trans_clause(*tri, 4) for tri in gammas} == expect
     # alpha only for minimal vertices, beta over minimals
     f = gen_gt_pi(4, pi)
     m = len(pi.minimals)

@@ -51,6 +51,15 @@ def seeded_order(n: int, seed: int) -> Bpo:
     return Bpo.of(n, pairs)
 
 
+def wide_order(n: int, minimals: int, seed: int) -> Bpo:
+    """A bipartite order with a fixed number of minimal vertices, each
+    other vertex above one to three of them."""
+    rng = random.Random(seed)
+    low = rng.sample(range(n), minimals)
+    pairs = [(a, k) for k in range(n) if k not in low for a in rng.sample(low, rng.randint(1, 3))]
+    return Bpo.of(n, pairs)
+
+
 def pn_digest(n: int) -> int:
     return _crc(serialize_proof(build_pn(n)))
 
@@ -152,6 +161,9 @@ DIMACS_GGT = {
 }
 # `write_dimacs` of GT_pi(12) over seeded_order(12, s), seeds 0-2
 DIMACS_GTPI = {0: 1864816450, 1: 2427005155, 2: 3306492658}
+# `write_dimacs` of GT_pi(40) over wide_order(40, 34, s), seeds 0-2: the
+# transitivity clause order at the size of the benchmark's orders
+DIMACS_GTPI40 = {0: 1843749024, 1: 1696031343, 2: 3058507210}
 
 
 def test_pn_bytes():
@@ -221,3 +233,5 @@ def test_dimacs_writer_bytes():
     assert got == DIMACS_GGT
     got = {s: _crc(write_dimacs(gen_gt_pi(PPI_N, seeded_order(PPI_N, s)))) for s in SEEDS}
     assert got == DIMACS_GTPI
+    got = {s: _crc(write_dimacs(gen_gt_pi(40, wide_order(40, 34, s)))) for s in SEEDS}
+    assert got == DIMACS_GTPI40

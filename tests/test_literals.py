@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from tests import oracles
 from ggtkit.literals import (
     PairError,
     TautologyError,
@@ -14,8 +16,10 @@ from ggtkit.literals import (
     min_first,
     num_vars,
     order_pair,
+    pair_table,
     trans_clause,
     triangle_of,
+    triangle_table,
 )
 
 
@@ -40,6 +44,20 @@ def test_codec_roundtrip_exhaustive_n6():
             assert decode_lit(lit, n) == (i, j)
             seen.add(lit)
     assert seen == {l for v in range(1, num_vars(n) + 1) for l in (v, -v)}
+
+
+def test_decode_lit_inverts_encode_lit_up_to_n40():
+    for n in range(2, 41):
+        nvars = num_vars(n)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    assert decode_lit(encode_lit(i, j, n), n) == (i, j)
+        # 0, one past the end, and -(nvars+1), which indexes the table's
+        # slot of +nvars from the end
+        for lit in (0, nvars + 1, -(nvars + 1)):
+            with pytest.raises(PairError, match=f"literal {lit} out of range for n={n}"):
+                decode_lit(lit, n)
 
 
 def test_codec_bijective_onto_range():
@@ -102,6 +120,52 @@ def test_triangle_of_recognizes_cycles():
     assert triangle_of(trans_clause(0, 1, 2, n), n) == (0, 1, 2)
     assert triangle_of(alpha_clause(0, n), n) is None
     assert triangle_of(frozenset({1, 2, 3}), n) is None
+
+
+def _three_literal_clauses(n):
+    for vs in itertools.combinations(range(1, num_vars(n) + 1), 3):
+        for signs in itertools.product((1, -1), repeat=3):
+            yield frozenset(s * v for s, v in zip(signs, vs))
+
+
+def test_triangle_of_matches_the_decoding_reference():
+    for n in (4, 5):
+        clauses = list(_three_literal_clauses(n))
+        assert len(clauses) == 8 * (num_vars(n) * (num_vars(n) - 1) * (num_vars(n) - 2) // 6)
+        named = [c for c in clauses if oracles.triangle_of(c, n) is not None]
+        assert len(named) == len(triangle_table(n)) == 2 * (n * (n - 1) * (n - 2) // 6)
+        for clause in clauses:
+            assert triangle_of(clause, n) == oracles.triangle_of(clause, n)
+    # at n = 13, seeded 3-clauses: random ones, and transitivity clauses
+    # with one literal negated or replaced
+    n = 13
+    lits = [l for v in range(1, num_vars(n) + 1) for l in (v, -v)]
+    rng = random.Random(13)
+    for _ in range(3000):
+        vs = rng.sample(range(1, num_vars(n) + 1), 3)
+        clause = frozenset(v if rng.random() < 0.5 else -v for v in vs)
+        assert triangle_of(clause, n) == oracles.triangle_of(clause, n)
+        tri = tuple(rng.sample(range(n), 3))
+        clause = trans_clause(*tri, n)
+        assert triangle_of(clause, n) == oracles.triangle_of(clause, n) == min_first(*tri)
+        lit = rng.choice(sorted(clause))
+        other = rng.choice([l for l in lits if l not in clause and -l not in clause])
+        for changed in (clause - {lit} | {-lit}, clause - {lit} | {other}):
+            assert triangle_of(changed, n) == oracles.triangle_of(changed, n)
+
+
+def test_tables_are_shared_and_read_only():
+    assert pair_table(7) is pair_table(7)
+    assert triangle_table(7) is triangle_table(7)
+    with pytest.raises(TypeError):
+        triangle_table(7)[frozenset({1, 2, 3})] = (0, 1, 2)
+
+
+def test_triangle_of_is_none_for_literals_out_of_range():
+    # a literal outside +-1..C(n,2) names no triangle over n vertices
+    nvars = num_vars(5)
+    for lit in (nvars + 1, -(nvars + 1)):
+        assert triangle_of(frozenset({1, -5, lit}), 5) is None
 
 
 def test_min_first_names_the_triangle():

@@ -8,7 +8,7 @@ from tests.oracles import is_satisfiable
 from ggtkit.checker import VALID, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
 from ggtkit.bpo import Bpo
-from ggtkit.literals import decode_lit, min_first, num_vars, triangle_of
+from ggtkit.literals import decode_lit, encode_lit, min_first, num_vars, pair_table, triangle_of
 from ggtkit.propagation import unit_propagate
 from ggtkit.solver import DECISION, Solver, SolverContractError, UnsupportedFamilyError, solve
 
@@ -127,7 +127,8 @@ def test_closure_decision_provokes_then_flips():
     conf = s._propagate()
     assert conf is not None  # the triangle conflicts through the guarded pair
     assert s._handle_conflict(conf)
-    assert trans_clause(0, 1, 2, n) in s.clause_set  # T{0,1,2} was learned
+    assert s.learned_tris == {(0, 1, 2)}  # T{0,1,2} was learned
+    assert s._as_set[s.n_original:] == [trans_clause(0, 1, 2, n)]
     assert s.lv[encode_lit(0, 2, n)] is True  # the flip follows the closure
 
 
@@ -242,8 +243,9 @@ def test_literal_indexed_assignment_matches_dict_reference(n):
 def test_pair_table_matches_decode_lit():
     for n in range(2, 17):
         s = Solver(gen_gt(n))
-        nvars = num_vars(n)
-        assert len(s.pair) == 2 * nvars + 1
-        for v in range(1, nvars + 1):
-            assert s.pair[v] == decode_lit(v, n)
-            assert s.pair[-v] == decode_lit(-v, n)
+        assert s.pair is pair_table(n)  # shared, not built per solver
+        assert len(s.pair) == 2 * num_vars(n) + 1
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    assert s.pair[encode_lit(i, j, n)] == (i, j)

@@ -374,6 +374,7 @@ def test_corrupted_text_parses_as_the_reference_does(kind):
 
 @pytest.mark.parametrize("text", ["", "c only\n", "p proof gt n=2 shape=dag\n", "0 A 1 0\n",
                                   "p proof gt n=2 shape=tree\n0 A 1 0\n1 A -1 0\n2 R 1 1 1 0\n",
-                                  "p proof gt n=2 shape=tree\n0 A 1 0\n1 R 1 0 0 0\n"])
+                                  "p proof gt n=2 shape=tree\n0 A 1 0\n1 R 1 0 0 0\n",
+                                  "p proof gt n=2 shape=tree\nc x\n0 A 1 0\n1 A -1 0\nd 1\n2 R 1 1 1 0\n"])
 def test_small_texts_parse_as_the_reference_does(text):
     assert _outcome(parse_proof, text) == _outcome(verify_reference.parse, text)

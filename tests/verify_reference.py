@@ -77,7 +77,7 @@ def validate_structure(d: Derivation) -> None:
                 size[nd.nid] = 1 + size[left] + size[right]
                 if right != nd.nid - 1 or left != nd.nid - 1 - size[right]:
                     raise ProofStructureError(
-                        f"node {nd.nid}: premises {nd.premises} break postorder layout"
+                        f"node {nd.nid}: premises {nd.premises} break postorder layout", nd.nid
                     )
         if any(d.root in nd.premises for nd in d.nodes):
             raise ProofStructureError("tree root used as a premise")
@@ -161,6 +161,7 @@ def parse(text: str) -> Derivation:
     shape = None
     header_line = 0
     nodes: list[ProofNode] = []
+    node_lines: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("d "):
@@ -195,6 +196,7 @@ def parse(text: str) -> Derivation:
             raise ProofParseError(line_no, f"bad node id {parts[0]!r}") from None
         if nid != len(nodes):
             raise ProofParseError(line_no, f"node id {nid} out of order, expected {len(nodes)}")
+        node_lines.append(line_no)
         rule = parts[1] if len(parts) > 1 else ""
         if rule not in _RULES:
             raise ProofParseError(line_no, f"unknown rule {rule!r}")
@@ -228,5 +230,6 @@ def parse(text: str) -> Derivation:
     try:
         validate_structure(d)
     except ProofStructureError as exc:
-        raise ProofParseError(0, str(exc)) from None
+        # a layout error names its node's line; the line checks leave no other
+        raise ProofParseError(0 if exc.node is None else node_lines[exc.node], str(exc)) from None
     return d
