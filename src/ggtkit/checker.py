@@ -50,14 +50,17 @@ variables and the composite-input predicate are bitmasks and flags
 filled in beforehand, their bits numbering the proof's variables in
 increasing order through regular's `_dense`; the available learned
 clauses (the input-derived inference clauses with smaller ids) go into
-one append-only ClauseIndex after each node is checked.  Unit
-propagation runs only at nodes whose context is consistent and which are
-not input-derived nodes free of pivots on path variables.  At every
-other node the verdict does not depend on the propagation: an
-inconsistent context is flagged without it, and an input node resolving
-on no path variable passes whether or not propagation refutes its
-context.  Every leaf is such a node.  A pivot that is not a positive
-variable, which valid reports, adds no pivot bit and no phantom literal.
+one append-only ClauseIndex after each node is checked, whose watched
+literals persist from node to node with no undo (see `propagation`).
+Only whether a conflict exists enters the verdict, so which falsified
+clause a call reports does not matter.  Unit propagation runs only at
+nodes whose context is consistent and which are not input-derived nodes
+free of pivots on path variables.  At every other node the verdict does
+not depend on the propagation: an inconsistent context is flagged
+without it, and an input node resolving on no path variable passes
+whether or not propagation refutes its context.  Every leaf is such a
+node.  A pivot that is not a positive variable, which valid reports,
+adds no pivot bit and no phantom literal.
 """
 
 from __future__ import annotations

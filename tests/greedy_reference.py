@@ -18,7 +18,10 @@ _INFERENCES = (RESOLVE, W_RESOLVE)
 
 
 def scan_unit_propagate(clauses, assignment) -> PropagationResult:
-    """Propagate to fixpoint by rescanning; report the first falsified clause."""
+    """Propagate to fixpoint by rescanning; report the first falsified clause.
+
+    A clause is its set of literals, so (3, 3, 4) under {-4} forces 3.
+    """
     truth = set(assignment)
     for lit in truth:
         if -lit in truth:
@@ -35,7 +38,7 @@ def scan_unit_propagate(clauses, assignment) -> PropagationResult:
                 if lit in truth:
                     satisfied = True
                     break
-                if -lit not in truth:
+                if -lit not in truth and lit != unassigned:  # a repeat counts once
                     unassigned = lit
                     count += 1
             if satisfied:

@@ -177,6 +177,16 @@ def test_greedy_up_matches_reference_on_built_proofs_and_mutants():
     assert checked >= 150
 
 
+def test_greedy_up_report_on_the_ggt10_regrti_proof():
+    # counts and crc of the report lines as occurrence-list propagation
+    # gave them; the quadratic reference takes seconds at this size
+    f = gen_ggt(10, 0)
+    d = build_regrti_with_stats(f)[0]
+    report = check_proof(d, f, (GREEDY_UP,))
+    assert (len(d.nodes), len(report.violations), len(report.flags)) == (5969, 33, 681)
+    assert zlib.crc32("\n".join(report.lines()).encode()) == 1577008440
+
+
 def test_a_node_is_checked_before_its_clause_becomes_available():
     # {4} (node 14) has no input derivation, and {5} (node 17) is derived
     # from a lemma on it by one input step on variable 4.  Its parent puts 4

@@ -38,10 +38,36 @@ def test_replay_builds_input_derivation_of_transitivity():
     t = trans_clause(0, 1, 2, n)
     g = encode_lit(3, 4, n)
     clauses = [t | {g}, t | {-g}]
-    result = unit_propagate(clauses, {-l for l in t})
-    clause, chain = replay_conflict(clauses, result)
-    assert clause == t
-    assert len(chain) == 1
+    for store in (clauses, ClauseIndex(clauses)):
+        result = unit_propagate(store, {-l for l in t})
+        clause, chain = replay_conflict(store, result)
+        assert clause == t
+        assert len(chain) == 1
+
+
+@pytest.mark.parametrize(
+    "clauses, assignment",
+    [
+        ([(3, 3, 4)], {-4}),
+        ([(3, 3, 4), (-3, 5), (-3, -5)], {-4}),
+        ([(3, 3)], ()),
+        ([(-3, 4, -3, 4), (-4, 5, -4)], {3}),
+        ([(-5, -5, 6), (5, 6, 5)], {-6}),
+    ],
+)
+def test_a_clause_with_a_repeated_literal_propagates_as_its_set(clauses, assignment):
+    as_sets = [frozenset(c) for c in clauses]
+    want = scan_unit_propagate(as_sets, assignment)
+    assert want.implications  # each case forces a literal
+    for got in (
+        scan_unit_propagate(clauses, assignment),
+        unit_propagate(clauses, assignment),
+        unit_propagate(ClauseIndex(clauses), assignment),
+    ):
+        assert (got.conflict is None) == (want.conflict is None)
+        assert got.assignment == want.assignment
+    assert unit_propagate([(3, 3, 4)], {-4}).assignment == {3, -4}
+    assert unit_propagate([(3, 3, 4), (-3, 5), (-3, -5)], {-4}).conflict is not None
 
 
 def test_inconsistent_assignment_rejected():
@@ -112,3 +138,53 @@ def test_clause_index_grows_between_calls():
     assert result.conflict is not None and len(index.clauses) == 3
     with pytest.raises(InconsistentAssignment):
         unit_propagate(index, {3, -3})
+
+
+def _watched_twice(index: ClauseIndex) -> bool:
+    """Each clause of two or more literals sits in the lists of its first two."""
+    where: dict[int, list[int]] = {}
+    for lit, ids in index.watches.items():
+        for idx in ids:
+            where.setdefault(idx, []).append(lit)
+    return all(
+        sorted(where.get(idx, [])) == sorted(lits[:2] if len(lits) > 1 else [])
+        for idx, lits in enumerate(index.clauses)
+    )
+
+
+def test_one_clause_index_serves_many_calls():
+    # watches persist across calls and adds, including calls that stop on
+    # a conflict part-way through a watch list; each call must agree with
+    # a scan of the clauses added so far
+    rng = random.Random(5)
+    conflicts = partway = 0
+    for trial in range(60):
+        nvars = rng.randrange(5, 11)
+        index = ClauseIndex()
+        clauses: list[tuple[int, ...]] = []
+        for call in range(30):
+            for _ in range(rng.randrange(0, 3)):
+                vs = rng.sample(range(1, nvars + 1), rng.choice((1, 2, 2, 3, 3, 3, 4, 5)))
+                lits = [v if rng.random() < 0.5 else -v for v in vs]
+                if rng.random() < 0.1:
+                    lits.append(rng.choice(lits))  # a repeated literal
+                clauses.append(tuple(lits))
+                index.add(clauses[-1])
+            vs = rng.sample(range(1, nvars + 1), rng.randrange(0, nvars // 2 + 1))
+            assignment = {v if rng.random() < 0.5 else -v for v in vs}
+            got = unit_propagate(index, assignment)
+            ref = scan_unit_propagate(clauses, assignment)
+            assert (got.conflict is None) == (ref.conflict is None), (trial, call)
+            if got.conflict is None:
+                assert got.assignment == ref.assignment, (trial, call)
+            else:
+                conflicts += 1
+                assert all(-lit in got.assignment for lit in clauses[got.conflict]), (trial, call)
+                learned, _ = replay_conflict(index, got)
+                assert all(-lit in assignment for lit in learned), (trial, call)
+                # the walk stopped at the conflict clause, which watches the
+                # walked literal second; clauses after it were not visited
+                lits = index.clauses[got.conflict]
+                partway += len(lits) > 1 and index.watches[lits[1]][-1] != got.conflict
+            assert _watched_twice(index), (trial, call)
+    assert 400 < conflicts < 1400 and partway > 100
