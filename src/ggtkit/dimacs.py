@@ -63,6 +63,15 @@ def _parse_header_comment(text: str, meta: dict, meta_line: dict, line_no: int) 
             meta_line[key] = line_no
 
 
+class _Literals(dict):
+    """Each literal token met so far and its value, converted once: one int
+    per distinct token, shared by every clause that holds it."""
+
+    def __missing__(self, tok: str) -> int:
+        lit = self[tok] = int(tok)
+        return lit
+
+
 def read_dimacs(text: str) -> FormulaInstance:
     meta: dict[str, str | int] = {}
     meta_line: dict[str, int] = {}  # the line that set each key
@@ -71,6 +80,7 @@ def read_dimacs(text: str) -> FormulaInstance:
     clauses = []
     clause_lines = []
     seen = set()
+    lit_of = _Literals().__getitem__
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -97,7 +107,7 @@ def read_dimacs(text: str) -> FormulaInstance:
         if parts[-1] != "0":
             raise DimacsError(line_no, "clause not terminated by 0")
         try:
-            lits = [int(p) for p in parts[:-1]]
+            lits = list(map(lit_of, parts[:-1]))
         except ValueError:
             raise DimacsError(line_no, f"bad literal in {line!r}") from None
         for lit in lits:

@@ -14,9 +14,14 @@ minimal, k non-minimal and i not below k, and no variable repeats along
 any path.
 
 The derivation is kept as one Skeleton: premises, pivots and axiom kinds
-in arrays, with clauses derived only on demand.  build_ppi_dag builds
-the skeleton of an order; ppi_clauses derives its clauses and checks the
-root against the order's clause.  The proof builders call both.  The
+in arrays, with clauses derived only on demand.  `Skeleton.clauses` is
+the one derivation routine: it yields each node's clause in node order
+and holds a clause only until its last use as a premise, the rule
+`checker._check_valid` applies to its masks.  build_ppi_dag builds the
+skeleton of an order.  build_pn and build_ppi make each proof line as
+its clause is yielded, so no list of all the clauses is kept beside the
+proof; ppi_clauses lists the clauses for the pool construction, which
+splices them all.  Both check the root against the order's clause.  The
 pool construction calls ppi_clauses only on a stage that expands: a
 stage that branches reads the transitivity axioms' clauses from their
 kinds, and its branching subproof checks its own closure.  The solver
@@ -26,6 +31,7 @@ walks skeletons built straight from its trail, without clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ggtkit.bpo import Bpo, bpo_clause
 from ggtkit.formulas import GT, GT_PI, SizeError
@@ -69,18 +75,33 @@ class Skeleton:
     kind: list[tuple | None]
     root: int
 
-    def clauses(self) -> list[Clause]:
-        """Every node's clause: axioms from their kind, then each resolvent."""
+    def clauses(self) -> Iterator[Clause]:
+        """Each node's clause in node order: axioms from their kind, then
+        each resolvent.  A clause is held only until its last use as a
+        premise, so the clauses alive at once are those still waiting for
+        their last consumer."""
         n = self.n
-        out: list[Clause] = []
-        for prem, piv, kind in zip(self.premises, self.pivot, self.kind):
+        premises = self.premises
+        last = [-1] * len(premises)  # the last inference using each node
+        for nid, prem in enumerate(premises):
+            for p in prem:
+                last[p] = nid
+        held: list[Clause | None] = [None] * len(premises)
+        for nid, (prem, piv, kind) in enumerate(zip(premises, self.pivot, self.kind)):
             if prem:
-                out.append(resolve_on_var(RESOLVE, out[prem[0]], out[prem[1]], piv))
+                p0, p1 = prem
+                clause = resolve_on_var(RESOLVE, held[p0], held[p1], piv)
+                if last[p0] == nid:
+                    held[p0] = None
+                if last[p1] == nid:
+                    held[p1] = None
             elif kind[0] == "alpha":
-                out.append(alpha_clause(kind[1], n))
+                clause = alpha_clause(kind[1], n)
             else:
-                out.append(trans_clause(*kind[1], n))
-        return out
+                clause = trans_clause(*kind[1], n)
+            if last[nid] >= 0:
+                held[nid] = clause
+            yield clause
 
     def masks(self) -> list[int]:
         """Per node, the variables resolved on some path toward the root."""
@@ -181,28 +202,34 @@ def build_ppi_dag(n: int, pi: Bpo) -> Skeleton:
     return build_skeleton(n, sorted(pi.minimals), above)
 
 
-def ppi_clauses(skel: Skeleton, pi: Bpo) -> list[Clause]:
-    """Every clause of the pi derivation `skel`, its root checked against pi."""
-    clauses = skel.clauses()
-    root_clause = clauses[skel.root]
+def _check_root(root_clause: Clause, pi: Bpo) -> None:
     expected = bpo_clause(pi)
     if root_clause != expected:
         raise AssertionError(
             f"derivation root {sorted(root_clause)} differs from the pi clause {sorted(expected)}"
         )
+
+
+def ppi_clauses(skel: Skeleton, pi: Bpo) -> list[Clause]:
+    """Every clause of the pi derivation `skel`, its root checked against pi."""
+    clauses = list(skel.clauses())
+    _check_root(clauses[skel.root], pi)
     return clauses
 
 
 def _derivation(n: int, pi: Bpo, family: str) -> Derivation:
+    """The proof of `pi`'s derivation, each line made as its clause is
+    derived; the root is checked against pi."""
     skel = build_ppi_dag(n, pi)
-    clauses = ppi_clauses(skel, pi)
-    nodes = tuple(
-        ProofNode(nid, RESOLVE, clause_key(clause), prem, skel.pivot[nid])
-        if prem
-        else ProofNode(nid, AXIOM, clause_key(clause))
-        for nid, (prem, clause) in enumerate(zip(skel.premises, clauses))
-    )
-    return Derivation(nodes, root=skel.root, shape=DAG, family=family, n=n)
+    nodes = []
+    for nid, (prem, clause) in enumerate(zip(skel.premises, skel.clauses())):
+        if nid == skel.root:
+            _check_root(clause, pi)
+        if prem:
+            nodes.append(ProofNode(nid, RESOLVE, clause_key(clause), prem, skel.pivot[nid]))
+        else:
+            nodes.append(ProofNode(nid, AXIOM, clause_key(clause)))
+    return Derivation(tuple(nodes), root=skel.root, shape=DAG, family=family, n=n)
 
 
 def build_ppi(n: int, pi: Bpo) -> Derivation:
@@ -213,4 +240,3 @@ def build_ppi(n: int, pi: Bpo) -> Derivation:
 def build_pn(n: int) -> Derivation:
     """Regular refutation of GT(n) with O(n^3) nodes."""
     return _derivation(n, Bpo.empty(n), GT)
-

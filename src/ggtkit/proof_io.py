@@ -36,29 +36,38 @@ class ProofParseError(ValueError):
         self.line_no = line_no
 
 
+class _Tokens(dict):
+    """A per-call table of each integer's text, each formatted once."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
 def serialize_proof(d: Derivation, decisions: dict[int, list[int]] | None = None) -> str:
     """Render a derivation; optional decision markers keyed by node id.
 
     Each node's clause is written as stored.  Every producer stores it in
     `clause_key` order (the `ProofNode.clause` contract), so the text is
-    canonical without a sort here.
+    canonical without a sort here.  Literals and pivots repeat across
+    lines, so each distinct one is formatted once per call.
     """
     header = f"p proof {d.family or 'cnf'} n={d.n}"
     if d.seed is not None:
         header += f" seed={d.seed}"
     header += f" shape={d.shape}"
     lines = [header]
+    tok = _Tokens().__getitem__
     for nd in d.nodes:
         if decisions and nd.nid in decisions:
-            lines.extend(f"d {lit}" for lit in decisions[nd.nid])
-        lits = " ".join(map(str, nd.clause))
-        body = f"{lits} 0" if nd.clause else "0"
+            lines.extend("d " + tok(lit) for lit in decisions[nd.nid])
+        body = " ".join(map(tok, nd.clause)) + " 0" if nd.clause else "0"
         if nd.rule == AXIOM:
             lines.append(f"{nd.nid} A {body}")
         elif nd.rule == LEMMA:
             lines.append(f"{nd.nid} L {nd.target}")
         else:
-            lines.append(f"{nd.nid} {nd.rule} {nd.pivot} {nd.premises[0]} {nd.premises[1]} {body}")
+            lines.append(f"{nd.nid} {nd.rule} {tok(nd.pivot)} {nd.premises[0]} {nd.premises[1]} {body}")
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,10 @@ bipartite partial order, deciding its pivots root-first along falsified
 premises; the walk is the gtproofs skeleton that the pool construction
 splices, built without clauses; (4) if a transitivity axiom of that
 derivation is blocked (its guard is resolved deeper in the derivation),
-branch on the axiom's triangle directly, which learns it.
+branch on the axiom's triangle directly, which learns it.  Each order's
+walk is cached, keeping only what steps (3) and (4) read: the
+premises and first-premise literals in compact arrays, and the axioms
+whose guard is resolved below them, which depends on the order alone.
 
 There are no restarts: the decision stack is only pushed, flipped, or
 popped.  Every flip carries the clause derived from the conflict that
@@ -45,10 +48,11 @@ helper restores the caller's setting when the search returns or raises.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 
 from ggtkit.formulas import GGT, GT, FormulaInstance
-from ggtkit.gtproofs import Skeleton, build_skeleton
+from ggtkit.gtproofs import build_skeleton
 from ggtkit.literals import bits, clause_key, encode_lit, min_first, pair_table, triangle_of
 from ggtkit.proofs import AXIOM, DAG, RESOLVE, Derivation, ProofNode, collector_paused
 
@@ -114,7 +118,7 @@ class Solver:
         self.qhead = 0
         self.stats = SolveStats()
         self.learned_tris: set[tuple[int, int, int]] = set()
-        self._pi_cache: dict[tuple, tuple[Skeleton, list]] = {}
+        self._pi_cache: dict[tuple, tuple] = {}  # order -> _walk_tools entry
         # the trace: nodes, decision markers by the node they precede, the
         # decisions since the last node, and the node of each clause index
         # (the generators emit no clause twice and read_dimacs rejects a repeat)
@@ -334,15 +338,20 @@ class Solver:
                 return encode_lit(c, a, self.n)  # contradict the closure first
         return None
 
-    def _walk_tools(self) -> tuple[Skeleton, list]:
-        """The order-derivation skeleton for the trail's bipartite order.
+    def _walk_tools(self) -> tuple:
+        """The decision walk for the trail's bipartite order, and its blockers.
 
         Once the closure step is exhausted, the assigned pairs are closed
         under composition, so the bipartite order is read off the
-        adjacency rows of the minimal vertices directly.  Returned with the
-        skeleton, in node-id order, is one entry per transitivity axiom:
-        its min-first triple, its guard variable, the variables resolved
-        below it, and its kind.
+        adjacency rows of the minimal vertices directly.  Its skeleton is
+        built and cached, keeping only what `_pick_decision` reads:
+        `(lit0, prem, root, blockers)`.  `lit0[nid]` is the pivot literal
+        as it occurs in node nid's first premise, 0 at an axiom, and
+        `prem[2 * nid]` and `prem[2 * nid + 1]` are its premises, all in
+        compact arrays.  `blockers` lists, in node-id order, each
+        transitivity axiom whose guard variable is resolved below it, a
+        property of the order alone, as (min-first triangle, guard
+        variable, kind).
         """
         n = self.n
         succ = self._succ
@@ -355,25 +364,28 @@ class Solver:
         walk = self._pi_cache.get(key)
         if walk is None:
             skel = build_skeleton(n, minimals, succ)
-            taxioms = []
+            blockers = []
             glits = self.f.guard_map
             if glits is not None:
                 masks = skel.masks()
                 for nid, kind in enumerate(skel.kind):
                     if kind is not None and kind[0] != "alpha":
                         tri = min_first(*kind[1])
-                        taxioms.append((tri, abs(glits[tri]), masks[nid], kind))
-            walk = (skel, taxioms)
+                        gvar = abs(glits[tri])
+                        if masks[nid] >> gvar & 1:
+                            blockers.append((tri, gvar, kind))
+            prem = array("i", [p for pair in skel.premises for p in (pair or (0, 0))])
+            walk = (array("i", skel.lit0), prem, skel.root, tuple(blockers))
             self._pi_cache[key] = walk
         return walk
 
-    def _blocking_axiom(self, taxioms) -> tuple | None:
-        """The first transitivity axiom whose unassigned guard is resolved
-        below it and whose triangle is not learned yet: its kind."""
+    def _blocking_axiom(self, blockers) -> tuple | None:
+        """The first of `blockers` whose guard is unassigned and whose
+        triangle is not learned yet: its kind."""
         lv = self.lv
         tris = self.learned_tris
-        for tri, gvar, mask, kind in taxioms:
-            if lv[gvar] is None and mask >> gvar & 1 and tri not in tris:
+        for tri, gvar, kind in blockers:
+            if lv[gvar] is None and tri not in tris:
                 return kind
         return None
 
@@ -381,8 +393,8 @@ class Solver:
         lit = self._closure_decision()
         if lit is not None:
             return lit
-        skel, taxioms = self._walk_tools()
-        blocker = self._blocking_axiom(taxioms)
+        lit0, prem, nid, blockers = self._walk_tools()
+        blocker = self._blocking_axiom(blockers)
         if blocker is not None:
             _, (i, j, k) = blocker
             for a, b in ((i, j), (j, k), (k, i)):
@@ -390,17 +402,15 @@ class Solver:
                 if self.lv[lit] is None:
                     return lit  # falsify the axiom's literal
             raise SolverContractError("blocking axiom fully assigned without conflict")
-        # walk the order derivation along falsified premises
+        # walk the order derivation from the root along falsified premises
         lv = self.lv
-        premises = skel.premises
-        lit0 = skel.lit0
-        nid = skel.root
-        while premises[nid]:
-            l0 = lit0[nid]
+        l0 = lit0[nid]
+        while l0:
             v = lv[l0]
             if v is None:
                 return -l0  # explore the first premise first
-            nid = premises[nid][1] if v else premises[nid][0]
+            nid = prem[2 * nid + v]
+            l0 = lit0[nid]
         raise SolverContractError("decision walk reached a falsified axiom")
 
     # -- main loop -----------------------------------------------------------------

@@ -206,13 +206,13 @@ def test_only_expanding_stages_derive_clauses(monkeypatch, build):
     partial(build_pool_with_stats, 6, 0), partial(build_regrti_with_stats, 6, 0), partial(build_pn, 6),
 ], ids=["pool", "regrti", "pn"])
 def test_a_wrong_derivation_root_raises(monkeypatch, build):
-    # the pool builds reach the root check on their expanding stages
+    # the pool builds reach the root check on their expanding stages, and
+    # build_pn checks the root as the derivation yields it
     derive = Skeleton.clauses
 
     def wrong_root(skel):
-        clauses = derive(skel)
-        clauses[skel.root] = clauses[skel.root] ^ {1}
-        return clauses
+        for nid, clause in enumerate(derive(skel)):
+            yield clause ^ {1} if nid == skel.root else clause
 
     monkeypatch.setattr(Skeleton, "clauses", wrong_root)
     with pytest.raises(AssertionError, match="differs from the pi clause"):

@@ -166,13 +166,11 @@ class _BlockerAudit(Solver):
         super().__init__(f)
         self.blocked = []
 
-    def _pick_decision(self):
-        lit = self._closure_decision()
-        if lit is None:
-            blocker = self._blocking_axiom(self._walk_tools()[1])
-            if blocker is not None:
-                self.blocked.append(min_first(*blocker[1]))
-        return super()._pick_decision()
+    def _blocking_axiom(self, blockers):
+        blocker = super()._blocking_axiom(blockers)
+        if blocker is not None:
+            self.blocked.append(min_first(*blocker[1]))
+        return blocker
 
 
 def test_blocking_axioms_get_learned():
