@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from ggtkit.checker import SELF_CHECK, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt
 from ggtkit.gtproofs import build_pn
-from ggtkit.lr_engine import NodeBudgetExceeded, build_pool_with_stats, build_regrti_with_stats
+from ggtkit.lr_engine import BudgetExceeded, build_pool_with_stats, build_regrti_with_stats
 from ggtkit.solver import solve
 
 ARTIFACTS = ("pn", "pool", "regrti", "dpll")
@@ -71,7 +71,11 @@ def fit_slope(points) -> float | None:
 
 def run_one(artifact: str, n: int, seed: int, node_budget: int | None = None,
             time_cap: float | None = None) -> BenchRecord:
+    """One row.  A pool or regRTI build stops at the first stage boundary
+    past `time_cap` seconds, or past `node_budget` nodes; a pn or dpll row
+    is judged against the cap only once it has finished."""
     start = time.monotonic()
+    deadline = None if time_cap is None else start + time_cap
     rec = BenchRecord(family="gt" if artifact == "pn" else "ggt", n=n, seed=seed,
                       artifact=artifact)
     if artifact not in ARTIFACTS:
@@ -87,13 +91,13 @@ def run_one(artifact: str, n: int, seed: int, node_budget: int | None = None,
                 d = build_pn(n)
             else:
                 build = build_pool_with_stats if artifact == "pool" else build_regrti_with_stats
-                d, st = build(inst, max_nodes=node_budget)
+                d, st = build(inst, max_nodes=node_budget, deadline=deadline)
                 rec.stages, rec.caseIvCount = st.stages, st.case_iv
             report = check_proof(d, inst, SELF_CHECK[artifact])
             if not report.ok:
                 raise BenchError(f"{artifact} self-check failed: {report.lines()[:3]}")
             rec.lines, rec.maxWidth = len(d), d.max_width()
-    except NodeBudgetExceeded:
+    except BudgetExceeded:
         rec.status = TIMEOUT
     elapsed = time.monotonic() - start
     rec.wallMillis = int(elapsed * 1000)

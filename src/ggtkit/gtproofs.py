@@ -23,15 +23,23 @@ its clause is yielded, so no list of all the clauses is kept beside the
 proof; ppi_clauses lists the clauses for the pool construction, which
 splices them all.  Both check the root against the order's clause.  The
 pool construction calls ppi_clauses only on a stage that expands: a
-stage that branches reads the transitivity axioms' clauses from their
+stage that branches reads the transitivity axioms' clauses by their
 kinds, and its branching subproof checks its own closure.  The solver
 walks skeletons built straight from its trail, without clauses.
+
+Facts that depend on n alone come from the per-n tables of `literals`:
+build_skeleton reads each pivot literal from `lit_table`, and
+ppi_clauses has the skeleton read its transitivity axioms from
+`trans_table`, the frozensets a guarded instance has already built.
+build_pn and build_ppi make each axiom with `trans_clause` instead, so
+a GT derivation at n = 40 builds no 8 MB table it would use once.
+`trans_postorder` lists the transitivity axioms in one pre-order pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Iterator, Mapping
 
 from ggtkit.bpo import Bpo, bpo_clause
 from ggtkit.formulas import GT, GT_PI, SizeError
@@ -40,9 +48,10 @@ from ggtkit.literals import (
     alpha_clause,
     bits,
     clause_key,
-    encode_lit,
+    lit_table,
     min_first,
     trans_clause,
+    trans_table,
 )
 from ggtkit.proofs import (
     AXIOM,
@@ -65,7 +74,9 @@ class Skeleton:
     inference.  Kinds are ("alpha", i), ("gamma", (i, j, k)) for the mixed
     axiom T[i, j, k], and ("beta", triple) with the triple rotated min-first.
     Every transitivity axiom is the premise of exactly one inference.
-    Clauses are not stored; `clauses` derives them.
+    Clauses are not stored; `clauses` derives them, reading transitivity
+    axioms from `trans`, the per-n `literals.trans_table`, when the
+    skeleton carries it, and building each with `trans_clause` otherwise.
     """
 
     n: int
@@ -74,6 +85,7 @@ class Skeleton:
     lit0: list[int]
     kind: list[tuple | None]
     root: int
+    trans: Mapping[tuple[int, int, int], Clause] | None = None
 
     def clauses(self) -> Iterator[Clause]:
         """Each node's clause in node order: axioms from their kind, then
@@ -82,6 +94,7 @@ class Skeleton:
         their last consumer."""
         n = self.n
         premises = self.premises
+        trans = self.trans
         last = [-1] * len(premises)  # the last inference using each node
         for nid, prem in enumerate(premises):
             for p in prem:
@@ -97,6 +110,8 @@ class Skeleton:
                     held[p1] = None
             elif kind[0] == "alpha":
                 clause = alpha_clause(kind[1], n)
+            elif trans is not None:
+                clause = trans[min_first(*kind[1])]
             else:
                 clause = trans_clause(*kind[1], n)
             if last[nid] >= 0:
@@ -108,23 +123,27 @@ class Skeleton:
         return below_pivot_masks(self.premises, self.pivot)
 
     def trans_postorder(self) -> list[int]:
-        """Transitivity axiom node ids in depth-first postorder from the root."""
+        """Transitivity axiom node ids in depth-first postorder from the root.
+
+        One pre-order pass, first premise first, each node visited once:
+        axioms are leaves, so the order they are visited in is their
+        postorder.
+        """
+        premises, kind = self.premises, self.kind
         order: list[int] = []
-        seen: set[int] = set()
-        stack: list[tuple[int, bool]] = [(self.root, False)]
+        seen = bytearray(len(premises))
+        stack = [self.root]
         while stack:
-            nid, expanded = stack.pop()
-            if expanded:
-                kind = self.kind[nid]
-                if kind is not None and kind[0] != "alpha":
-                    order.append(nid)
+            nid = stack.pop()
+            if seen[nid]:
                 continue
-            if nid in seen:
-                continue
-            seen.add(nid)
-            stack.append((nid, True))
-            for p in reversed(self.premises[nid]):
-                stack.append((p, False))
+            seen[nid] = 1
+            prem = premises[nid]
+            if prem:
+                stack.append(prem[1])
+                stack.append(prem[0])
+            elif kind[nid][0] != "alpha":
+                order.append(nid)
         return order
 
 
@@ -134,17 +153,11 @@ def build_skeleton(n: int, minimals: list[int], above: list[int]) -> Skeleton:
     `minimals` lists the minimal vertices in increasing order, and
     `above[i]` is the bitmask of the vertices above minimal vertex i.
     """
+    lit = lit_table(n)
     premises: list[tuple[int, ...]] = []
     pivot: list[int] = []
     lit0: list[int] = []
     kinds: list[tuple | None] = []
-
-    def axiom(kind: tuple) -> int:
-        premises.append(())
-        pivot.append(0)
-        lit0.append(0)
-        kinds.append(kind)
-        return len(kinds) - 1
 
     def resolve(a: int, b: int, lit: int) -> int:
         """Resolve premise a, which holds literal lit, against premise b."""
@@ -153,6 +166,15 @@ def build_skeleton(n: int, minimals: list[int], above: list[int]) -> Skeleton:
         lit0.append(lit)
         kinds.append(None)
         return len(kinds) - 1
+
+    def against(kind: tuple, node: int, lit: int) -> int:
+        """A new axiom of `kind`, which holds literal lit, resolved against node."""
+        a = len(kinds)
+        premises.extend(((), (a, node)))
+        pivot.extend((0, abs(lit)))
+        lit0.extend((0, lit))
+        kinds.extend((kind, None))
+        return a + 1
 
     minimal_mask = 0
     lowest: dict[int, int] = {}  # smallest minimal vertex below each other one
@@ -164,12 +186,15 @@ def build_skeleton(n: int, minimals: list[int], above: list[int]) -> Skeleton:
     # Minimality clauses, with non-minimal vertices resolved away.
     cur: list[int] = []
     for i in minimals:
-        node = axiom(("alpha", i))
+        node = len(kinds)
+        premises.append(())
+        pivot.append(0)
+        lit0.append(0)
+        kinds.append(("alpha", i))
         for k in range(n):
             if (minimal_mask | above[i]) >> k & 1:
                 continue  # x[k,i] stays as a side literal when i is below k
-            gamma = axiom(("gamma", (i, lowest[k], k)))
-            node = resolve(gamma, node, encode_lit(i, k, n))
+            node = against(("gamma", (i, lowest[k], k)), node, lit[i][k])
         cur.append(node)
 
     # Downward elimination over the minimal vertices.
@@ -184,9 +209,10 @@ def build_skeleton(n: int, minimals: list[int], above: list[int]) -> Skeleton:
                 if t == i:
                     continue
                 vt = minimals[t]
-                beta = axiom(("beta", min_first(vt, top, vi)))
-                node = resolve(beta, node, -encode_lit(vt, top, n))
-            cur[i] = resolve(node, cur[i], encode_lit(vi, top, n))
+                # T[vt, top, vi] rotated min-first; top is the largest of the three
+                beta = (vt, top, vi) if vt < vi else (vi, vt, top)
+                node = against(("beta", beta), node, -lit[vt][top])
+            cur[i] = resolve(node, cur[i], lit[vi][top])
     return Skeleton(n, premises, pivot, lit0, kinds, cur[0])
 
 
@@ -211,8 +237,9 @@ def _check_root(root_clause: Clause, pi: Bpo) -> None:
 
 
 def ppi_clauses(skel: Skeleton, pi: Bpo) -> list[Clause]:
-    """Every clause of the pi derivation `skel`, its root checked against pi."""
-    clauses = list(skel.clauses())
+    """Every clause of the pi derivation `skel`, its root checked against pi;
+    the transitivity axioms are the per-n table's frozensets."""
+    clauses = list(replace(skel, trans=trans_table(skel.n)).clauses())
     _check_root(clauses[skel.root], pi)
     return clauses
 

@@ -7,7 +7,13 @@ Clauses are duplicate-free frozensets of nonzero ints; a clause containing
 a literal together with its negation is rejected as tautological.
 
 `decode_lit` and `triangle_of` read the codec's one inverse: read-only
-tables per n, built once from `encode_lit` and `trans_clause` alone.
+tables per n, built once from `encode_lit` and `trans_clause` alone.  The
+forward tables are their mirrors: `lit_table` gives each vertex pair's
+literal, and `trans_table` each min-first triangle's transitivity clause,
+the very frozensets `triangle_table` holds, so a hot loop reads a clause
+instead of building one.  Each table is built on first use for its n: a
+caller that never asks for a transitivity table (say `build_pn(40)`, whose
+tables would hold 8 MB) never pays for one.
 """
 
 from __future__ import annotations
@@ -54,6 +60,13 @@ def pair_table(n: int) -> tuple[tuple[int, int] | None, ...]:
     for i, j in permutations(range(n), 2):
         pair[encode_lit(i, j, n)] = (i, j)
     return tuple(pair)
+
+
+@cache
+def lit_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Each vertex pair's literal: `lit_table(n)[i][j] == encode_lit(i, j, n)`,
+    and 0 on the diagonal."""
+    return tuple(tuple(encode_lit(i, j, n) if i != j else 0 for j in range(n)) for i in range(n))
 
 
 def decode_lit(lit: int, n: int) -> tuple[int, int]:
@@ -142,6 +155,13 @@ def cyclic_classes(n: int) -> list[tuple[int, int, int]]:
 def triangle_table(n: int) -> Mapping[Clause, tuple[int, int, int]]:
     """Each transitivity clause over n vertices, mapped to its min-first triangle."""
     return MappingProxyType({trans_clause(*rep, n): rep for rep in cyclic_classes(n)})
+
+
+@cache
+def trans_table(n: int) -> Mapping[tuple[int, int, int], Clause]:
+    """Each min-first triangle's transitivity clause: the inverse of
+    `triangle_table`, sharing its frozensets."""
+    return MappingProxyType({rep: clause for clause, rep in triangle_table(n).items()})
 
 
 def triangle_of(clause: Clause, n: int) -> tuple[int, int, int] | None:

@@ -19,9 +19,11 @@ axiom that derivation needs is classified:
            each adjusted back to a bipartite-order clause by a chain of
            literal replacements.
 
-Classification reads each axiom's clause from its kind in the skeleton;
-the derivation's other clauses are derived, and its root checked against
-the leaf's order, only when no axiom branches and the stage expands.
+Classification reads each axiom's clause by its triangle from the per-n
+table `literals.trans_table`, which the instance's guard map has already
+built; the derivation's other clauses are derived, and its root checked
+against the leaf's order, only when no axiom branches and the stage
+expands.  Replacement chains read their axioms from the same table.
 
 In pool mode, shared interior clauses of a spliced derivation become
 lemma references to their first occurrence.  In input-lemma mode they are
@@ -37,24 +39,32 @@ a learned node may be cited once the walk has given it its postorder id:
 the pool condition itself.  The walk's open frames are the leaf's
 ancestors, so a splice finds the parent and the path a literal
 propagates down without any back-pointers, and the tree stays acyclic.
-Since a splice adds literals only to those open frames, a numbered node's
-clause is final: the walk turns it from a set into its `clause_key`
-tuple, a lemma reference takes its target's tuple, and the proof lines
-share those tuples.  So only unnumbered nodes hold sets.
+Since a splice adds literals only to those open frames, which are all
+inferences, a leaf's clause never changes and a numbered node's clause is
+final.  So only an unnumbered inference holds a set; a leaf keeps the
+frozen clause it was made from, and the walk turns each node it numbers
+into its `clause_key` tuple, a lemma reference taking its target's, which
+the proof lines share.  The learned clauses are indexed by hash alone: a
+learned node is cited only once numbered, and its tuple then confirms
+the match, so no learned clause is kept beside the tree.
 Each leaf record carries the leaf's order, computed and checked against
 the leaf clause once, when the leaf is made.
+
+A build may be given a deadline; it is checked at each stage boundary,
+so a capped build stops within one stage of it.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 from ggtkit.bpo import CyclicOrderError, Bpo, PartialSpec, associated_bpo, bpo_clause, tau_of_literals
 from ggtkit.formulas import FormulaInstance, SizeError, gen_ggt
 from ggtkit.gtproofs import Skeleton, build_ppi_dag, ppi_clauses
-from ggtkit.literals import Clause, clause_key, encode_lit, min_first, trans_clause
+from ggtkit.literals import Clause, clause_key, lit_table, min_first, trans_table
 from ggtkit.proofs import (
     AXIOM,
     LEAF_RULES,
@@ -76,18 +86,31 @@ class ConstructionError(RuntimeError):
     """An internal invariant of the staged construction failed."""
 
 
-class NodeBudgetExceeded(ConstructionError):
+class BudgetExceeded(ConstructionError):
+    """The build ran past a resource budget the caller set."""
+
+
+class NodeBudgetExceeded(BudgetExceeded):
     """The proof grew past the configured node budget."""
 
 
+class TimeBudgetExceeded(BudgetExceeded):
+    """A stage ended past the configured deadline."""
+
+
 class TNode:
-    """Mutable tree node used while the refutation is under construction;
-    its clause is a set until the walk numbers it, then a tuple."""
+    """Mutable tree node used while the refutation is under construction.
+
+    Until the walk numbers it, an inference holds its clause as a set,
+    which a splice may extend; a leaf keeps the frozen clause it was made
+    from, since a splice changes only inferences.  Numbered, every node
+    holds its clause as a tuple.
+    """
 
     __slots__ = ("clause", "rule", "kids", "pivot", "target", "lemma_target", "inp", "nid")
 
     def __init__(self, clause, rule, kids=(), pivot=None, target=None):
-        self.clause = set(clause)
+        self.clause = clause
         self.rule = rule
         self.kids = list(kids)
         self.pivot = pivot
@@ -128,19 +151,24 @@ class LrStats:
 
 
 class _Engine:
-    def __init__(self, formula: FormulaInstance, mode: str, max_nodes: int | None):
+    def __init__(self, formula: FormulaInstance, mode: str, max_nodes: int | None,
+                 deadline: float | None = None):
         if formula.guard_map is None:
             raise SizeError("pool construction needs a guarded instance (ggt, n >= 4)")
         self.f = formula
         self.n = formula.n
         self.glits = formula.guard_map
+        self.trans = trans_table(self.n)  # inverts the table guard_map has built
         self.mode = mode
         self.max_nodes = max_nodes
+        self.deadline = deadline
         self.node_count = 0
-        self.learned: dict[Clause, list[TNode]] = {}
+        # the nodes deriving each learned clause, keyed by its hash alone
+        # (see `_available`), so no learned clause outlives its stage
+        self.learned: dict[int, list[TNode]] = {}
         self.learned_count = 0
         self.stats = LrStats(n=self.n, seed=formula.seed, mode=mode)
-        root = self._mk(set(), "U")
+        root = self._mk(frozenset(), "U")
         self.leaves: dict[TNode, LeafRec] = {
             root: LeafRec(root, frozenset(), frozenset(), Bpo.empty(self.n))
         }
@@ -160,20 +188,23 @@ class _Engine:
         return TNode(clause, rule, kids, pivot, target)
 
     def _resolve(self, p0: TNode, p1: TNode, pivot_var: int) -> TNode:
-        clause = resolve_on_var(RESOLVE, frozenset(p0.clause), frozenset(p1.clause), pivot_var)
-        node = self._mk(clause, RESOLVE, (p0, p1), pivot_var)
+        clause = resolve_on_var(RESOLVE, p0.clause, p1.clause, pivot_var)
+        node = self._mk(set(clause), RESOLVE, (p0, p1), pivot_var)
         node.inp = input_step(p0.rule, p0.inp, p1.rule, p1.inp)
         return node
 
-    def _lemma_ref(self, target: TNode) -> TNode:
+    def _lemma_ref(self, target: TNode, clause) -> TNode:
+        """A reference to `target`, holding `clause`, equal to the target's
+        clause, until the walk gives it the target's tuple: a numbered
+        target's tuple cannot be a premise of `resolve_on_var`."""
         target.lemma_target = True
-        return self._mk(target.clause, LEMMA, target=target)
+        return self._mk(clause, LEMMA, target=target)
 
-    def _learn(self, clause, node: TNode) -> None:
-        self.learned.setdefault(frozenset(clause), []).append(node)
+    def _learn(self, clause: Clause, node: TNode) -> None:
+        self.learned.setdefault(hash(clause), []).append(node)
         self.learned_count += 1
 
-    def _derive(self, tclause, glit: int) -> TNode:
+    def _derive(self, tclause: Clause, glit: int) -> TNode:
         """Resolve the two guarded copies of an axiom on its guard; learn it."""
         a1 = self._mk(tclause | {glit}, AXIOM)
         a2 = self._mk(tclause | {-glit}, AXIOM)
@@ -183,23 +214,25 @@ class _Engine:
 
     # -- availability and classification -----------------------------------
 
-    def _available(self, clause) -> TNode | None:
-        for node in self.learned.get(frozenset(clause), ()):
-            if node.nid >= 0:
+    def _available(self, clause: Clause) -> TNode | None:
+        """A numbered node that derives `clause`, if any: learned nodes
+        share a hash key, so the node's tuple must hold just the clause."""
+        for node in self.learned.get(hash(clause), ()):
+            if node.nid >= 0 and len(node.clause) == len(clause) and clause.issuperset(node.clause):
                 return node
         return None
 
-    def _classify(self, tclause, tri, ctx, below: int):
+    def _classify(self, tclause: Clause, tri, ctx, below: int):
         """How the axiom T[tri] enters an expansion on a branch with literals `ctx`.
 
-        `below` is the mask of variables resolved below the axiom.  Returns
-        ("lem", node), ("guard", lit), ("derive", glit), or None when the
-        guard variable is resolved below the axiom.
+        `tri` is min-first.  `below` is the mask of variables resolved below
+        the axiom.  Returns ("lem", node), ("guard", lit), ("derive", glit),
+        or None when the guard variable is resolved below the axiom.
         """
         hit = self._available(tclause)
         if hit is not None:
             return ("lem", hit)
-        glit = self.glits[min_first(*tri)]
+        glit = self.glits[tri]
         if glit in ctx and -glit in ctx:
             raise ConstructionError("branch context contains both guard polarities")
         for lit in (glit, -glit):
@@ -221,10 +254,10 @@ class _Engine:
         if what == "guard":
             return self._mk(clause | {arg}, AXIOM)
         if what == "lem":
-            return self._lemma_ref(arg)
+            return self._lemma_ref(arg, clause)
         hit = stage_learned.get(clause)
         if hit is not None:
-            return self._lemma_ref(hit)
+            return self._lemma_ref(hit, clause)
         node = stage_learned[clause] = self._derive(clause, arg)
         return node
 
@@ -233,6 +266,8 @@ class _Engine:
     def run(self) -> tuple[Derivation, LrStats]:
         while self.leaves:
             self._stage()
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise TimeBudgetExceeded(f"stage {self.stats.stages} ended past the deadline")
             if self.stats.stages > self.stage_bound:
                 raise ConstructionError(
                     f"stage count {self.stats.stages} exceeded 6*C(n,3)={self.stage_bound}"
@@ -263,9 +298,10 @@ class _Engine:
         masks = skel.masks()
         decisions: dict[int, tuple] = {}
         trigger = None
+        trans, kind = self.trans, skel.kind
         for nid in skel.trans_postorder():
-            tri = skel.kind[nid][1]
-            tclause = trans_clause(*tri, self.n)
+            tri = min_first(*kind[nid][1])
+            tclause = trans[tri]
             dec = self._classify(tclause, tri, rec.cplus, masks[nid])
             if dec is None:
                 trigger = nid
@@ -296,7 +332,7 @@ class _Engine:
             sub_pi = associated_bpo(PartialSpec(self.n, tau))
         except CyclicOrderError as exc:
             raise ConstructionError(f"unfinished leaf branch is cyclic: {exc}") from exc
-        if bpo_clause(sub_pi) != frozenset(path[0].clause):
+        if bpo_clause(sub_pi) != path[0].clause:
             raise ConstructionError(
                 "new unfinished leaf is not labeled by its branch's bipartite order"
             )
@@ -351,7 +387,7 @@ class _Engine:
                 continue
             hit = first.get(nid)
             if hit is not None:
-                out.append(self._lemma_ref(hit))
+                out.append(self._lemma_ref(hit, hit.clause))
                 continue
             stack.append((nid, True))
             stack.append((prem[1], False))
@@ -398,7 +434,7 @@ class _Engine:
                 if attached is not None and attached.inp:
                     hit = attached
             if hit is not None:
-                out.append(self._lemma_ref(hit))
+                out.append(self._lemma_ref(hit, clause))
                 continue
             stack.append((nid, True))
             stack.append((prem[1], False))
@@ -418,10 +454,10 @@ class _Engine:
         the joins from that chain on.
         """
         self.stats.case_iv += 1
-        n = self.n
         pi = rec.pi
         kind, (i, j, k) = trig_kind
-        var = lambda a, b: abs(encode_lit(a, b, n))
+        lit = lit_table(self.n)
+        var = lambda a, b: abs(lit[a][b])
         # per chain: the pairs its leaf adds, its steps, and the pivot joining
         # it; both kinds close with the chain that puts j below i
         swap = ([(j, i)], [((j, i, l), var(j, l)) for l in sorted(pi.above(i))
@@ -474,8 +510,9 @@ class _Engine:
         sub_tau = frozenset(tau) | frozenset(new_pairs)
         leaf = bpo_clause(associated_bpo(PartialSpec(self.n, sub_tau)))
         seq = [leaf]
+        trans = self.trans
         for tri, piv in steps:
-            seq.append(resolve_on_var(RESOLVE, trans_clause(*tri, self.n), seq[-1], piv))
+            seq.append(resolve_on_var(RESOLVE, trans[min_first(*tri)], seq[-1], piv))
         return seq
 
     def _build_chain(self, rec, base_seq, steps, below_lits) -> list[TNode]:
@@ -489,7 +526,8 @@ class _Engine:
             ctx = set(rec.cplus) | below_lits
             for clause in base_seq[t:]:
                 ctx |= clause
-            tclause = trans_clause(*tri, self.n)
+            tri = min_first(*tri)
+            tclause = self.trans[tri]
             tsub = self._axiom_tnode(tclause, self._classify(tclause, tri, ctx, 0), {})
             chain.append(self._resolve(tsub, chain[-1], piv))
         return chain
@@ -563,29 +601,32 @@ def _proof_node(tn: TNode) -> ProofNode:
     return ProofNode(tn.nid, AXIOM, clause)
 
 
-def _build(formula_or_n, seed, mode, max_nodes) -> tuple[Derivation, LrStats]:
+def _build(formula_or_n, seed, mode, max_nodes, deadline) -> tuple[Derivation, LrStats]:
     if isinstance(formula_or_n, FormulaInstance):
         formula = formula_or_n
     else:
         formula = gen_ggt(formula_or_n, seed)
     with collector_paused():
-        return _Engine(formula, mode, max_nodes).run()
+        return _Engine(formula, mode, max_nodes, deadline).run()
 
 
-def build_pool_with_stats(n, seed: int = 0,
-                          max_nodes: int | None = None) -> tuple[Derivation, LrStats]:
+def build_pool_with_stats(n, seed: int = 0, max_nodes: int | None = None,
+                          deadline: float | None = None) -> tuple[Derivation, LrStats]:
     """Pool refutation of the guarded instance (a tree with lemmas, regular,
     root empty) and its construction statistics.
 
     `n` is either a size, for GGT(n) drawn with `seed`, or a FormulaInstance.
+    Past `max_nodes` nodes the build raises NodeBudgetExceeded; a stage
+    that ends after `deadline` (a `time.monotonic()` value) raises
+    TimeBudgetExceeded.
     """
-    return _build(n, seed, POOL_MODE, max_nodes)
+    return _build(n, seed, POOL_MODE, max_nodes, deadline)
 
 
-def build_regrti_with_stats(n, seed: int = 0,
-                            max_nodes: int | None = None) -> tuple[Derivation, LrStats]:
+def build_regrti_with_stats(n, seed: int = 0, max_nodes: int | None = None,
+                            deadline: float | None = None) -> tuple[Derivation, LrStats]:
     """Tree-like regular refutation using only input lemmas, and its statistics.
 
-    `n` is either a size, for GGT(n) drawn with `seed`, or a FormulaInstance.
+    `n` and the budgets are as for `build_pool_with_stats`.
     """
-    return _build(n, seed, INPUT_MODE, max_nodes)
+    return _build(n, seed, INPUT_MODE, max_nodes, deadline)

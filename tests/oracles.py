@@ -5,7 +5,9 @@ canonical variables, so they run only at desk scale (n <= 5, 2^10
 assignments).  `allowed_pivot_vars` states which variables the pi
 derivation of `ggtkit.gtproofs` may resolve on.  `triangle_of` names a
 transitivity clause by decoding its three literals, the reference for the
-package's table lookup.
+package's table lookup.  `trans_postorder` lists a skeleton's transitivity
+axioms by a two-visit depth-first search, the reference for the package's
+one-pass `Skeleton.trans_postorder`.
 """
 
 from __future__ import annotations
@@ -86,3 +88,26 @@ def triangle_of(clause: Clause, n: int) -> tuple[int, int, int] | None:
     if succ.get(c) != a or len({a, b, c}) != 3:
         return None
     return (a, b, c)
+
+
+def trans_postorder(skel) -> list[int]:
+    """Transitivity axiom node ids of a `gtproofs.Skeleton` in depth-first
+    postorder from the root: each node is emitted on its second visit,
+    after its premises, first premise first, and a shared node once."""
+    order: list[int] = []
+    seen: set[int] = set()
+    stack: list[tuple[int, bool]] = [(skel.root, False)]
+    while stack:
+        nid, expanded = stack.pop()
+        if expanded:
+            kind = skel.kind[nid]
+            if kind is not None and kind[0] != "alpha":
+                order.append(nid)
+            continue
+        if nid in seen:
+            continue
+        seen.add(nid)
+        stack.append((nid, True))
+        for p in reversed(skel.premises[nid]):
+            stack.append((p, False))
+    return order

@@ -1,3 +1,6 @@
+import pytest
+
+from ggtkit import lr_engine
 from ggtkit.bench import BenchRecord, bench_run, fit_slope, run_one, summarize, to_csv
 
 
@@ -22,6 +25,29 @@ def test_node_budget_degrades_to_timeout_row():
     assert statuses[8] == "TIMEOUT"
     # the sweep continued past the capped run
     assert len(records) == 2
+
+
+@pytest.mark.parametrize("artifact", ["pool", "regrti"])
+def test_time_cap_stops_a_build_at_the_first_stage_boundary(monkeypatch, artifact):
+    stage = lr_engine._Engine._stage
+    stages = []
+
+    def counted(engine):
+        stages.append(engine.stats.stages)
+        stage(engine)
+
+    monkeypatch.setattr(lr_engine._Engine, "_stage", counted)
+    records, _ = bench_run([12], [0], (artifact,), time_cap=0, wall=False)
+    assert len(stages) == 1  # GGT(12), seed 0, takes 150 stages uncapped
+    (rec,) = records
+    assert (rec.status, rec.lines) == ("TIMEOUT", 0)
+    assert to_csv(records).splitlines()[1] == f"ggt,12,0,{artifact},0,0,0,0,0,0,0,TIMEOUT"
+
+
+def test_time_cap_judges_pn_and_dpll_rows_after_they_finish():
+    pn, dpll = run_one("pn", 8, 0, time_cap=0), run_one("dpll", 6, 0, time_cap=0)
+    assert pn.status == dpll.status == "TIMEOUT"
+    assert pn.lines > 0 and dpll.conflicts > 0
 
 
 def test_timeout_rows_excluded_from_slopes():

@@ -4,20 +4,25 @@ import random
 import pytest
 
 from tests import oracles
+from ggtkit.bpo import PartialSpec, associated_bpo
+from ggtkit.gtproofs import build_pn, build_ppi
 from ggtkit.literals import (
     PairError,
     TautologyError,
     alpha_clause,
     bits,
     clause_key,
+    cyclic_classes,
     decode_lit,
     encode_lit,
+    lit_table,
     make_clause,
     min_first,
     num_vars,
     order_pair,
     pair_table,
     trans_clause,
+    trans_table,
     triangle_of,
     triangle_table,
 )
@@ -159,6 +164,43 @@ def test_tables_are_shared_and_read_only():
     assert triangle_table(7) is triangle_table(7)
     with pytest.raises(TypeError):
         triangle_table(7)[frozenset({1, 2, 3})] = (0, 1, 2)
+
+
+def test_lit_table_agrees_with_encode_lit():
+    for n in range(2, 41):
+        table = lit_table(n)
+        assert len(table) == n and all(len(row) == n for row in table)
+        for i, j in itertools.product(range(n), repeat=2):
+            assert table[i][j] == (encode_lit(i, j, n) if i != j else 0)
+
+
+def test_trans_table_agrees_with_trans_clause():
+    for n in range(4, 14):
+        table = trans_table(n)
+        assert list(table) == cyclic_classes(n)  # keyed by min-first triangle
+        for tri, clause in table.items():
+            assert clause == trans_clause(*tri, n)
+            assert triangle_table(n)[clause] == tri
+
+
+def test_forward_tables_are_shared_and_read_only():
+    assert lit_table(7) is lit_table(7)
+    assert trans_table(7) is trans_table(7)
+    # the inverse holds triangle_table's own frozensets, not copies
+    assert sorted(map(id, trans_table(7).values())) == sorted(map(id, triangle_table(7)))
+    with pytest.raises(TypeError):
+        lit_table(7)[0][1] = 5
+    with pytest.raises(TypeError):
+        trans_table(7)[(0, 1, 2)] = frozenset()
+
+
+def test_gt_derivations_at_n40_build_no_triangle_table():
+    # at n = 40 the tables would hold 8 MB; build_pn and build_ppi make
+    # their axioms with trans_clause instead
+    misses = triangle_table.cache_info().misses
+    build_pn(40)
+    build_ppi(40, associated_bpo(PartialSpec(40, frozenset({(0, 5), (3, 5), (7, 30), (30, 39)}))))
+    assert triangle_table.cache_info().misses == misses
 
 
 def test_triangle_of_is_none_for_literals_out_of_range():

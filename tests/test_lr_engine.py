@@ -1,4 +1,5 @@
 import math
+import random
 from functools import partial
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ggtkit.checker import POOL, REGULAR, VALID, check_proof
 from ggtkit.formulas import FormulaInstance, GGT, gen_ggt, cyclic_classes
 from ggtkit.gtproofs import Skeleton, build_pn, build_ppi_dag, ppi_clauses
+from ggtkit import lr_engine
 from ggtkit.bpo import Bpo
 from ggtkit.literals import encode_lit, trans_clause, make_clause
 from ggtkit.lr_engine import (
@@ -18,7 +20,9 @@ from ggtkit.lr_engine import (
     build_regrti_with_stats,
 )
 from ggtkit.proofs import LEMMA, TREE
+from tests import oracles
 from tests.postorder_reference import postorder
+from tests.test_pn_ppi import random_bpo
 
 
 def test_pool_small_all_profiles():
@@ -217,3 +221,25 @@ def test_a_wrong_derivation_root_raises(monkeypatch, build):
     monkeypatch.setattr(Skeleton, "clauses", wrong_root)
     with pytest.raises(AssertionError, match="differs from the pi clause"):
         build()
+
+
+def test_trans_postorder_matches_the_two_visit_reference(monkeypatch):
+    # every stage's skeleton of the GGT(4..10) builds, then seeded orders at n = 13
+    skeletons = []
+    build = lr_engine.build_ppi_dag
+
+    def kept(n, pi):
+        skeletons.append(build(n, pi))
+        return skeletons[-1]
+
+    monkeypatch.setattr(lr_engine, "build_ppi_dag", kept)
+    for n in range(4, 11):
+        for seed in range(3):
+            for make in (build_pool_with_stats, build_regrti_with_stats):
+                make(n, seed)
+    monkeypatch.undo()
+    assert len(skeletons) > 1000
+    rng = random.Random(13)
+    skeletons.extend(build_ppi_dag(13, random_bpo(13, rng)) for _ in range(100))
+    for skel in skeletons:
+        assert skel.trans_postorder() == oracles.trans_postorder(skel)
