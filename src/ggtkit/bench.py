@@ -72,8 +72,10 @@ def fit_slope(points) -> float | None:
 def run_one(artifact: str, n: int, seed: int, node_budget: int | None = None,
             time_cap: float | None = None) -> BenchRecord:
     """One row.  A pool or regRTI build stops at the first stage boundary
-    past `time_cap` seconds, or past `node_budget` nodes; a pn or dpll row
-    is judged against the cap only once it has finished."""
+    past `time_cap` seconds, or past `node_budget` nodes; a dpll search
+    stops at the first conflict boundary past `time_cap`, or once it has
+    used `node_budget` conflicts.  A pn row is judged against the cap only
+    once it has finished."""
     start = time.monotonic()
     deadline = None if time_cap is None else start + time_cap
     rec = BenchRecord(family="gt" if artifact == "pn" else "ggt", n=n, seed=seed,
@@ -83,7 +85,7 @@ def run_one(artifact: str, n: int, seed: int, node_budget: int | None = None,
     try:
         inst = gen_gt(n) if artifact == "pn" else gen_ggt(n, seed)
         if artifact == "dpll":
-            result = solve(inst)
+            result = solve(inst, deadline=deadline, max_conflicts=node_budget)
             rec.conflicts = result.stats.conflicts
             rec.decisions = result.stats.decisions
         else:

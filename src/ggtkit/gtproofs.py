@@ -31,9 +31,18 @@ Facts that depend on n alone come from the per-n tables of `literals`:
 build_skeleton reads each pivot literal from `lit_table`, and
 ppi_clauses has the skeleton read its transitivity axioms from
 `trans_table`, the frozensets a guarded instance has already built.
-build_pn and build_ppi make each axiom with `trans_clause` instead, so
-a GT derivation at n = 40 builds no 8 MB table it would use once.
-`trans_postorder` lists the transitivity axioms in one pre-order pass.
+build_pn and build_ppi leave that table unset, and the skeleton makes
+each axiom from three literals of `lit_table`, so a GT derivation at
+n = 40 builds no 8 MB table it would use once.  `trans_postorder` lists
+the transitivity axioms in one pre-order pass.
+
+build_pn and build_ppi build as the other producers do: under
+`proofs.collector_paused`, since a derivation makes no reference cycles
+and a collection during it would scan the growing proof and free
+nothing, and with each line's clause sorted once by variable.  No line
+holds a variable twice (`apply_rule` rejects a tautological resolvent,
+and the axioms are the instance's clauses), so that sort is
+`clause_key` order.
 """
 
 from __future__ import annotations
@@ -47,10 +56,8 @@ from ggtkit.literals import (
     Clause,
     alpha_clause,
     bits,
-    clause_key,
     lit_table,
     min_first,
-    trans_clause,
     trans_table,
 )
 from ggtkit.proofs import (
@@ -60,6 +67,7 @@ from ggtkit.proofs import (
     Derivation,
     ProofNode,
     below_pivot_masks,
+    collector_paused,
     resolve_on_var,
 )
 
@@ -76,7 +84,8 @@ class Skeleton:
     Every transitivity axiom is the premise of exactly one inference.
     Clauses are not stored; `clauses` derives them, reading transitivity
     axioms from `trans`, the per-n `literals.trans_table`, when the
-    skeleton carries it, and building each with `trans_clause` otherwise.
+    skeleton carries it, and otherwise making each from the three
+    literals `literals.lit_table` gives its triangle's pairs.
     """
 
     n: int
@@ -95,6 +104,7 @@ class Skeleton:
         n = self.n
         premises = self.premises
         trans = self.trans
+        lit = lit_table(n) if trans is None else None
         last = [-1] * len(premises)  # the last inference using each node
         for nid, prem in enumerate(premises):
             for p in prem:
@@ -113,7 +123,8 @@ class Skeleton:
             elif trans is not None:
                 clause = trans[min_first(*kind[1])]
             else:
-                clause = trans_clause(*kind[1], n)
+                i, j, k = kind[1]
+                clause = frozenset((-lit[i][j], -lit[j][k], -lit[k][i]))
             if last[nid] >= 0:
                 held[nid] = clause
             yield clause
@@ -247,16 +258,20 @@ def ppi_clauses(skel: Skeleton, pi: Bpo) -> list[Clause]:
 def _derivation(n: int, pi: Bpo, family: str) -> Derivation:
     """The proof of `pi`'s derivation, each line made as its clause is
     derived; the root is checked against pi."""
-    skel = build_ppi_dag(n, pi)
-    nodes = []
-    for nid, (prem, clause) in enumerate(zip(skel.premises, skel.clauses())):
-        if nid == skel.root:
-            _check_root(clause, pi)
-        if prem:
-            nodes.append(ProofNode(nid, RESOLVE, clause_key(clause), prem, skel.pivot[nid]))
-        else:
-            nodes.append(ProofNode(nid, AXIOM, clause_key(clause)))
-    return Derivation(tuple(nodes), root=skel.root, shape=DAG, family=family, n=n)
+    with collector_paused():
+        skel = build_ppi_dag(n, pi)
+        pivot, root = skel.pivot, skel.root
+        nodes = []
+        for nid, (prem, clause) in enumerate(zip(skel.premises, skel.clauses())):
+            if nid == root:
+                _check_root(clause, pi)
+            # no clause repeats a variable, so sorting by variable is clause_key order
+            line = tuple(sorted(clause, key=abs))
+            if prem:
+                nodes.append(ProofNode(nid, RESOLVE, line, prem, pivot[nid]))
+            else:
+                nodes.append(ProofNode(nid, AXIOM, line))
+        return Derivation(tuple(nodes), root=root, shape=DAG, family=family, n=n)
 
 
 def build_ppi(n: int, pi: Bpo) -> Derivation:

@@ -64,15 +64,17 @@ from dataclasses import dataclass, field
 from ggtkit.bpo import CyclicOrderError, Bpo, PartialSpec, associated_bpo, bpo_clause, tau_of_literals
 from ggtkit.formulas import FormulaInstance, SizeError, gen_ggt
 from ggtkit.gtproofs import Skeleton, build_ppi_dag, ppi_clauses
-from ggtkit.literals import Clause, clause_key, lit_table, min_first, trans_table
+from ggtkit.literals import Clause, lit_table, min_first, trans_table
 from ggtkit.proofs import (
     AXIOM,
     LEAF_RULES,
     LEMMA,
     RESOLVE,
     TREE,
+    BudgetExceeded,
     Derivation,
     ProofNode,
+    TimeBudgetExceeded,
     collector_paused,
     input_step,
     resolve_on_var,
@@ -86,16 +88,8 @@ class ConstructionError(RuntimeError):
     """An internal invariant of the staged construction failed."""
 
 
-class BudgetExceeded(ConstructionError):
-    """The build ran past a resource budget the caller set."""
-
-
 class NodeBudgetExceeded(BudgetExceeded):
     """The proof grew past the configured node budget."""
-
-
-class TimeBudgetExceeded(BudgetExceeded):
-    """A stage ended past the configured deadline."""
 
 
 class TNode:
@@ -585,7 +579,10 @@ class _Engine:
                     raise ConstructionError("lemma reference precedes its target")
                 tn.clause = tn.target.clause
             else:
-                tn.clause = clause_key(tn.clause)
+                # no clause repeats a variable (`apply_rule` rejects a
+                # tautology, `_splice` a literal meeting its negation), so
+                # sorting by variable is clause_key order
+                tn.clause = tuple(sorted(tn.clause, key=abs))
             tn.nid = len(order)
             order.append(tn)
 

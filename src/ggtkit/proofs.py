@@ -40,6 +40,14 @@ class ProofStructureError(ValueError):
         self.node = node
 
 
+class BudgetExceeded(RuntimeError):
+    """A producer ran past a resource budget its caller set."""
+
+
+class TimeBudgetExceeded(BudgetExceeded):
+    """A producer passed its deadline at one of its checkpoints."""
+
+
 class collector_paused:
     """Pause the cyclic garbage collector; restore the caller's setting on exit.
 

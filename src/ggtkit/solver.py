@@ -15,6 +15,9 @@ branch on the axiom's triangle directly, which learns it.  Each order's
 walk is cached, keeping only what steps (3) and (4) read: the
 premises and first-premise literals in compact arrays, and the axioms
 whose guard is resolved below them, which depends on the order alone.
+The cache never evicts, so each miss is the first visit of an order;
+a miss reads each axiom's min-first triangle and guard variable from
+one per-instance table keyed by every rotation of a triangle.
 
 There are no restarts: the decision stack is only pushed, flipped, or
 popped.  Every flip carries the clause derived from the conflict that
@@ -30,31 +33,50 @@ running clause holds, then stores the clause it learned on the way.  The
 flip never leaves that clause falsified: were all its literals below the
 flipped decision, no later resolution step would touch the running clause
 and the unwind would skip that decision instead.  `_learn` checks it.
+The running clause is one set, updated in place by each resolution step
+and frozen only where it is kept: as the flip's reason and as a learned
+triangle.
+
+A search may be given a deadline and a conflict budget.  Both are checked
+at each conflict boundary, after the unwind, and a spent one raises a
+`proofs.BudgetExceeded` (`TimeBudgetExceeded`, `ConflictBudgetExceeded`),
+so a capped search stops within one conflict of its cap.
 
 Assignments are stored by literal, as in MiniSat (Een & Sorensson 2003):
 `lv` is one list of length 2*nvars + 1 in which `lv[lit]` is True, False
 or None, and a negative literal indexes from the end, so `lv[lit]` and
 `lv[-lit]` are the two polarities of one variable.  Watch lists are
 indexed the same way.  `pair` is `literals.pair_table(n)`, and each
-triangle's guard is read from the instance's `guard_map`.  A triangle is
-learned once, and only on a guarded instance: on any other, every
-transitivity clause is an input.  The search allocates only acyclic
-objects (trail tuples, frozensets, trace nodes), so `Solver.solve` runs
-under `proofs.collector_paused`: the cyclic garbage collector would
-otherwise scan the growing trace over and over and free nothing.  The
-helper restores the caller's setting when the search returns or raises.
+triangle's guard is read from the per-instance table built from the
+instance's `guard_map`.  A triangle is learned once, and only on a
+guarded instance: on any other, every transitivity clause is an input.
+The search allocates only acyclic objects (trail tuples, sets, trace
+nodes), so `Solver.solve` runs under `proofs.collector_paused`: the
+cyclic garbage collector would otherwise scan the growing trace over and
+over and free nothing.  The helper restores the caller's setting when
+the search returns or raises.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from array import array
 from dataclasses import dataclass, field
 
 from ggtkit.formulas import GGT, GT, FormulaInstance
 from ggtkit.gtproofs import build_skeleton
-from ggtkit.literals import bits, clause_key, encode_lit, min_first, pair_table, triangle_of
-from ggtkit.proofs import AXIOM, DAG, RESOLVE, Derivation, ProofNode, collector_paused
+from ggtkit.literals import bits, clause_key, encode_lit, pair_table, triangle_of
+from ggtkit.proofs import (
+    AXIOM,
+    DAG,
+    RESOLVE,
+    BudgetExceeded,
+    Derivation,
+    ProofNode,
+    TimeBudgetExceeded,
+    collector_paused,
+)
 
 DECISION = -1
 
@@ -65,6 +87,10 @@ class UnsupportedFamilyError(ValueError):
 
 class SolverContractError(RuntimeError):
     """An internal solver invariant failed."""
+
+
+class ConflictBudgetExceeded(BudgetExceeded):
+    """The search used its conflict budget without finishing."""
 
 
 @dataclass
@@ -93,7 +119,8 @@ class SolveResult:
 
 
 class Solver:
-    def __init__(self, f: FormulaInstance, trace: bool = False, tie_seed: int = 0):
+    def __init__(self, f: FormulaInstance, trace: bool = False, tie_seed: int = 0,
+                 deadline: float | None = None, max_conflicts: int | None = None):
         if f.family not in (GT, GGT):
             raise UnsupportedFamilyError(f"solver handles gt/ggt instances, not {f.family!r}")
         self.f = f
@@ -119,6 +146,17 @@ class Solver:
         self.stats = SolveStats()
         self.learned_tris: set[tuple[int, int, int]] = set()
         self._pi_cache: dict[tuple, tuple] = {}  # order -> _walk_tools entry
+        # each rotation of a guarded triangle -> (the min-first triangle, its
+        # guard variable), read on walk-cache misses; None on an unguarded
+        # instance, which learns nothing
+        glits = f.guard_map
+        self._guard_of = None if glits is None else {
+            rot: (tri, abs(g))
+            for tri, g in glits.items()
+            for rot in (tri, tri[1:] + tri[:1], tri[2:] + tri[:2])
+        }
+        self.deadline = deadline  # a time.monotonic() value
+        self.max_conflicts = max_conflicts
         # the trace: nodes, decision markers by the node they precede, the
         # decisions since the last node, and the node of each clause index
         # (the generators emit no clause twice and read_dimacs rejects a repeat)
@@ -241,11 +279,6 @@ class Solver:
 
     # -- conflict handling ----------------------------------------------------
 
-    def _reason_clause(self, reason) -> frozenset:
-        if isinstance(reason, FlipReason):
-            return reason.clause
-        return self._as_set[reason]
-
     def _emit(self, rule: str, clause: tuple, premises=(), pivot=None) -> int:
         nid = len(self.nodes)
         if self._pending:
@@ -265,11 +298,12 @@ class Solver:
     def _handle_conflict(self, conf_idx: int) -> bool:
         """Unwind the trail; returns False when the search space is exhausted."""
         self.stats.conflicts += 1
-        k = self._as_set[conf_idx]
+        k = set(self._as_set[conf_idx])  # the running clause, frozen only when kept
         tracing = self.tracing
         node = self._reason_node(conf_idx) if tracing else -1
         learn = None
         guarded = self.f.guard_map is not None
+        as_set = self._as_set
         trail = self.trail
         unassign = self._unassign
         while trail:
@@ -282,12 +316,14 @@ class Solver:
             if reason == DECISION:
                 # flip: the derived clause is unit in -lit at this point
                 self.qhead = len(trail)
-                self._assign(-lit, FlipReason(k, node))
+                self._assign(-lit, FlipReason(frozenset(k), node))
                 if learn is not None:
                     self._learn(*learn)
                 return True
             # lit is true and k is false here, so k lacks lit and the reason lacks -lit
-            k = (k | self._reason_clause(reason)) - {lit, -lit}
+            k.update(reason.clause if isinstance(reason, FlipReason) else as_set[reason])
+            k.discard(lit)
+            k.discard(-lit)
             if tracing:
                 # k is false under the trail, so it never holds both
                 # polarities of a variable and sorting by variable is
@@ -296,9 +332,10 @@ class Solver:
                     RESOLVE, tuple(sorted(k, key=abs)), (self._reason_node(reason), node), abs(lit)
                 )
             if learn is None and guarded and len(k) == 3:
-                tri = triangle_of(k, self.n)
+                clause = frozenset(k)
+                tri = triangle_of(clause, self.n)
                 if tri is not None and tri not in self.learned_tris:
-                    learn = (k, node)
+                    learn = (clause, node)
         if k:
             raise SolverContractError(f"trail exhausted with nonempty clause {sorted(k)}")
         self.qhead = 0
@@ -365,13 +402,12 @@ class Solver:
         if walk is None:
             skel = build_skeleton(n, minimals, succ)
             blockers = []
-            glits = self.f.guard_map
-            if glits is not None:
+            guard_of = self._guard_of
+            if guard_of is not None:
                 masks = skel.masks()
                 for nid, kind in enumerate(skel.kind):
                     if kind is not None and kind[0] != "alpha":
-                        tri = min_first(*kind[1])
-                        gvar = abs(glits[tri])
+                        tri, gvar = guard_of[kind[1]]
                         if masks[nid] >> gvar & 1:
                             blockers.append((tri, gvar, kind))
             prem = array("i", [p for pair in skel.premises for p in (pair or (0, 0))])
@@ -429,6 +465,7 @@ class Solver:
             if conf is not None:
                 if not self._handle_conflict(conf):
                     return self._unsat()
+                self._check_budgets()
                 continue
             if len(self.trail) == self.f.nvars:
                 raise SolverContractError(
@@ -439,6 +476,15 @@ class Solver:
             if self.tracing:
                 self._pending.append(lit)
             self._assign(lit, DECISION)
+
+    def _check_budgets(self) -> None:
+        """Raise at a conflict boundary once a budget is spent: the search
+        is unfinished, so it would need another conflict."""
+        conflicts = self.stats.conflicts
+        if self.max_conflicts is not None and conflicts >= self.max_conflicts:
+            raise ConflictBudgetExceeded(f"search used its {self.max_conflicts} conflicts")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise TimeBudgetExceeded(f"conflict {conflicts} ended past the deadline")
 
     def _unsat(self) -> SolveResult:
         trace = None
@@ -457,6 +503,14 @@ class Solver:
         )
 
 
-def solve(f: FormulaInstance, trace: bool = False, tie_seed: int = 0) -> SolveResult:
-    """Refute a GT/GGT instance; returns UNSAT with statistics (and a trace)."""
-    return Solver(f, trace=trace, tie_seed=tie_seed).solve()
+def solve(f: FormulaInstance, trace: bool = False, tie_seed: int = 0,
+          deadline: float | None = None, max_conflicts: int | None = None) -> SolveResult:
+    """Refute a GT/GGT instance; returns UNSAT with statistics (and a trace).
+
+    A search still unfinished after `max_conflicts` conflicts raises
+    ConflictBudgetExceeded; one whose conflict ends after `deadline` (a
+    `time.monotonic()` value) raises TimeBudgetExceeded.  Both are
+    `BudgetExceeded`, checked at each conflict boundary.
+    """
+    return Solver(f, trace=trace, tie_seed=tie_seed, deadline=deadline,
+                  max_conflicts=max_conflicts).solve()

@@ -1,6 +1,6 @@
 import pytest
 
-from ggtkit import lr_engine
+from ggtkit import lr_engine, solver
 from ggtkit.bench import BenchRecord, bench_run, fit_slope, run_one, summarize, to_csv
 
 
@@ -44,10 +44,25 @@ def test_time_cap_stops_a_build_at_the_first_stage_boundary(monkeypatch, artifac
     assert to_csv(records).splitlines()[1] == f"ggt,12,0,{artifact},0,0,0,0,0,0,0,TIMEOUT"
 
 
-def test_time_cap_judges_pn_and_dpll_rows_after_they_finish():
-    pn, dpll = run_one("pn", 8, 0, time_cap=0), run_one("dpll", 6, 0, time_cap=0)
-    assert pn.status == dpll.status == "TIMEOUT"
-    assert pn.lines > 0 and dpll.conflicts > 0
+def test_time_cap_judges_a_pn_row_after_it_finishes():
+    pn = run_one("pn", 8, 0, time_cap=0)
+    assert pn.status == "TIMEOUT"
+    assert pn.lines > 0
+
+
+@pytest.mark.parametrize("cap", [{"time_cap": 0}, {"node_budget": 1}], ids=["time_cap", "node_budget"])
+def test_a_cap_stops_a_dpll_search_at_the_first_conflict_boundary(monkeypatch, cap):
+    handle = solver.Solver._handle_conflict
+    conflicts = []
+
+    def counted(search, conf):
+        conflicts.append(conf)
+        return handle(search, conf)
+
+    monkeypatch.setattr(solver.Solver, "_handle_conflict", counted)
+    records, _ = bench_run([12], [0], ("dpll",), wall=False, **cap)
+    assert len(conflicts) == 1  # GGT(12), seed 0, takes 1 579 conflicts uncapped
+    assert to_csv(records).splitlines()[1] == "ggt,12,0,dpll,0,0,0,0,0,0,0,TIMEOUT"
 
 
 def test_timeout_rows_excluded_from_slopes():

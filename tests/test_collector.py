@@ -4,17 +4,21 @@ proof leaves no reference cycles behind."""
 
 import dataclasses
 import gc
+from unittest import mock
 
 import pytest
 
-from ggtkit import checker, lr_engine, proof_io
+from ggtkit import checker, gtproofs, lr_engine, proof_io
+from ggtkit.bpo import Bpo
 from ggtkit.checker import SELF_CHECK, check_proof
 from ggtkit.formulas import gen_ggt
+from ggtkit.gtproofs import build_pn, build_ppi
 from ggtkit.lr_engine import NodeBudgetExceeded, build_pool_with_stats, build_regrti_with_stats
 from ggtkit.proof_io import ProofParseError, parse_proof, serialize_proof
 from ggtkit.proofs import ProofStructureError, collector_paused
 
 F6 = gen_ggt(6, 0)
+PI8 = Bpo.of(8, [(0, 3), (1, 3), (2, 5), (0, 7)])
 POOL6 = build_pool_with_stats(F6)[0]
 TEXT6 = serialize_proof(POOL6)
 
@@ -29,6 +33,14 @@ def _parse():
 
 def _check():
     assert check_proof(POOL6, F6, SELF_CHECK["pool"]).ok
+
+
+def _pn():
+    build_pn(8)
+
+
+def _ppi():
+    build_ppi(8, PI8)
 
 
 def _build_over_budget():
@@ -49,8 +61,21 @@ def _check_malformed():
         check_proof(d, F6, SELF_CHECK["pool"])
 
 
-OPS = {"build": _build, "parse": _parse, "check": _check}
-RAISING = {"build": _build_over_budget, "parse": _parse_malformed, "check": _check_malformed}
+def _wrong_root(build):
+    def raise_at_root(clause, pi):
+        raise AssertionError("derivation root differs from the pi clause")
+
+    def op():
+        with mock.patch.object(gtproofs, "_check_root", raise_at_root):
+            with pytest.raises(AssertionError, match="differs from the pi clause"):
+                build()
+
+    return op
+
+
+OPS = {"build": _build, "parse": _parse, "check": _check, "pn": _pn, "ppi": _ppi}
+RAISING = {"build": _build_over_budget, "parse": _parse_malformed, "check": _check_malformed,
+           "pn": _wrong_root(_pn), "ppi": _wrong_root(_ppi)}
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -78,6 +103,8 @@ def test_restores_gc_when_it_raises(restore_gc, op):
     ("build", lr_engine._Engine, "run"),
     ("parse", proof_io, "_parse"),
     ("check", checker, "_check_valid"),
+    ("pn", gtproofs.Skeleton, "clauses"),
+    ("ppi", gtproofs.Skeleton, "clauses"),
 ])
 def test_collector_is_paused_while_the_work_runs(restore_gc, monkeypatch, op, owner, attr):
     seen = []
@@ -133,3 +160,12 @@ def test_built_proofs_leave_no_cycles(restore_gc):
         assert check_proof(parsed, f, SELF_CHECK["pool"]).ok
         del d, stats, parsed
         assert gc.collect() == 0, build.__name__
+
+
+def test_gt_derivations_leave_no_cycles(restore_gc):
+    gc.collect()
+    gc.disable()
+    d = build_pn(12)
+    e = build_ppi(8, PI8)
+    del d, e
+    assert gc.collect() == 0

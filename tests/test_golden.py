@@ -94,6 +94,10 @@ PPI = {
     0: 1332749986, 1: 2025324543, 2: 1656356500, 3: 633368056,
     4: 4094741212,
 }
+# build_pn(40) and build_ppi over wide_order(40, 34, s), seeds 0-2: the
+# benchmark's GT sizes, with lines of up to 39 literals
+PN40 = 963554951
+PPI40 = {0: 2719380858, 1: 3066397017, 2: 1461059165}
 POOL = {
     (4, 0): 3694682209, (4, 1): 794675680, (4, 2): 2284789111,
     (5, 0): 649953497, (5, 1): 3515107334, (5, 2): 2637289014,
@@ -172,6 +176,12 @@ def test_pn_bytes():
 
 def test_ppi_bytes():
     assert {s: ppi_digest(s) for s in PPI_SEEDS} == PPI
+
+
+def test_pn_and_ppi_bytes_at_the_benchmark_size():
+    assert pn_digest(40) == PN40
+    got = {s: _crc(serialize_proof(build_ppi(40, wide_order(40, 34, s)))) for s in SEEDS}
+    assert got == PPI40
 
 
 def test_pool_bytes_and_stats():

@@ -5,12 +5,21 @@ import random
 import pytest
 
 from tests.oracles import is_satisfiable
+from ggtkit import lr_engine
 from ggtkit.checker import VALID, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
 from ggtkit.bpo import Bpo
 from ggtkit.literals import decode_lit, encode_lit, min_first, num_vars, pair_table, triangle_of
 from ggtkit.propagation import unit_propagate
-from ggtkit.solver import DECISION, Solver, SolverContractError, UnsupportedFamilyError, solve
+from ggtkit.proofs import BudgetExceeded, TimeBudgetExceeded
+from ggtkit.solver import (
+    DECISION,
+    ConflictBudgetExceeded,
+    Solver,
+    SolverContractError,
+    UnsupportedFamilyError,
+    solve,
+)
 
 
 def test_gt2_pure_propagation():
@@ -207,6 +216,32 @@ def test_solve_restores_gc_when_the_search_raises(restore_gc):
     with pytest.raises(SolverContractError, match="complete assignment found"):
         solve(satisfiable)
     assert gc.isenabled()
+
+
+def test_a_search_that_fits_its_conflict_budget_finishes():
+    # GGT(6), seed 0, takes 39 conflicts: a budget of 39 is enough, 38 is not
+    f = gen_ggt(6, 0)
+    assert solve(f, max_conflicts=39).stats.conflicts == 39
+    s = Solver(f, max_conflicts=38)
+    with pytest.raises(ConflictBudgetExceeded):
+        s.solve()
+    assert s.stats.conflicts == 38
+
+
+def test_a_search_past_its_deadline_stops_after_one_conflict(restore_gc):
+    gc.enable()
+    s = Solver(gen_ggt(8, 0), deadline=0.0)
+    with pytest.raises(TimeBudgetExceeded):
+        s.solve()
+    assert s.stats.conflicts == 1
+    assert gc.isenabled()
+
+
+def test_budget_errors_share_one_base_outside_the_builder():
+    assert lr_engine.BudgetExceeded is BudgetExceeded
+    assert lr_engine.TimeBudgetExceeded is TimeBudgetExceeded
+    assert issubclass(ConflictBudgetExceeded, BudgetExceeded)
+    assert issubclass(lr_engine.NodeBudgetExceeded, BudgetExceeded)
 
 
 @pytest.mark.parametrize("n", (6, 7, 8))
