@@ -11,7 +11,7 @@ the same formulas.
 
 from ggtkit.literals import encode_lit, decode_lit, num_vars
 from ggtkit.formulas import FormulaInstance, gen_gt, gen_ggt, gen_gt_pi, guards
-from ggtkit.bpo import PartialSpec, Bpo, associated_bpo, bpo_clause
+from ggtkit.bpo import Bpo, associated_bpo, bpo_clause
 from ggtkit.proofs import Derivation, ProofNode, apply_rule
 from ggtkit.checker import check_proof
 from ggtkit.gtproofs import build_pn, build_ppi
@@ -19,7 +19,7 @@ from ggtkit.gtproofs import build_pn, build_ppi
 __all__ = [
     "encode_lit", "decode_lit", "num_vars",
     "FormulaInstance", "gen_gt", "gen_ggt", "gen_gt_pi", "guards",
-    "PartialSpec", "Bpo", "associated_bpo", "bpo_clause",
+    "Bpo", "associated_bpo", "bpo_clause",
     "Derivation", "ProofNode", "apply_rule",
     "check_proof",
     "build_pn", "build_ppi",

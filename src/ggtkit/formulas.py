@@ -19,6 +19,7 @@ from ggtkit.literals import (
     Clause,
     PairError,
     alpha_clause,
+    bits,
     cyclic_classes,
     encode_lit,
     make_clause,
@@ -174,17 +175,18 @@ def gen_ggt(n: int, seed: int) -> FormulaInstance:
 
 def gt_pi_triangles(n: int, pi: Bpo) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
     """The min-first triangles of GT_pi's beta and gamma transitivity clauses."""
-    minimals = sorted(pi.minimals)
-    mset = pi.minimals
+    minimals = list(bits(pi.minimal))
+    above = pi.rows
     betas = [t for a, b, c in combinations(minimals, 3) for t in ((a, b, c), (a, c, b))]
     gammas = []
     for k in range(n):
-        if k in mset:
+        if pi.minimal >> k & 1:
             continue
-        for j in sorted(pi.below(k)):
-            for i in minimals:
-                if i != j and not pi.precedes(i, k):
-                    gammas.append(min_first(i, j, k))
+        for j in minimals:
+            if above[j] >> k & 1:
+                for i in minimals:
+                    if not above[i] >> k & 1:
+                        gammas.append(min_first(i, j, k))
     return betas, gammas
 
 
@@ -200,7 +202,7 @@ def gen_gt_pi(n: int, pi: Bpo) -> FormulaInstance:
         raise SizeError(f"gtpi needs n >= 2, got {n}")
     if pi.n != n:
         raise PairError(f"pi is over {pi.n} vertices, formula wants {n}")
-    alphas = [alpha_clause(i, n) for i in sorted(pi.minimals)]
+    alphas = [alpha_clause(i, n) for i in bits(pi.minimal)]
     betas, gammas = gt_pi_triangles(n, pi)
     trans = [trans_clause(*tri, n) for tri in sorted(betas + gammas)]
     return FormulaInstance(family=GT_PI, n=n, clauses=tuple(alphas + trans), pi=pi)

@@ -18,14 +18,16 @@ in arrays, with clauses derived only on demand.  `Skeleton.clauses` is
 the one derivation routine: it yields each node's clause in node order
 and holds a clause only until its last use as a premise, the rule
 `checker._check_valid` applies to its masks.  build_ppi_dag builds the
-skeleton of an order.  build_pn and build_ppi make each proof line as
-its clause is yielded, so no list of all the clauses is kept beside the
-proof; ppi_clauses lists the clauses for the pool construction, which
-splices them all.  Both check the root against the order's clause.  The
-pool construction calls ppi_clauses only on a stage that expands: a
-stage that branches reads the transitivity axioms' clauses by their
-kinds, and its branching subproof checks its own closure.  The solver
-walks skeletons built straight from its trail, without clauses.
+skeleton of an order, handing its minimal mask and bitmask rows (see
+`bpo.Bpo`) to build_skeleton as they are.  build_pn and build_ppi make
+each proof line as its clause is yielded, so no list of all the clauses
+is kept beside the proof; ppi_clauses lists the clauses for the pool
+construction, which splices them all.  Both check the root against the
+order's clause.  The pool construction calls ppi_clauses only on a stage
+that expands: a stage that branches reads the transitivity axioms'
+clauses by their kinds, and its branching subproof checks its own
+closure.  The solver walks skeletons built straight from its trail's
+rows, without clauses.
 
 Facts that depend on n alone come from the per-n tables of `literals`:
 build_skeleton reads each pivot literal from `lit_table`, and
@@ -158,11 +160,11 @@ class Skeleton:
         return order
 
 
-def build_skeleton(n: int, minimals: list[int], above: list[int]) -> Skeleton:
+def build_skeleton(n: int, minimal: int, above) -> Skeleton:
     """The derivation skeleton of a bipartite order.
 
-    `minimals` lists the minimal vertices in increasing order, and
-    `above[i]` is the bitmask of the vertices above minimal vertex i.
+    `minimal` is the mask of the minimal vertices, and `above[i]` the
+    mask of the vertices above minimal vertex i.
     """
     lit = lit_table(n)
     premises: list[tuple[int, ...]] = []
@@ -187,10 +189,9 @@ def build_skeleton(n: int, minimals: list[int], above: list[int]) -> Skeleton:
         kinds.extend((kind, None))
         return a + 1
 
-    minimal_mask = 0
+    minimals = list(bits(minimal))
     lowest: dict[int, int] = {}  # smallest minimal vertex below each other one
     for i in minimals:
-        minimal_mask |= 1 << i
         for k in bits(above[i]):
             lowest.setdefault(k, i)
 
@@ -203,7 +204,7 @@ def build_skeleton(n: int, minimals: list[int], above: list[int]) -> Skeleton:
         lit0.append(0)
         kinds.append(("alpha", i))
         for k in range(n):
-            if (minimal_mask | above[i]) >> k & 1:
+            if (minimal | above[i]) >> k & 1:
                 continue  # x[k,i] stays as a side literal when i is below k
             node = against(("gamma", (i, lowest[k], k)), node, lit[i][k])
         cur.append(node)
@@ -233,10 +234,7 @@ def build_ppi_dag(n: int, pi: Bpo) -> Skeleton:
         raise SizeError(f"derivation needs n >= 2, got {n}")
     if pi.n != n:
         raise ValueError(f"pi is over {pi.n} vertices, wanted {n}")
-    above = [0] * n
-    for i, k in pi.pairs:
-        above[i] |= 1 << k
-    return build_skeleton(n, sorted(pi.minimals), above)
+    return build_skeleton(n, pi.minimal, pi.rows)
 
 
 def _check_root(root_clause: Clause, pi: Bpo) -> None:
@@ -276,7 +274,7 @@ def _derivation(n: int, pi: Bpo, family: str) -> Derivation:
 
 def build_ppi(n: int, pi: Bpo) -> Derivation:
     """Regular derivation of the pi-negation clause from GT_pi(n)."""
-    return _derivation(n, pi, GT_PI if pi.pairs else GT)
+    return _derivation(n, pi, GT_PI if any(pi.rows) else GT)
 
 
 def build_pn(n: int) -> Derivation:

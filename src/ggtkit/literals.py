@@ -77,16 +77,6 @@ def decode_lit(lit: int, n: int) -> tuple[int, int]:
     return pair[lit]
 
 
-def order_pair(lit: int, n: int) -> tuple[int, int]:
-    """The pair (i, j) such that lit is the negated order literal for i<j.
-
-    A clause literal that is falsified along a search branch asserts the
-    opposite order: lit == -x[i,j] for exactly one ordered pair, and that
-    pair is what the branch has committed to.
-    """
-    return decode_lit(-lit, n)
-
-
 def make_clause(lits: Iterable[int]) -> Clause:
     """Canonicalize a literal collection into a clause, rejecting tautologies."""
     c = frozenset(lits)

@@ -48,7 +48,10 @@ the proof lines share.  The learned clauses are indexed by hash alone: a
 learned node is cited only once numbered, and its tuple then confirms
 the match, so no learned clause is kept beside the tree.
 Each leaf record carries the leaf's order, computed and checked against
-the leaf clause once, when the leaf is made.
+the leaf clause once, when the leaf is made.  Orders are bitmask rows
+(see `bpo`): the branch's literals give its rows through
+`literals.pair_table`, and a replacement chain ORs its new pairs onto a
+copy of them.
 
 A build may be given a deadline; it is checked at each stage boundary,
 so a capped build stops within one stage of it.
@@ -61,10 +64,10 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from ggtkit.bpo import CyclicOrderError, Bpo, PartialSpec, associated_bpo, bpo_clause, tau_of_literals
+from ggtkit.bpo import CyclicOrderError, Bpo, associated_bpo, bpo_clause
 from ggtkit.formulas import FormulaInstance, SizeError, gen_ggt
 from ggtkit.gtproofs import Skeleton, build_ppi_dag, ppi_clauses
-from ggtkit.literals import Clause, lit_table, min_first, trans_table
+from ggtkit.literals import Clause, bits, lit_table, min_first, pair_table, trans_table
 from ggtkit.proofs import (
     AXIOM,
     LEAF_RULES,
@@ -118,7 +121,7 @@ class TNode:
 class LeafRec:
     node: TNode
     cplus: frozenset  # literals on the branch from the root, leaf included
-    tau: frozenset  # the order pairs those literals commit to
+    tau: tuple  # per vertex, the mask of the vertices those literals put above it
     pi: Bpo  # the associated order of tau; the leaf is labeled by its clause
 
 
@@ -164,7 +167,7 @@ class _Engine:
         self.stats = LrStats(n=self.n, seed=formula.seed, mode=mode)
         root = self._mk(frozenset(), "U")
         self.leaves: dict[TNode, LeafRec] = {
-            root: LeafRec(root, frozenset(), frozenset(), Bpo.empty(self.n))
+            root: LeafRec(root, frozenset(), (0,) * self.n, Bpo.empty(self.n))
         }
         # the postorder walk: one [node, kids entered] frame per open node,
         # from the root down to the next unfinished leaf
@@ -314,23 +317,29 @@ class _Engine:
             self.leaves[path[0]] = self._leaf_record(rec, path)
         self._advance()
         self.stats.stage_log.append(StageRecord(
-            self.stats.stages, case, len(rec.node.clause), len(rec.pi.pairs), len(self.leaves),
-            self.node_count, self.learned_count,
+            self.stats.stages, case, len(rec.node.clause), sum(map(int.bit_count, rec.pi.rows)),
+            len(self.leaves), self.node_count, self.learned_count,
         ))
 
     def _leaf_record(self, rec, path) -> LeafRec:
         """The record of a new leaf, from its path up to the spliced root."""
         cplus = rec.cplus.union(*(w.clause for w in path))
-        tau = tau_of_literals(cplus, self.n)
+        # a literal on the branch is falsified there, so it asserts the
+        # pair of its negation
+        pair = pair_table(self.n)
+        tau = [0] * self.n
+        for lit in cplus:
+            a, b = pair[-lit]
+            tau[a] |= 1 << b
         try:
-            sub_pi = associated_bpo(PartialSpec(self.n, tau))
+            sub_pi = associated_bpo(self.n, tau)
         except CyclicOrderError as exc:
             raise ConstructionError(f"unfinished leaf branch is cyclic: {exc}") from exc
         if bpo_clause(sub_pi) != path[0].clause:
             raise ConstructionError(
                 "new unfinished leaf is not labeled by its branch's bipartite order"
             )
-        return LeafRec(path[0], cplus, tau, sub_pi)
+        return LeafRec(path[0], cplus, tuple(tau), sub_pi)
 
     # -- cases (i)-(iii): splice the adjusted order derivation ---------------
 
@@ -449,31 +458,32 @@ class _Engine:
         """
         self.stats.case_iv += 1
         pi = rec.pi
+        above = pi.rows
         kind, (i, j, k) = trig_kind
         lit = lit_table(self.n)
         var = lambda a, b: abs(lit[a][b])
         # per chain: the pairs its leaf adds, its steps, and the pivot joining
         # it; both kinds close with the chain that puts j below i
-        swap = ([(j, i)], [((j, i, l), var(j, l)) for l in sorted(pi.above(i))
-                           if not pi.precedes(j, l)], var(i, j))
+        swap = ([(j, i)], [((j, i, l), var(j, l)) for l in bits(above[i])
+                           if not above[j] >> l & 1], var(i, j))
         if kind == "gamma":
             self.stats.case_iv_gamma += 1
-            steps = [((i, j, l), var(i, l)) for l in sorted(pi.above(j))
-                     if l != k and not pi.precedes(i, l)]
+            steps = [((i, j, l), var(i, l)) for l in bits(above[j])
+                     if l != k and not above[i] >> l & 1]
             plans = [([(i, j)], steps, var(i, k)), swap]
         else:
             self.stats.case_iv_beta += 1
             steps_a = []
-            for l in sorted(pi.above(j) | pi.above(k)):
-                if pi.precedes(i, l):
+            for l in bits(above[j] | above[k]):
+                if above[i] >> l & 1:
                     continue
-                partner = j if pi.precedes(j, l) else k
+                partner = j if above[j] >> l & 1 else k
                 steps_a.append(((i, partner, l), var(i, l)))
             steps_b = []
-            for l in sorted(pi.above(j)):
-                if not pi.precedes(k, l):
+            for l in bits(above[j]):
+                if not above[k] >> l & 1:
                     steps_b.append(((k, j, l), var(k, l)))
-                if not pi.precedes(i, l):
+                if not above[i] >> l & 1:
                     steps_b.append(((i, j, l), var(i, l)))
             plans = [([(i, j), (j, k), (i, k)], steps_a, var(i, k)),
                      ([(i, j), (k, j)], steps_b, var(j, k)), swap]
@@ -498,11 +508,15 @@ class _Engine:
     def _plan_chain(self, tau, new_pairs, steps) -> list[Clause]:
         """Clause sequence of a replacement chain, leaf first, guards ignored.
 
-        Guard literals added later only ever duplicate branch literals, so
-        classification contexts computed from these base clauses are exact.
+        `tau` is the branch's rows, to which the chain's leaf adds
+        `new_pairs`.  Guard literals added later only ever duplicate branch
+        literals, so classification contexts computed from these base
+        clauses are exact.
         """
-        sub_tau = frozenset(tau) | frozenset(new_pairs)
-        leaf = bpo_clause(associated_bpo(PartialSpec(self.n, sub_tau)))
+        sub_tau = list(tau)
+        for a, b in new_pairs:
+            sub_tau[a] |= 1 << b
+        leaf = bpo_clause(associated_bpo(self.n, sub_tau))
         seq = [leaf]
         trans = self.trans
         for tri, piv in steps:

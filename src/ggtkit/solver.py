@@ -15,9 +15,11 @@ branch on the axiom's triangle directly, which learns it.  Each order's
 walk is cached, keeping only what steps (3) and (4) read: the
 premises and first-premise literals in compact arrays, and the axioms
 whose guard is resolved below them, which depends on the order alone.
-The cache never evicts, so each miss is the first visit of an order;
-a miss reads each axiom's min-first triangle and guard variable from
-one per-instance table keyed by every rotation of a triangle.
+It is keyed by the order as `bpo.minimal_rows` gives it: the minimal
+mask and the bitmask rows of the minimal vertices.  The cache never
+evicts, so each miss is the first visit of an order; a miss reads each
+axiom's min-first triangle and guard variable from one per-instance
+table keyed by every rotation of a triangle.
 
 There are no restarts: the decision stack is only pushed, flipped, or
 popped.  Every flip carries the clause derived from the conflict that
@@ -64,9 +66,10 @@ import time
 from array import array
 from dataclasses import dataclass, field
 
+from ggtkit.bpo import minimal_rows
 from ggtkit.formulas import GGT, GT, FormulaInstance
 from ggtkit.gtproofs import build_skeleton
-from ggtkit.literals import bits, clause_key, encode_lit, pair_table, triangle_of
+from ggtkit.literals import clause_key, encode_lit, pair_table, triangle_of
 from ggtkit.proofs import (
     AXIOM,
     DAG,
@@ -379,9 +382,10 @@ class Solver:
         """The decision walk for the trail's bipartite order, and its blockers.
 
         Once the closure step is exhausted, the assigned pairs are closed
-        under composition, so the bipartite order is read off the
-        adjacency rows of the minimal vertices directly.  Its skeleton is
-        built and cached, keeping only what `_pick_decision` reads:
+        under composition, so `bpo.minimal_rows` reads the bipartite order,
+        its minimal mask and their rows, off the trail's rows with no
+        closure of its own.  Its skeleton is built and cached, keeping only
+        what `_pick_decision` reads:
         `(lit0, prem, root, blockers)`.  `lit0[nid]` is the pivot literal
         as it occurs in node nid's first premise, 0 at an axiom, and
         `prem[2 * nid]` and `prem[2 * nid + 1]` are its premises, all in
@@ -390,17 +394,10 @@ class Solver:
         property of the order alone, as (min-first triangle, guard
         variable, kind).
         """
-        n = self.n
-        succ = self._succ
-        incoming = 0
-        for row in succ:
-            incoming |= row
-        min_mask = ~incoming & ((1 << n) - 1)
-        minimals = list(bits(min_mask))
-        key = (min_mask, tuple(succ[i] for i in minimals))
+        key = minimal_rows(self.n, self._succ)
         walk = self._pi_cache.get(key)
         if walk is None:
-            skel = build_skeleton(n, minimals, succ)
+            skel = build_skeleton(self.n, *key)
             blockers = []
             guard_of = self._guard_of
             if guard_of is not None:

@@ -7,13 +7,16 @@ derivation of `ggtkit.gtproofs` may resolve on.  `triangle_of` names a
 transitivity clause by decoding its three literals, the reference for the
 package's table lookup.  `trans_postorder` lists a skeleton's transitivity
 axioms by a two-visit depth-first search, the reference for the package's
-one-pass `Skeleton.trans_postorder`.
+one-pass `Skeleton.trans_postorder`.  `reference_associated_pairs` closes
+a pair set by depth-first search and keeps the minimal sources, the
+reference for the package's bitmask closure in `bpo.associated_bpo`.
+`random_order` draws the random orders the tests share.
 """
 
 from __future__ import annotations
 
-from ggtkit.bpo import Bpo
-from ggtkit.literals import Clause, encode_lit, num_vars, order_pair
+from ggtkit.bpo import Bpo, CyclicOrderError, associated_bpo
+from ggtkit.literals import Clause, bits, decode_lit, encode_lit, num_vars
 
 
 class OracleScaleError(ValueError):
@@ -55,13 +58,13 @@ def allowed_pivot_vars(pi: Bpo, n: int) -> frozenset[int]:
     """Pivot variables the pi derivation may use: pairs of minimal
     vertices, plus (i, k) with i minimal, k non-minimal, i not below k."""
     allowed = set()
-    minimals = sorted(pi.minimals)
+    minimals = list(bits(pi.minimal))
     for a in range(len(minimals)):
         for b in range(a + 1, len(minimals)):
             allowed.add(abs(encode_lit(minimals[a], minimals[b], n)))
     for i in minimals:
         for k in range(n):
-            if k not in pi.minimals and not pi.precedes(i, k):
+            if not (pi.minimal | pi.rows[i]) >> k & 1:
                 allowed.add(abs(encode_lit(i, k, n)))
     return frozenset(allowed)
 
@@ -76,7 +79,7 @@ def triangle_of(clause: Clause, n: int) -> tuple[int, int, int] | None:
         return None
     succ: dict[int, int] = {}
     for lit in clause:
-        i, j = order_pair(lit, n)
+        i, j = decode_lit(-lit, n)
         if i in succ:
             return None
         succ[i] = j
@@ -111,3 +114,58 @@ def trans_postorder(skel) -> list[int]:
         for p in reversed(skel.premises[nid]):
             stack.append((p, False))
     return order
+
+
+def transitive_closure(pairs: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    """The transitive closure of a pair set, by depth-first search from
+    each source."""
+    succ: dict[int, set[int]] = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    closure = set()
+    for start in succ:
+        seen: set[int] = set()
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in succ.get(v, ()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        closure.update((start, w) for w in seen)
+    return frozenset(closure)
+
+
+def reference_associated_pairs(n: int, pairs) -> frozenset[tuple[int, int]]:
+    """The pairs of the associated bipartite order of a partial
+    specification: its closure restricted to minimal sources.  Raises
+    CyclicOrderError when the closure has a cycle."""
+    pairs = frozenset(pairs)
+    closure = transitive_closure(pairs)
+    if any(a == b for a, b in closure):
+        raise CyclicOrderError("pair set has a cycle; not a partial specification")
+    ranged = {b for _, b in pairs}
+    return frozenset((a, b) for a, b in closure if a not in ranged)
+
+
+def spec_rows(n: int, pairs) -> list[int]:
+    """The bitmask rows of a partial specification given by its pairs."""
+    rows = [0] * n
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    return rows
+
+
+def random_order(n: int, rng, draws: int) -> Bpo:
+    """The associated order of `draws` random pairs over n vertices, each
+    drawn pair that would close a cycle dropped."""
+    rows = [0] * n
+    for _ in range(draws):
+        a, b = rng.sample(range(n), 2)
+        before = rows[a]
+        rows[a] |= 1 << b
+        try:
+            associated_bpo(n, rows)
+        except CyclicOrderError:
+            rows[a] = before
+    return associated_bpo(n, rows)

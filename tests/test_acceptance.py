@@ -11,7 +11,7 @@ import resource
 import time
 
 from ggtkit.bench import bench_run, fit_slope, to_csv
-from ggtkit.bpo import Bpo, CyclicOrderError, PartialSpec, associated_bpo, bpo_clause
+from ggtkit.bpo import Bpo, bpo_clause
 from ggtkit.checker import INPUT_LEMMA, POOL, REGULAR, VALID, check_proof
 from ggtkit.dimacs import write_dimacs
 from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
@@ -24,7 +24,7 @@ from ggtkit.lr_engine import (
 from ggtkit.proof_io import serialize_proof
 from ggtkit.proofs import AXIOM, LEMMA, RESOLVE
 from ggtkit.solver import solve
-from tests.oracles import allowed_pivot_vars, is_satisfiable, semantic_entails
+from tests.oracles import allowed_pivot_vars, is_satisfiable, random_order, semantic_entails
 
 
 def _report(name, elapsed, budget, detail=""):
@@ -66,25 +66,13 @@ def test_criterion_2_pn_valid_regular_and_slopes():
             f"(line slope {line_slope:.2f}, width slope {width_slope:.2f})")
 
 
-def _random_bpo(n, rng):
-    pairs = set()
-    for _ in range(rng.randrange(0, 2 * n)):
-        a, b = rng.sample(range(n), 2)
-        pairs.add((a, b))
-        try:
-            PartialSpec(n, frozenset(pairs))
-        except CyclicOrderError:
-            pairs.discard((a, b))
-    return associated_bpo(PartialSpec(n, frozenset(pairs)))
-
-
 def test_criterion_3_ppi_randomized():
     start = time.monotonic()
     rng = random.Random(2024)
     for n in range(4, 11):
         allowed_cache = {}
         for _ in range(200):
-            pi = _random_bpo(n, rng)
+            pi = random_order(n, rng, rng.randrange(0, 2 * n))
             d = build_ppi(n, pi)
             assert d.root_clause == bpo_clause(pi)
             report = check_proof(d, gen_gt_pi(n, pi), (VALID, REGULAR))

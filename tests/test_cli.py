@@ -326,6 +326,18 @@ def test_gen_rejects_a_malformed_pi(tmp_path, capsys, pi, item):
     assert not cnf.exists()
 
 
+@pytest.mark.parametrize("pi, message", [
+    ("0:1,1:2", "domain and range intersect: [1]"),
+    ("0:7", "pair (0,7) invalid over [4]"),
+    ("-1:2", "pair (-1,2) invalid over [4]"),
+    ("2:2", "domain and range intersect: [2]"),
+])
+def test_gen_rejects_a_well_formed_pi_that_is_no_bipartite_order(tmp_path, capsys, pi, message):
+    cnf = tmp_path / "f.cnf"
+    _usage_error(capsys, ["gen", "--family", "gtpi", "--n", "4", f"--pi={pi}", "-o", str(cnf)], message)
+    assert not cnf.exists()
+
+
 def test_refute_and_check_reject_a_second_problem_line(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     prf = tmp_path / "p.prf"

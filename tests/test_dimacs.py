@@ -174,6 +174,11 @@ _GTPI4 = write_dimacs(gen_gt_pi(4, Bpo.of(4, [(0, 3)])))
     ("c n=2\nc family=xyz\np cnf 1 1\n1 0\n", "line 2: missing or unknown family in header: 'xyz'"),
     (_GTPI4.replace(" pi=0:3", "\nc pi=0:x", 1),
      "line 2: malformed pi in header: invalid literal for int() with base 10: 'x'"),
+    # a well-formed pair outside the vertex range is rejected before it is used
+    (_GTPI4.replace(" pi=0:3", "\nc pi=-1:2", 1),
+     "line 2: malformed pi in header: pair (-1,2) invalid over [4]"),
+    (_GTPI4.replace(" pi=0:3", "\nc pi=0:1,1:3", 1),
+     "line 2: malformed pi in header: domain and range intersect: [1]"),
     # no line holds the cause
     ("c n=2\np cnf 1 1\n1 0\n", "line 0: missing or unknown family in header: None"),
     ("c family=gt\np cnf 1 1\n1 0\n", "line 0: missing n in header"),

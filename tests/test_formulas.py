@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ggtkit.bpo import Bpo, PartialSpec, associated_bpo
+from ggtkit.bpo import Bpo
 from ggtkit.formulas import (
     GGT,
     _admissible_guards,
@@ -19,8 +19,8 @@ from ggtkit.formulas import (
     guards,
     read_guards,
 )
-from ggtkit.literals import clause_key, decode_lit, encode_lit, make_clause, min_first, trans_clause
-from tests.oracles import all_assignments, is_satisfiable, satisfies
+from ggtkit.literals import bits, clause_key, decode_lit, encode_lit, make_clause, min_first, trans_clause
+from tests.oracles import all_assignments, is_satisfiable, random_order, satisfies
 
 
 def test_gt3_exact_clauses():
@@ -189,7 +189,7 @@ def test_gt_pi_gamma_enumeration():
     assert {trans_clause(*tri, 4) for tri in gammas} == expect
     # alpha only for minimal vertices, beta over minimals
     f = gen_gt_pi(4, pi)
-    m = len(pi.minimals)
+    m = pi.minimal.bit_count()
     assert len(f.clauses) == m + len(betas) + len(gammas)
 
 
@@ -199,7 +199,7 @@ def pi_witness_assignment(n: int, pi: Bpo) -> dict[int, bool] | None:
     Puts one fixed non-minimal vertex j below every minimal vertex and
     orders everything else against the canonical direction.
     """
-    non_minimal = sorted(set(range(n)) - pi.minimals)
+    non_minimal = [v for v in range(n) if not pi.minimal >> v & 1]
     if not non_minimal:
         return None
     j = non_minimal[0]
@@ -207,7 +207,7 @@ def pi_witness_assignment(n: int, pi: Bpo) -> dict[int, bool] | None:
     for a in range(n):
         for b in range(a + 1, n):
             assignment[encode_lit(a, b, n)] = False
-    for i in sorted(pi.minimals):
+    for i in bits(pi.minimal):
         lit = encode_lit(j, i, n)
         assignment[abs(lit)] = lit > 0
     return assignment
@@ -218,7 +218,7 @@ def test_gt_pi_nonempty_is_satisfiable():
     for n in (3, 4, 5):
         for _ in range(20):
             a, b = rng.sample(range(n), 2)
-            pi = associated_bpo(PartialSpec(n, frozenset({(a, b)})))
+            pi = Bpo.of(n, [(a, b)])
             f = gen_gt_pi(n, pi)
             sigma_map = pi_witness_assignment(n, pi)
             sigma = frozenset(v if val else -v for v, val in sigma_map.items())
@@ -230,15 +230,7 @@ def test_gt_pi_restricted_is_unsatisfiable():
     rng = random.Random(5)
     for n in (3, 4, 5):
         for _ in range(10):
-            pairs = set()
-            for _ in range(n):
-                a, b = rng.sample(range(n), 2)
-                pairs.add((a, b))
-                try:
-                    PartialSpec(n, frozenset(pairs))
-                except Exception:
-                    pairs.discard((a, b))
-            pi = associated_bpo(PartialSpec(n, frozenset(pairs)))
+            pi = random_order(n, rng, n)
             f = gen_gt_pi(n, pi)
             fixed = {encode_lit(i, j, n) for i, j in pi.pairs}
             for sigma in all_assignments(n):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from tests import oracles
-from ggtkit.bpo import PartialSpec, associated_bpo
+from ggtkit.bpo import associated_bpo
 from ggtkit.gtproofs import build_pn, build_ppi
 from ggtkit.literals import (
     PairError,
@@ -19,7 +19,6 @@ from ggtkit.literals import (
     make_clause,
     min_first,
     num_vars,
-    order_pair,
     pair_table,
     trans_clause,
     trans_table,
@@ -111,14 +110,6 @@ def test_clause_key_matches_the_abs_sign_order():
     assert clause_key((5, -5, 5, -5, -5)) == (5, 5, -5, -5, -5)
 
 
-def test_order_pair_reads_branch_commitment():
-    n = 4
-    # a falsified literal -x[1,2] on a branch asserts 1 < 2
-    lit = -encode_lit(1, 2, n)
-    assert order_pair(lit, n) == (1, 2)
-    assert order_pair(encode_lit(2, 1, n), n) == (1, 2)
-
-
 def test_triangle_of_recognizes_cycles():
     n = 5
     assert triangle_of(trans_clause(2, 4, 1, n), n) == (1, 2, 4)
@@ -199,7 +190,7 @@ def test_gt_derivations_at_n40_build_no_triangle_table():
     # their axioms with trans_clause instead
     misses = triangle_table.cache_info().misses
     build_pn(40)
-    build_ppi(40, associated_bpo(PartialSpec(40, frozenset({(0, 5), (3, 5), (7, 30), (30, 39)}))))
+    build_ppi(40, associated_bpo(40, oracles.spec_rows(40, [(0, 5), (3, 5), (7, 30), (30, 39)])))
     assert triangle_table.cache_info().misses == misses
 
 

@@ -22,7 +22,6 @@ from ggtkit.lr_engine import (
 from ggtkit.proofs import LEMMA, TREE
 from tests import oracles
 from tests.postorder_reference import postorder
-from tests.test_pn_ppi import random_bpo
 
 
 def test_pool_small_all_profiles():
@@ -240,6 +239,7 @@ def test_trans_postorder_matches_the_two_visit_reference(monkeypatch):
     monkeypatch.undo()
     assert len(skeletons) > 1000
     rng = random.Random(13)
-    skeletons.extend(build_ppi_dag(13, random_bpo(13, rng)) for _ in range(100))
+    skeletons.extend(build_ppi_dag(13, oracles.random_order(13, rng, rng.randrange(0, 26)))
+                     for _ in range(100))
     for skel in skeletons:
         assert skel.trans_postorder() == oracles.trans_postorder(skel)

@@ -1,22 +1,10 @@
 import random
 
-from ggtkit.bpo import Bpo, CyclicOrderError, PartialSpec, associated_bpo, bpo_clause
+from ggtkit.bpo import Bpo, bpo_clause
 from ggtkit.checker import REGULAR, VALID, check_proof
 from ggtkit.formulas import gen_gt, gen_gt_pi
 from ggtkit.gtproofs import build_pn, build_ppi
-from tests.oracles import allowed_pivot_vars, semantic_entails
-
-
-def random_bpo(n, rng):
-    pairs = set()
-    for _ in range(rng.randrange(0, 2 * n)):
-        a, b = rng.sample(range(n), 2)
-        pairs.add((a, b))
-        try:
-            PartialSpec(n, frozenset(pairs))
-        except CyclicOrderError:
-            pairs.discard((a, b))
-    return associated_bpo(PartialSpec(n, frozenset(pairs)))
+from tests.oracles import allowed_pivot_vars, random_order, semantic_entails
 
 
 def test_pn_n2_three_nodes():
@@ -69,7 +57,7 @@ def test_ppi_randomized():
     rng = random.Random(19)
     for n in range(4, 9):
         for _ in range(40):
-            pi = random_bpo(n, rng)
+            pi = random_order(n, rng, rng.randrange(0, 2 * n))
             d = build_ppi(n, pi)
             f = gen_gt_pi(n, pi)
             report = check_proof(d, f, (VALID, REGULAR))
