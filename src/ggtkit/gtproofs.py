@@ -15,28 +15,24 @@ any path.
 
 The derivation is kept as one Skeleton: premises, pivots and axiom kinds
 in arrays, with clauses derived only on demand.  `Skeleton.clauses` is
-the one derivation routine: it yields each node's clause in node order
-and holds a clause only until its last use as a premise, the rule
-`checker._check_valid` applies to its masks.  build_ppi_dag builds the
-skeleton of an order, handing its minimal mask and bitmask rows (see
-`bpo.Bpo`) to build_skeleton as they are.  build_pn and build_ppi make
-each proof line as its clause is yielded, so no list of all the clauses
-is kept beside the proof; ppi_clauses lists the clauses for the pool
-construction, which splices them all.  Both check the root against the
-order's clause.  The pool construction calls ppi_clauses only on a stage
-that expands: a stage that branches reads the transitivity axioms'
-clauses by their kinds, and its branching subproof checks its own
-closure.  The solver walks skeletons built straight from its trail's
-rows, without clauses.
+the one derivation routine of build_pn and build_ppi: it yields each
+node's clause in node order and holds a clause only until its last use
+as a premise, the rule `checker._check_valid` applies to its masks.
+build_ppi_dag builds the skeleton of an order, handing its minimal mask
+and bitmask rows (see `bpo.Bpo`) to build_skeleton as they are.
+build_pn and build_ppi make each proof line as its clause is yielded, so
+no list of all the clauses is kept beside the proof, and check the root
+against the order's clause.  The pool construction (`lr_engine`) reads
+only the skeleton's structure: it derives each expanding stage's clauses
+itself, once, with the stage's guard literals in place.  The solver
+walks skeletons built straight from its trail's rows, without clauses.
 
 Facts that depend on n alone come from the per-n tables of `literals`:
 build_skeleton reads each pivot literal from `lit_table`, and
-ppi_clauses has the skeleton read its transitivity axioms from
-`trans_table`, the frozensets a guarded instance has already built.
-build_pn and build_ppi leave that table unset, and the skeleton makes
-each axiom from three literals of `lit_table`, so a GT derivation at
-n = 40 builds no 8 MB table it would use once.  `trans_postorder` lists
-the transitivity axioms in one pre-order pass.
+`Skeleton.clauses` makes each transitivity axiom from three literals of
+it, so a GT derivation at n = 40 builds no 8 MB triangle table it would
+use once.  `trans_postorder` lists the transitivity axioms in one
+pre-order pass.
 
 build_pn and build_ppi build as the other producers do: under
 `proofs.collector_paused`, since a derivation makes no reference cycles
@@ -49,8 +45,8 @@ and the axioms are the instance's clauses), so that sort is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterator
 
 from ggtkit.bpo import Bpo, bpo_clause
 from ggtkit.formulas import GT, GT_PI, SizeError
@@ -59,8 +55,6 @@ from ggtkit.literals import (
     alpha_clause,
     bits,
     lit_table,
-    min_first,
-    trans_table,
 )
 from ggtkit.proofs import (
     AXIOM,
@@ -84,10 +78,9 @@ class Skeleton:
     inference.  Kinds are ("alpha", i), ("gamma", (i, j, k)) for the mixed
     axiom T[i, j, k], and ("beta", triple) with the triple rotated min-first.
     Every transitivity axiom is the premise of exactly one inference.
-    Clauses are not stored; `clauses` derives them, reading transitivity
-    axioms from `trans`, the per-n `literals.trans_table`, when the
-    skeleton carries it, and otherwise making each from the three
-    literals `literals.lit_table` gives its triangle's pairs.
+    Clauses are not stored; `clauses` derives them, making each
+    transitivity axiom from the three literals `literals.lit_table`
+    gives its triangle's pairs.
     """
 
     n: int
@@ -96,7 +89,6 @@ class Skeleton:
     lit0: list[int]
     kind: list[tuple | None]
     root: int
-    trans: Mapping[tuple[int, int, int], Clause] | None = None
 
     def clauses(self) -> Iterator[Clause]:
         """Each node's clause in node order: axioms from their kind, then
@@ -105,8 +97,7 @@ class Skeleton:
         their last consumer."""
         n = self.n
         premises = self.premises
-        trans = self.trans
-        lit = lit_table(n) if trans is None else None
+        lit = lit_table(n)
         last = [-1] * len(premises)  # the last inference using each node
         for nid, prem in enumerate(premises):
             for p in prem:
@@ -122,8 +113,6 @@ class Skeleton:
                     held[p1] = None
             elif kind[0] == "alpha":
                 clause = alpha_clause(kind[1], n)
-            elif trans is not None:
-                clause = trans[min_first(*kind[1])]
             else:
                 i, j, k = kind[1]
                 clause = frozenset((-lit[i][j], -lit[j][k], -lit[k][i]))
@@ -229,7 +218,7 @@ def build_skeleton(n: int, minimal: int, above) -> Skeleton:
 
 
 def build_ppi_dag(n: int, pi: Bpo) -> Skeleton:
-    """The skeleton of the pi derivation; `ppi_clauses` derives its clauses."""
+    """The skeleton of the pi derivation; `Skeleton.clauses` derives its clauses."""
     if n < 2:
         raise SizeError(f"derivation needs n >= 2, got {n}")
     if pi.n != n:
@@ -243,14 +232,6 @@ def _check_root(root_clause: Clause, pi: Bpo) -> None:
         raise AssertionError(
             f"derivation root {sorted(root_clause)} differs from the pi clause {sorted(expected)}"
         )
-
-
-def ppi_clauses(skel: Skeleton, pi: Bpo) -> list[Clause]:
-    """Every clause of the pi derivation `skel`, its root checked against pi;
-    the transitivity axioms are the per-n table's frozensets."""
-    clauses = list(replace(skel, trans=trans_table(skel.n)).clauses())
-    _check_root(clauses[skel.root], pi)
-    return clauses
 
 
 def _derivation(n: int, pi: Bpo, family: str) -> Derivation:

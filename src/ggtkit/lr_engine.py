@@ -21,9 +21,10 @@ axiom that derivation needs is classified:
 
 Classification reads each axiom's clause by its triangle from the per-n
 table `literals.trans_table`, which the instance's guard map has already
-built; the derivation's other clauses are derived, and its root checked
-against the leaf's order, only when no axiom branches and the stage
-expands.  Replacement chains read their axioms from the same table.
+built; replacement chains read their axioms from the same table.  Only a
+stage that expands derives its order derivation's clauses, each once, with
+guard literals riding down through resolution itself; its root must hold
+the leaf's clause and, beyond it, only the stage's guard literals.
 
 In pool mode, shared interior clauses of a spliced derivation become
 lemma references to their first occurrence.  In input-lemma mode they are
@@ -66,8 +67,10 @@ from dataclasses import dataclass, field
 
 from ggtkit.bpo import CyclicOrderError, Bpo, associated_bpo, bpo_clause
 from ggtkit.formulas import FormulaInstance, SizeError, gen_ggt
-from ggtkit.gtproofs import Skeleton, build_ppi_dag, ppi_clauses
-from ggtkit.literals import Clause, bits, lit_table, min_first, pair_table, trans_table
+from ggtkit.gtproofs import Skeleton, build_ppi_dag
+from ggtkit.literals import (
+    Clause, alpha_clause, bits, lit_table, min_first, pair_table, trans_table,
+)
 from ggtkit.proofs import (
     AXIOM,
     LEAF_RULES,
@@ -77,6 +80,7 @@ from ggtkit.proofs import (
     BudgetExceeded,
     Derivation,
     ProofNode,
+    RuleError,
     TimeBudgetExceeded,
     collector_paused,
     input_step,
@@ -184,8 +188,11 @@ class _Engine:
             raise NodeBudgetExceeded(f"proof exceeded {self.max_nodes} nodes")
         return TNode(clause, rule, kids, pivot, target)
 
-    def _resolve(self, p0: TNode, p1: TNode, pivot_var: int) -> TNode:
-        clause = resolve_on_var(RESOLVE, p0.clause, p1.clause, pivot_var)
+    def _resolve(self, p0: TNode, p1: TNode, pivot_var: int, clause=None) -> TNode:
+        """The inference of p0 and p1 on `pivot_var`; `clause`, if given, is
+        their resolvent, already derived."""
+        if clause is None:
+            clause = resolve_on_var(RESOLVE, p0.clause, p1.clause, pivot_var)
         node = self._mk(set(clause), RESOLVE, (p0, p1), pivot_var)
         node.inp = input_step(p0.rule, p0.inp, p1.rule, p1.inp)
         return node
@@ -305,8 +312,7 @@ class _Engine:
                 break
             decisions[nid] = dec
         if trigger is None:
-            # derived here only: a branching stage needs none of them
-            newroot = self._splice_expansion(skel, ppi_clauses(skel, rec.pi), decisions)
+            newroot = self._splice_expansion(rec, skel, decisions)
             leaf_paths: list[list[TNode]] = []
             case = "expand"
         else:
@@ -343,34 +349,37 @@ class _Engine:
 
     # -- cases (i)-(iii): splice the adjusted order derivation ---------------
 
-    def _splice_expansion(self, skel: Skeleton, clauses, decisions) -> TNode:
+    def _splice_expansion(self, rec, skel: Skeleton, decisions) -> TNode:
         """Expand the order derivation, guard literals riding down.
 
-        `clauses` is this stage's own list and takes the added literals.  A
-        guarded axiom's literal is carried down through every consumer
-        and stops at a clause that already contains it.
+        A guarded axiom holds its guard literal, and resolution carries it
+        down until a pivot removes it; one meeting its negation makes a
+        resolvent tautological.  The root must hold the leaf's clause, its
+        order's (`_leaf_record`), and beyond it only this stage's guards.
         """
-        carried = [frozenset()] * len(clauses)
-        for nid, dec in decisions.items():
-            if dec[0] == "guard":
-                clauses[nid] = clauses[nid] | {dec[1]}
-                carried[nid] = frozenset((dec[1],))
-        if any(carried):
-            for nid, prem in enumerate(skel.premises):
-                if not prem:
-                    continue
-                new = (carried[prem[0]] | carried[prem[1]]) - clauses[nid]
-                if new:
-                    if any(-glit in clauses[nid] for glit in new):
-                        raise ConstructionError("guard literal meets its negation on the way down")
-                    clauses[nid] = clauses[nid] | new
-                    carried[nid] = new
-        if self.mode == POOL_MODE:
-            return self._unfold_pool(skel, clauses, decisions)
-        return self._unfold_input(skel, clauses, decisions)
+        unfold = self._unfold_pool if self.mode == POOL_MODE else self._unfold_input
+        try:
+            root = unfold(skel, decisions)
+        except RuleError as exc:
+            raise ConstructionError(f"guard literal meets its negation on the way down: {exc}") from exc
+        leaf, clause = rec.node.clause, root.clause
+        guards = {arg for what, arg in decisions.values() if what == "guard"}
+        if not leaf <= clause or not clause - leaf <= guards:
+            raise ConstructionError(f"derivation root {sorted(clause)} differs from the pi "
+                                    f"clause {sorted(leaf)} beyond its guard literals")
+        return root
 
-    def _unfold_pool(self, skel: Skeleton, clauses, decisions) -> TNode:
-        """Depth-first expansion; shared interior nodes become lemma refs."""
+    def _axiom_clause(self, kind: tuple) -> Clause:
+        """A skeleton axiom's clause, read from its kind."""
+        if kind[0] == "alpha":
+            return alpha_clause(kind[1], self.n)
+        return self.trans[min_first(*kind[1])]
+
+    def _unfold_pool(self, skel: Skeleton, decisions) -> TNode:
+        """Depth-first expansion; shared interior nodes become lemma refs.
+
+        Its resolutions are the stage's one derivation of its clauses.
+        """
         first: dict[int, TNode] = {}
         stage_learned: dict = {}
         out: list[TNode] = []
@@ -386,7 +395,8 @@ class _Engine:
                 out.append(node)
                 continue
             if not prem:
-                out.append(self._axiom_tnode(clauses[nid], decisions.get(nid), stage_learned))
+                clause = self._axiom_clause(skel.kind[nid])
+                out.append(self._axiom_tnode(clause, decisions.get(nid), stage_learned))
                 continue
             hit = first.get(nid)
             if hit is not None:
@@ -398,18 +408,27 @@ class _Engine:
         (root,) = out
         return root
 
-    def _unfold_input(self, skel: Skeleton, clauses, decisions) -> TNode:
+    def _unfold_input(self, skel: Skeleton, decisions) -> TNode:
         """Expansion that only ever references input-derived clauses.
 
         Interior clauses are re-expanded until one expansion happens to be
         an input derivation; from then on they are referenced.  Any clause
         occurs at most depth-many times, so a splice emits at most
-        size*depth lines.
+        size*depth lines.  One pass first derives each clause, a guarded
+        axiom's with its guard literal; every emitted node holds its
+        skeleton node's clause (`stage_learned` and `_available` confirm a
+        lemma target's), so each inference takes its resolvent from there.
         """
-        depth = [0] * len(clauses)
-        for nid, prem in enumerate(skel.premises):
+        clauses: list[Clause] = []
+        depth = [0] * len(skel.premises)
+        for nid, (prem, piv, kind) in enumerate(zip(skel.premises, skel.pivot, skel.kind)):
             if prem:
                 depth[nid] = 1 + max(depth[prem[0]], depth[prem[1]])
+                clauses.append(resolve_on_var(RESOLVE, clauses[prem[0]], clauses[prem[1]], piv))
+                continue
+            clause = self._axiom_clause(kind)
+            dec = decisions.get(nid)
+            clauses.append(clause | {dec[1]} if dec is not None and dec[0] == "guard" else clause)
         self.stats.segment_budget += len(clauses) * (depth[skel.root] + 1)
         before = self.node_count
         stage_learned: dict = {}
@@ -422,7 +441,7 @@ class _Engine:
             if expanded:
                 p1 = out.pop()
                 p0 = out.pop()
-                node = self._resolve(p0, p1, skel.pivot[nid])
+                node = self._resolve(p0, p1, skel.pivot[nid], clause)
                 if node.inp and clause not in stage_learned:
                     stage_learned[clause] = node
                     self._learn(clause, node)

@@ -6,20 +6,21 @@ import pytest
 
 from ggtkit.checker import POOL, REGULAR, VALID, check_proof
 from ggtkit.formulas import FormulaInstance, GGT, gen_ggt, cyclic_classes
-from ggtkit.gtproofs import Skeleton, build_pn, build_ppi_dag, ppi_clauses
-from ggtkit import lr_engine
+from ggtkit.gtproofs import Skeleton, build_pn, build_ppi_dag
+from ggtkit import gtproofs, lr_engine
 from ggtkit.bpo import Bpo
 from ggtkit.literals import encode_lit, trans_clause, make_clause
 from ggtkit.lr_engine import (
     INPUT_MODE,
     POOL_MODE,
+    ConstructionError,
     NodeBudgetExceeded,
     StageRecord,
     _Engine,
     build_pool_with_stats,
     build_regrti_with_stats,
 )
-from ggtkit.proofs import LEMMA, TREE
+from ggtkit.proofs import LEMMA, RESOLVE, TREE
 from tests import oracles
 from tests.postorder_reference import postorder
 
@@ -81,7 +82,7 @@ def _avoiding_guards(n: int) -> tuple[dict[tuple[int, int, int], int], int]:
     from ggtkit.formulas import _admissible_guards
 
     skel = build_ppi_dag(n, Bpo.empty(n))
-    clauses = ppi_clauses(skel, Bpo.empty(n))
+    clauses = list(skel.clauses())
     masks = skel.masks()
     cones = {}
     for nid in skel.trans_postorder():
@@ -183,18 +184,22 @@ def test_available_nodes_are_exactly_those_left_of_the_next_leaf():
     assert checks > right > 0  # some learned nodes did lie right of the next leaf
 
 
+UNFOLD = {build_pool_with_stats: "_unfold_pool", build_regrti_with_stats: "_unfold_input"}
+
+
 @pytest.mark.parametrize("build", [build_pool_with_stats, build_regrti_with_stats])
 def test_only_expanding_stages_derive_clauses(monkeypatch, build):
-    # a branching stage classifies its axioms from their kinds and derives
-    # no resolvent of its order derivation
-    derive = Skeleton.clauses
-    calls = []
+    # a branching stage classifies its axioms from their kinds and unfolds
+    # no order derivation; no stage runs the skeleton's own clause pass
+    unfold = getattr(_Engine, UNFOLD[build])
+    calls, passes = [], []
 
-    def counted(skel):
+    def counted(engine, skel, decisions):
         calls.append(skel)
-        return derive(skel)
+        return unfold(engine, skel, decisions)
 
-    monkeypatch.setattr(Skeleton, "clauses", counted)
+    monkeypatch.setattr(_Engine, UNFOLD[build], counted)
+    monkeypatch.setattr(Skeleton, "clauses", lambda skel: passes.append(skel))
     branchings = 0
     for n in range(5, 10):
         for seed in range(4):
@@ -203,22 +208,105 @@ def test_only_expanding_stages_derive_clauses(monkeypatch, build):
             assert len(calls) == st.stages - st.case_iv, (n, seed)
             branchings += st.case_iv
     assert branchings > 0
+    assert passes == []
 
 
-@pytest.mark.parametrize("build", [
-    partial(build_pool_with_stats, 6, 0), partial(build_regrti_with_stats, 6, 0), partial(build_pn, 6),
-], ids=["pool", "regrti", "pn"])
-def test_a_wrong_derivation_root_raises(monkeypatch, build):
-    # the pool builds reach the root check on their expanding stages, and
-    # build_pn checks the root as the derivation yields it
-    derive = Skeleton.clauses
+@pytest.mark.parametrize("build", [build_pool_with_stats, build_regrti_with_stats])
+def test_each_expanding_stage_derives_its_clauses_once(monkeypatch, build):
+    # a build resolves each inference of an expanding stage's order
+    # derivation once, each pair of guarded copies it learns from once
+    # (`_derive`), and each step and closure join of a case-iv subproof
+    # twice: planned (`_plan_chain` and the closure check), then built
+    calls, skeletons, derived, steps = [], [], [], []
 
+    def counted(*args):
+        calls.append(args)
+        return resolve_on_var(*args)
+
+    def kept(n, pi):
+        skeletons.append(build_ppi_dag(n, pi))
+        return skeletons[-1]
+
+    def learned(engine, tclause, glit):
+        derived.append(tclause)
+        return derive(engine, tclause, glit)
+
+    def planned(engine, tau, new_pairs, chain_steps):
+        steps.append(len(chain_steps))
+        return plan_chain(engine, tau, new_pairs, chain_steps)
+
+    resolve_on_var, derive, plan_chain = lr_engine.resolve_on_var, _Engine._derive, _Engine._plan_chain
+    monkeypatch.setattr(lr_engine, "resolve_on_var", counted)
+    monkeypatch.setattr(gtproofs, "resolve_on_var", counted)
+    monkeypatch.setattr(lr_engine, "build_ppi_dag", kept)
+    monkeypatch.setattr(_Engine, "_derive", learned)
+    monkeypatch.setattr(_Engine, "_plan_chain", planned)
+    for n in range(5, 10):
+        for seed in range(4):
+            for log in (calls, skeletons, derived, steps):
+                log.clear()
+            d, st = build(n, seed)
+            inferences = sum(sum(map(bool, skel.premises))
+                             for skel, rec in zip(skeletons, st.stage_log) if rec.case == "expand")
+            joins = 2 * st.case_iv_gamma + 3 * st.case_iv_beta
+            assert len(calls) == inferences + len(derived) + 2 * (sum(steps) + joins), (n, seed)
+            if build is build_pool_with_stats:
+                # a pool build emits each of those inferences once, so only
+                # the planning resolutions go unemitted
+                lines = sum(node.rule == RESOLVE for node in d.nodes)
+                assert len(calls) == lines + sum(steps) + joins, (n, seed)
+
+
+def _clashing_guard(classify):
+    """`_Engine._classify`, except that an axiom of an order derivation
+    with a literal no inference below it resolves on is given that
+    literal's negation as its guard literal: resolved into the axiom's
+    consumer, the guard meets the literal."""
+    def clash(engine, tclause, tri, ctx, below):
+        free = [lit for lit in tclause if not below >> abs(lit) & 1]
+        if below and free:
+            return ("guard", -free[0])
+        return classify(engine, tclause, tri, ctx, below)
+
+    return clash
+
+
+@pytest.mark.parametrize("build", [build_pool_with_stats, build_regrti_with_stats])
+def test_a_guard_literal_meeting_its_negation_raises(monkeypatch, build):
+    monkeypatch.setattr(_Engine, "_classify", _clashing_guard(_Engine._classify))
+    with pytest.raises(ConstructionError, match="guard literal meets its negation on the way down"):
+        build(6, 0)
+
+
+def _wrong_skeleton_root(derive):
     def wrong_root(skel):
         for nid, clause in enumerate(derive(skel)):
             yield clause ^ {1} if nid == skel.root else clause
 
-    monkeypatch.setattr(Skeleton, "clauses", wrong_root)
-    with pytest.raises(AssertionError, match="differs from the pi clause"):
+    return wrong_root
+
+
+def _wrong_unfolded_root(unfold):
+    def wrong_root(engine, skel, decisions):
+        root = unfold(engine, skel, decisions)
+        root.clause ^= {1}
+        return root
+
+    return wrong_root
+
+
+@pytest.mark.parametrize("build,owner,attr,wrong,error", [
+    (partial(build_pool_with_stats, 6, 0), _Engine, "_unfold_pool", _wrong_unfolded_root,
+     ConstructionError),
+    (partial(build_regrti_with_stats, 6, 0), _Engine, "_unfold_input", _wrong_unfolded_root,
+     ConstructionError),
+    (partial(build_pn, 6), Skeleton, "clauses", _wrong_skeleton_root, AssertionError),
+], ids=["pool", "regrti", "pn"])
+def test_a_wrong_derivation_root_raises(monkeypatch, build, owner, attr, wrong, error):
+    # the pool builds check the root each expanding stage unfolds, and
+    # build_pn checks the root as the derivation yields it
+    monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
+    with pytest.raises(error, match="differs from the pi clause"):
         build()
 
 
