@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from ggtkit.checker import SELF_CHECK, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt
 from ggtkit.gtproofs import build_pn
-from ggtkit.lr_engine import BudgetExceeded, build_pool_with_stats, build_regrti_with_stats
+from ggtkit.lr_engine import build_pool_with_stats, build_regrti_with_stats
+from ggtkit.proofs import BudgetExceeded
 from ggtkit.solver import solve
 
 ARTIFACTS = ("pn", "pool", "regrti", "dpll")

@@ -8,7 +8,9 @@ reproduce the instance; comments after it carry no metadata:
     c guards=unguarded          (GGT with no guarded clause: n < 4)
 
 The seed is provenance only: a GGT instance's guards are read off its
-guarded clause copies, and the `guards` key is not read back.
+guarded clause copies, and the `guards` key is not read back.  A ggt
+file must then hold exactly the GGT(n) clauses under those guards (GT(n)'s
+for n < 4); the first line that holds another clause is named.
 
 Clause order is canonical (minimality clauses by vertex, then transitivity
 clauses by canonical triple) so identical parameters give byte-identical
@@ -18,7 +20,7 @@ files.
 from __future__ import annotations
 
 from ggtkit.bpo import Bpo
-from ggtkit.formulas import GGT, GT, GT_PI, FormulaInstance, GuardError, guarded_copies
+from ggtkit.formulas import GGT, GT, GT_PI, FormulaInstance, GuardError, ggt_clauses, guarded_copies
 from ggtkit.literals import clause_key, make_clause, num_vars, PairError, TautologyError
 
 
@@ -155,4 +157,14 @@ def read_dimacs(text: str) -> FormulaInstance:
         # no guarded copy: the triangle is missing from the clauses the problem line opens
         line_no = problem_line if exc.index is None else clause_lines[exc.index]
         raise DimacsError(line_no, str(exc)) from None
+    if family == GGT:
+        if instance.guard_map is None and n >= 4:
+            raise DimacsError(problem_line, f"GGT({n}) has guarded clauses; the file has none")
+        want = set(ggt_clauses(n, instance.guard_map))
+        if seen != want:
+            for clause, line_no in zip(clauses, clause_lines):
+                if clause not in want:
+                    raise DimacsError(line_no, f"not a clause of GGT({n}) under the guards read off the file")
+            raise DimacsError(problem_line, f"the file lacks {len(want) - len(seen)} of the "
+                                            f"{len(want)} clauses of GGT({n})")
     return instance

@@ -22,10 +22,10 @@ from ggtkit.literals import (
     bits,
     cyclic_classes,
     encode_lit,
-    make_clause,
     min_first,
     num_vars,
     trans_clause,
+    trans_table,
     triangle_table,
 )
 
@@ -152,25 +152,31 @@ def gen_gt(n: int) -> FormulaInstance:
     return FormulaInstance(family=GT, n=n, clauses=tuple(clauses))
 
 
+def ggt_clauses(n: int, gmap) -> tuple[Clause, ...]:
+    """The GGT(n) clauses under the guard map `gmap`, each transitivity
+    clause split on its guard, the copy carrying +g first; with no map
+    (n < 4), the unguarded GT clauses."""
+    if gmap is None:
+        return gen_gt(n).clauses
+    clauses = [alpha_clause(i, n) for i in range(n)]
+    for rep, t in trans_table(n).items():  # in `cyclic_classes` order
+        g = gmap[rep]
+        clauses.append(t | {g})
+        clauses.append(t | {-g})
+    return tuple(clauses)
+
+
 def gen_ggt(n: int, seed: int) -> FormulaInstance:
-    """The guarded family: each transitivity clause split on its guard.
+    """The guarded family under the guards `seed` draws.
 
     For n in {2, 3} there is no admissible guard, so the unguarded GT
     clauses are emitted; the seed is still recorded for reproducibility of
-    the file headers.  The copy carrying +g comes first.
+    the file headers.
     """
     if n < 2:
         raise SizeError(f"ggt needs n >= 2, got {n}")
-    if n < 4:
-        return FormulaInstance(family=GGT, n=n, clauses=gen_gt(n).clauses, seed=seed)
-    gmap = guards(n, seed)
-    clauses = [alpha_clause(i, n) for i in range(n)]
-    for rep in cyclic_classes(n):
-        t = trans_clause(*rep, n)
-        g = gmap[rep]
-        clauses.append(make_clause(t | {g}))
-        clauses.append(make_clause(t | {-g}))
-    return FormulaInstance(family=GGT, n=n, clauses=tuple(clauses), seed=seed)
+    gmap = guards(n, seed) if n >= 4 else None
+    return FormulaInstance(family=GGT, n=n, clauses=ggt_clauses(n, gmap), seed=seed)
 
 
 def gt_pi_triangles(n: int, pi: Bpo) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:

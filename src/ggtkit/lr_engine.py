@@ -26,11 +26,13 @@ stage that expands derives its order derivation's clauses, each once, with
 guard literals riding down through resolution itself; its root must hold
 the leaf's clause and, beyond it, only the stage's guard literals.
 
-In pool mode, shared interior clauses of a spliced derivation become
-lemma references to their first occurrence.  In input-lemma mode they are
-re-expanded instead, until an expansion happens to be an input derivation;
-later occurrences may then reference it.  That keeps every lemma an input
-lemma at a size cost bounded by the dag depth.
+Both modes splice the derivation through one depth-first unfold, and a
+repeated clause becomes a lemma reference to an earlier node deriving it.
+In pool mode any earlier inference of the stage may be cited.  In
+input-lemma mode only an input-derived one, of this stage or an earlier
+one, so other repeats are re-expanded until an expansion happens to be an
+input derivation.  That keeps every lemma an input lemma at a size cost
+bounded by the dag depth.
 
 One postorder walk over the growing tree numbers the proof.  After each
 splice it resumes, gives every node it finishes its final id, and stops
@@ -146,8 +148,8 @@ class LrStats:
     case_iv_beta: int = 0
     lines: int = 0
     max_width: int = 0
-    segment_budget: int = 0  # sum over splices of dag size * (dag depth + 1)
-    unfold_lines: int = 0  # lines those splices actually emitted
+    segment_budget: int = 0  # over input-lemma splices: sum of dag size * (dag depth + 1)
+    unfold_lines: int = 0  # lines those splices emitted; both stay 0 in pool builds
     stage_log: list[StageRecord] = field(default_factory=list)
 
 
@@ -357,9 +359,8 @@ class _Engine:
         resolvent tautological.  The root must hold the leaf's clause, its
         order's (`_leaf_record`), and beyond it only this stage's guards.
         """
-        unfold = self._unfold_pool if self.mode == POOL_MODE else self._unfold_input
         try:
-            root = unfold(skel, decisions)
+            root = self._unfold(skel, decisions)
         except RuleError as exc:
             raise ConstructionError(f"guard literal meets its negation on the way down: {exc}") from exc
         leaf, clause = rec.node.clause, root.clause
@@ -369,56 +370,23 @@ class _Engine:
                                     f"clause {sorted(leaf)} beyond its guard literals")
         return root
 
-    def _axiom_clause(self, kind: tuple) -> Clause:
-        """A skeleton axiom's clause, read from its kind."""
-        if kind[0] == "alpha":
-            return alpha_clause(kind[1], self.n)
-        return self.trans[min_first(*kind[1])]
+    def _unfold(self, skel: Skeleton, decisions) -> TNode:
+        """Depth-first expansion; a repeated clause may become a lemma ref.
 
-    def _unfold_pool(self, skel: Skeleton, decisions) -> TNode:
-        """Depth-first expansion; shared interior nodes become lemma refs.
-
-        Its resolutions are the stage's one derivation of its clauses.
+        One pass first derives each skeleton clause once, a guarded
+        axiom's with its guard literal, and each emitted inference takes
+        its resolvent from there.  Repeats are cited through
+        `stage_learned`, keyed by clause.  In pool mode it holds every
+        inference.  In input-lemma mode it holds only input-derived ones,
+        also learned, and `_available` offers those of earlier stages;
+        other clauses are re-expanded, so each occurs at most depth-many
+        times and a splice emits at most size*depth lines.  One table
+        serves both modes because, in an expanding stage, distinct
+        inferences have distinct guarded clauses and none has the clause
+        of an axiom classified "derive": keyed by clause, pool mode cites
+        each skeleton node's first occurrence, as a table by node would.
         """
-        first: dict[int, TNode] = {}
-        stage_learned: dict = {}
-        out: list[TNode] = []
-        stack: list[tuple[int, bool]] = [(skel.root, False)]
-        while stack:
-            nid, expanded = stack.pop()
-            prem = skel.premises[nid]
-            if expanded:
-                p1 = out.pop()
-                p0 = out.pop()
-                node = self._resolve(p0, p1, skel.pivot[nid])
-                first[nid] = node
-                out.append(node)
-                continue
-            if not prem:
-                clause = self._axiom_clause(skel.kind[nid])
-                out.append(self._axiom_tnode(clause, decisions.get(nid), stage_learned))
-                continue
-            hit = first.get(nid)
-            if hit is not None:
-                out.append(self._lemma_ref(hit, hit.clause))
-                continue
-            stack.append((nid, True))
-            stack.append((prem[1], False))
-            stack.append((prem[0], False))
-        (root,) = out
-        return root
-
-    def _unfold_input(self, skel: Skeleton, decisions) -> TNode:
-        """Expansion that only ever references input-derived clauses.
-
-        Interior clauses are re-expanded until one expansion happens to be
-        an input derivation; from then on they are referenced.  Any clause
-        occurs at most depth-many times, so a splice emits at most
-        size*depth lines.  One pass first derives each clause, a guarded
-        axiom's with its guard literal; every emitted node holds its
-        skeleton node's clause (`stage_learned` and `_available` confirm a
-        lemma target's), so each inference takes its resolvent from there.
-        """
+        pool = self.mode == POOL_MODE
         clauses: list[Clause] = []
         depth = [0] * len(skel.premises)
         for nid, (prem, piv, kind) in enumerate(zip(skel.premises, skel.pivot, skel.kind)):
@@ -426,10 +394,12 @@ class _Engine:
                 depth[nid] = 1 + max(depth[prem[0]], depth[prem[1]])
                 clauses.append(resolve_on_var(RESOLVE, clauses[prem[0]], clauses[prem[1]], piv))
                 continue
-            clause = self._axiom_clause(kind)
+            if kind[0] == "alpha":
+                clauses.append(alpha_clause(kind[1], self.n))
+                continue
+            clause = self.trans[min_first(*kind[1])]
             dec = decisions.get(nid)
             clauses.append(clause | {dec[1]} if dec is not None and dec[0] == "guard" else clause)
-        self.stats.segment_budget += len(clauses) * (depth[skel.root] + 1)
         before = self.node_count
         stage_learned: dict = {}
         out: list[TNode] = []
@@ -442,7 +412,9 @@ class _Engine:
                 p1 = out.pop()
                 p0 = out.pop()
                 node = self._resolve(p0, p1, skel.pivot[nid], clause)
-                if node.inp and clause not in stage_learned:
+                if pool:
+                    stage_learned[clause] = node
+                elif node.inp and clause not in stage_learned:
                     stage_learned[clause] = node
                     self._learn(clause, node)
                 out.append(node)
@@ -451,7 +423,7 @@ class _Engine:
                 out.append(self._axiom_tnode(clause, decisions.get(nid), stage_learned))
                 continue
             hit = stage_learned.get(clause)
-            if hit is None:
+            if hit is None and not pool:
                 attached = self._available(clause)
                 if attached is not None and attached.inp:
                     hit = attached
@@ -462,7 +434,9 @@ class _Engine:
             stack.append((prem[1], False))
             stack.append((prem[0], False))
         (root,) = out
-        self.stats.unfold_lines += self.node_count - before
+        if not pool:
+            self.stats.segment_budget += len(clauses) * (depth[skel.root] + 1)
+            self.stats.unfold_lines += self.node_count - before
         return root
 
     # -- case (iv): branch and learn -----------------------------------------

@@ -220,6 +220,19 @@ def test_refute_rejects_an_unpaired_guard_copy(tmp_path, capsys):
     assert not (tmp_path / "p").exists()
 
 
+def test_a_changed_minimality_clause_is_a_usage_error(tmp_path, capsys):
+    # line 4, vertex 1's minimality clause, loses a negation: the guard map
+    # read off the file is unchanged, but the formula is no longer GGT(5)
+    cnf = _gen_ggt(tmp_path / "a", 5, 0, lambda text: text.replace("\n1 -5 -6 -7 0\n",
+                                                                   "\n1 5 -6 -7 0\n", 1))
+    assert cnf.read_text().splitlines()[3] == "1 5 -6 -7 0"
+    for args in (["refute", "--mode", "pool", "-i", str(cnf), "-o", str(tmp_path / "p")],
+                 ["refute", "--mode", "regrti", "-i", str(cnf), "-o", str(tmp_path / "p")],
+                 ["solve", "-i", str(cnf)]):
+        _usage_error(capsys, args, "line 4: not a clause of GGT(5) under the guards read off the file")
+    assert not (tmp_path / "p").exists()
+
+
 def test_refute_ignores_metadata_after_the_problem_line(tmp_path, capsys):
     # a trailing seed=3 comment would otherwise swap in another guard map
     cnf = tmp_path / "f.cnf"

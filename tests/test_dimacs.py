@@ -165,6 +165,36 @@ def test_unpaired_triangle_names_a_copy_s_line(edit, line, found):
     )
 
 
+def _edit_ggt5(old, new, count):
+    """GGT(5), seed 0, with line `old` replaced by `new` lines and the
+    problem line promising `count` clauses."""
+    text = write_dimacs(gen_ggt(5, 0)).replace("p cnf 10 45", f"p cnf 10 {count}", 1)
+    assert f"\n{old}\n" in text
+    return text.replace(f"\n{old}\n", "".join(f"\n{line}" for line in new) + "\n", 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    # vertex 1's minimality clause with a literal flipped
+    (_edit_ggt5("1 -5 -6 -7 0", ["1 5 -6 -7 0"], 45),
+     "line 4: not a clause of GGT(5) under the guards read off the file"),
+    # a GT(5) transitivity clause beside its two guarded copies
+    (_edit_ggt5("1 -5 -6 -7 0", ["1 -5 -6 -7 0", "-1 2 -5 0"], 46),
+     "line 5: not a clause of GGT(5) under the guards read off the file"),
+    # vertex 1's minimality clause dropped: the problem line
+    (_edit_ggt5("1 -5 -6 -7 0", [], 44), "line 2: the file lacks 1 of the 45 clauses of GGT(5)"),
+    # GT(5)'s clauses under a ggt header
+    (write_dimacs(gen_gt(5)).replace("family=gt", "family=ggt", 1),
+     "line 2: GGT(5) has guarded clauses; the file has none"),
+    # below n = 4, GGT is GT
+    (write_dimacs(gen_ggt(3, 0)).replace("\n-1 2 -3 0\n", "\n-1 2 3 0\n", 1),
+     "line 7: not a clause of GGT(3) under the guards read off the file"),
+])
+def test_a_ggt_file_holds_exactly_the_ggt_clauses_of_its_guards(text, message):
+    with pytest.raises(DimacsError) as info:
+        read_dimacs(text)
+    assert str(info.value) == message
+
+
 _GTPI4 = write_dimacs(gen_gt_pi(4, Bpo.of(4, [(0, 3)])))
 
 

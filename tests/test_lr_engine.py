@@ -20,7 +20,7 @@ from ggtkit.lr_engine import (
     build_pool_with_stats,
     build_regrti_with_stats,
 )
-from ggtkit.proofs import LEMMA, RESOLVE, TREE
+from ggtkit.proofs import LEMMA, RESOLVE, TREE, resolve_on_var
 from tests import oracles
 from tests.postorder_reference import postorder
 
@@ -184,21 +184,18 @@ def test_available_nodes_are_exactly_those_left_of_the_next_leaf():
     assert checks > right > 0  # some learned nodes did lie right of the next leaf
 
 
-UNFOLD = {build_pool_with_stats: "_unfold_pool", build_regrti_with_stats: "_unfold_input"}
-
-
 @pytest.mark.parametrize("build", [build_pool_with_stats, build_regrti_with_stats])
 def test_only_expanding_stages_derive_clauses(monkeypatch, build):
     # a branching stage classifies its axioms from their kinds and unfolds
     # no order derivation; no stage runs the skeleton's own clause pass
-    unfold = getattr(_Engine, UNFOLD[build])
+    unfold = _Engine._unfold
     calls, passes = [], []
 
     def counted(engine, skel, decisions):
         calls.append(skel)
         return unfold(engine, skel, decisions)
 
-    monkeypatch.setattr(_Engine, UNFOLD[build], counted)
+    monkeypatch.setattr(_Engine, "_unfold", counted)
     monkeypatch.setattr(Skeleton, "clauses", lambda skel: passes.append(skel))
     branchings = 0
     for n in range(5, 10):
@@ -257,6 +254,40 @@ def test_each_expanding_stage_derives_its_clauses_once(monkeypatch, build):
                 assert len(calls) == lines + sum(steps) + joins, (n, seed)
 
 
+@pytest.mark.parametrize("build", [build_pool_with_stats, build_regrti_with_stats])
+def test_guarded_clauses_key_the_stage_table(monkeypatch, build):
+    # `_unfold` cites a repeated clause through one table keyed by clause;
+    # pool builds cite what a table keyed by skeleton node would because,
+    # in every expanding stage, distinct inferences have distinct guarded
+    # clauses and none has the clause of an axiom classified "derive"
+    stages = []
+    unfold = _Engine._unfold
+
+    def kept(engine, skel, decisions):
+        stages.append((skel, decisions))
+        return unfold(engine, skel, decisions)
+
+    monkeypatch.setattr(_Engine, "_unfold", kept)
+    for n in range(4, 11):
+        for seed in range(4):
+            build(n, seed)
+    derives = 0
+    for skel, decisions in stages:
+        clauses = list(skel.clauses())
+        for nid, prem in enumerate(skel.premises):
+            if prem:
+                clauses[nid] = resolve_on_var(RESOLVE, clauses[prem[0]], clauses[prem[1]],
+                                              skel.pivot[nid])
+            elif decisions.get(nid, ("",))[0] == "guard":
+                clauses[nid] |= {decisions[nid][1]}
+        inferences = [clauses[nid] for nid, prem in enumerate(skel.premises) if prem]
+        assert len(set(inferences)) == len(inferences)
+        derived = {clauses[nid] for nid, (what, _) in decisions.items() if what == "derive"}
+        assert derived.isdisjoint(inferences)
+        derives += len(derived)
+    assert len(stages) > 500 and derives > 500
+
+
 def _clashing_guard(classify):
     """`_Engine._classify`, except that an axiom of an order derivation
     with a literal no inference below it resolves on is given that
@@ -296,9 +327,9 @@ def _wrong_unfolded_root(unfold):
 
 
 @pytest.mark.parametrize("build,owner,attr,wrong,error", [
-    (partial(build_pool_with_stats, 6, 0), _Engine, "_unfold_pool", _wrong_unfolded_root,
+    (partial(build_pool_with_stats, 6, 0), _Engine, "_unfold", _wrong_unfolded_root,
      ConstructionError),
-    (partial(build_regrti_with_stats, 6, 0), _Engine, "_unfold_input", _wrong_unfolded_root,
+    (partial(build_regrti_with_stats, 6, 0), _Engine, "_unfold", _wrong_unfolded_root,
      ConstructionError),
     (partial(build_pn, 6), Skeleton, "clauses", _wrong_skeleton_root, AssertionError),
 ], ids=["pool", "regrti", "pn"])
