@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ggtkit.checker import SELF_CHECK, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt
@@ -14,21 +14,6 @@ from ggtkit.proofs import BudgetExceeded
 from ggtkit.solver import solve
 
 ARTIFACTS = ("pn", "pool", "regrti", "dpll")
-
-CSV_COLUMNS = (
-    "family",
-    "n",
-    "seed",
-    "artifact",
-    "lines",
-    "maxWidth",
-    "stages",
-    "caseIvCount",
-    "conflicts",
-    "decisions",
-    "wallMillis",
-    "status",
-)
 
 OK = "ok"
 TIMEOUT = "TIMEOUT"
@@ -51,6 +36,9 @@ class BenchRecord:
 
     def row(self) -> list[str]:
         return [str(getattr(self, col)) for col in CSV_COLUMNS]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))  # the CSV header, in field order
 
 
 class BenchError(RuntimeError):

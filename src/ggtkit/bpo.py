@@ -7,7 +7,8 @@ partial order keeps only the pairs (i, j) with i tau-minimal and i below
 j in the closure; the domain and range of the result are disjoint and the
 minimal set is everything outside the range.  Pairs appear only at the
 I/O edge: `Bpo.of` reads them, after checking them, and `Bpo.pairs`
-lists them.
+lists them.  Their text form `a:b,c:d` has one codec, `Bpo.parse` and
+`Bpo.text`, which both `ggt gen --pi` and a gtpi file's header use.
 """
 
 from __future__ import annotations
@@ -58,10 +59,28 @@ class Bpo:
             rows[a] |= 1 << b
         return Bpo(n, *minimal_rows(n, rows))
 
+    @staticmethod
+    def parse(n: int, text: str) -> "Bpo":
+        """The order of the text form `a:b,c:d`, checked as `of` checks
+        pairs; empty text is the empty order."""
+        pairs = []
+        for item in text.split(",") if text else ():
+            try:
+                a, b = map(int, item.split(":"))
+            except ValueError:
+                raise BpoError(f"malformed pair {item!r}; expected a:b") from None
+            pairs.append((a, b))
+        return Bpo.of(n, pairs)
+
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
         """The pairs (i, k) with minimal vertex i below k."""
         return frozenset((i, k) for i, row in enumerate(self.rows) for k in bits(row))
+
+    @property
+    def text(self) -> str:
+        """The text form `parse` reads, pairs in sorted order."""
+        return ",".join(f"{a}:{b}" for a, b in sorted(self.pairs))
 
 
 def minimal_rows(n: int, rows) -> tuple[int, tuple[int, ...]]:

@@ -37,25 +37,13 @@ def _read_text(path: str) -> str:
         ) from None
 
 
-def _parse_pi(text: str, n: int) -> Bpo:
-    pairs = []
-    if text:
-        for item in text.split(","):
-            try:
-                a, b = item.split(":")
-                pairs.append((int(a), int(b)))
-            except ValueError:
-                raise BpoError(f"malformed --pi pair {item!r}; expected a:b") from None
-    return Bpo.of(n, pairs)
-
-
 def _cmd_gen(args) -> int:
     if args.family == GT:
         inst = gen_gt(args.n)
     elif args.family == GGT:
         inst = gen_ggt(args.n, args.seed)
     else:
-        inst = gen_gt_pi(args.n, _parse_pi(args.pi or "", args.n))
+        inst = gen_gt_pi(args.n, Bpo.parse(args.n, args.pi or ""))
     with open(args.output, "w") as fh:
         fh.write(write_dimacs(inst))
     print(f"wrote {args.family} n={args.n} ({len(inst.clauses)} clauses) to {args.output}")

@@ -19,9 +19,9 @@ files.
 
 from __future__ import annotations
 
-from ggtkit.bpo import Bpo
+from ggtkit.bpo import Bpo, BpoError
 from ggtkit.formulas import GGT, GT, GT_PI, FormulaInstance, GuardError, ggt_clauses, guarded_copies
-from ggtkit.literals import clause_key, make_clause, num_vars, PairError, TautologyError
+from ggtkit.literals import LiteralTokens, clause_key, make_clause, num_vars, TautologyError
 
 
 class DimacsError(ValueError):
@@ -40,8 +40,7 @@ def write_dimacs(instance: FormulaInstance) -> str:
         lines[0] += f" seed={instance.seed}"
     if instance.family == GT_PI:
         assert instance.pi is not None
-        pairs = ",".join(f"{a}:{b}" for a, b in sorted(instance.pi.pairs))
-        lines[0] += f" pi={pairs}"
+        lines[0] += f" pi={instance.pi.text}"
     if instance.family == GGT and next(guarded_copies(instance.n, instance.clauses), None) is None:
         lines.append("c guards=unguarded")
     lines.append(f"p cnf {instance.nvars} {len(instance.clauses)}")
@@ -65,15 +64,6 @@ def _parse_header_comment(text: str, meta: dict, meta_line: dict, line_no: int) 
             meta_line[key] = line_no
 
 
-class _Literals(dict):
-    """Each literal token met so far and its value, converted once: one int
-    per distinct token, shared by every clause that holds it."""
-
-    def __missing__(self, tok: str) -> int:
-        lit = self[tok] = int(tok)
-        return lit
-
-
 def read_dimacs(text: str) -> FormulaInstance:
     meta: dict[str, str | int] = {}
     meta_line: dict[str, int] = {}  # the line that set each key
@@ -82,7 +72,7 @@ def read_dimacs(text: str) -> FormulaInstance:
     clauses = []
     clause_lines = []
     seen = set()
-    lit_of = _Literals().__getitem__
+    lit_of = LiteralTokens().__getitem__
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -142,13 +132,8 @@ def read_dimacs(text: str) -> FormulaInstance:
     pi = None
     if family == GT_PI:
         try:
-            pairs = [
-                tuple(int(x) for x in item.split(":"))
-                for item in meta.get("pi", "").split(",")
-                if item
-            ]
-            pi = Bpo.of(n, pairs)
-        except (ValueError, PairError) as exc:
+            pi = Bpo.parse(n, meta.get("pi", ""))
+        except BpoError as exc:
             raise DimacsError(meta_line.get("pi", 0), f"malformed pi in header: {exc}") from None
     instance = FormulaInstance(family=family, n=n, clauses=tuple(clauses), seed=meta.get("seed"), pi=pi)
     try:

@@ -14,6 +14,9 @@ the very frozensets `triangle_table` holds, so a hot loop reads a clause
 instead of building one.  Each table is built on first use for its n: a
 caller that never asks for a transitivity table (say `build_pn(40)`, whose
 tables would hold 8 MB) never pays for one.
+
+Text goes the other way through `LiteralTokens`, the one memo of literal
+tokens that both parsers, `dimacs` and `proof_io`, read clauses through.
 """
 
 from __future__ import annotations
@@ -75,6 +78,17 @@ def decode_lit(lit: int, n: int) -> tuple[int, int]:
     if not 0 < abs(lit) <= len(pair) // 2:
         raise PairError(f"literal {lit} out of range for n={n}")
     return pair[lit]
+
+
+class LiteralTokens(dict):
+    """Each literal token met so far and its value, converted once: one int
+    per distinct token, shared by every clause that holds it.  A token that
+    is no integer raises `int`'s ValueError and is not kept; a `0` token is
+    kept as 0, which the caller rejects."""
+
+    def __missing__(self, tok: str) -> int:
+        lit = self[tok] = int(tok)
+        return lit
 
 
 def make_clause(lits: Iterable[int]) -> Clause:

@@ -53,8 +53,8 @@ the match, so no learned clause is kept beside the tree.
 Each leaf record carries the leaf's order, computed and checked against
 the leaf clause once, when the leaf is made.  Orders are bitmask rows
 (see `bpo`): the branch's literals give its rows through
-`literals.pair_table`, and a replacement chain ORs its new pairs onto a
-copy of them.
+`literals.pair_table`, of which only their order is kept, and a
+replacement chain ORs its new pairs onto a copy of the order's rows.
 
 A build may be given a deadline; it is checked at each stage boundary,
 so a capped build stops within one stage of it.
@@ -127,8 +127,7 @@ class TNode:
 class LeafRec:
     node: TNode
     cplus: frozenset  # literals on the branch from the root, leaf included
-    tau: tuple  # per vertex, the mask of the vertices those literals put above it
-    pi: Bpo  # the associated order of tau; the leaf is labeled by its clause
+    pi: Bpo  # the associated order of the pairs cplus asserts; labels the leaf
 
 
 # One construction stage: its number, "expand" or "branch", the leaf clause's
@@ -173,7 +172,7 @@ class _Engine:
         self.stats = LrStats(n=self.n, seed=formula.seed, mode=mode)
         root = self._mk(frozenset(), "U")
         self.leaves: dict[TNode, LeafRec] = {
-            root: LeafRec(root, frozenset(), (0,) * self.n, Bpo.empty(self.n))
+            root: LeafRec(root, frozenset(), Bpo.empty(self.n))
         }
         # the postorder walk: one [node, kids entered] frame per open node,
         # from the root down to the next unfinished leaf
@@ -347,7 +346,7 @@ class _Engine:
             raise ConstructionError(
                 "new unfinished leaf is not labeled by its branch's bipartite order"
             )
-        return LeafRec(path[0], cplus, tuple(tau), sub_pi)
+        return LeafRec(path[0], cplus, sub_pi)
 
     # -- cases (i)-(iii): splice the adjusted order derivation ---------------
 
@@ -424,9 +423,7 @@ class _Engine:
                 continue
             hit = stage_learned.get(clause)
             if hit is None and not pool:
-                attached = self._available(clause)
-                if attached is not None and attached.inp:
-                    hit = attached
+                hit = self._available(clause)  # every learned node is input-derived
             if hit is not None:
                 out.append(self._lemma_ref(hit, clause))
                 continue
@@ -482,7 +479,7 @@ class _Engine:
                      ([(i, j), (k, j)], steps_b, var(j, k)), swap]
         node = self._derive(tclause, self.glits[min_first(i, j, k)])
 
-        bases = [self._plan_chain(rec.tau, pairs, steps) for pairs, steps, _ in plans]
+        bases = [self._plan_chain(above, pairs, steps) for pairs, steps, _ in plans]
         joined = []  # the clause after each chain is resolved in, guards ignored
         cur = tclause
         for base, (_, _, piv) in zip(bases, plans):
@@ -498,18 +495,21 @@ class _Engine:
             joins.append(node)
         return node, [chain + joins[c:] for c, chain in enumerate(chains)]
 
-    def _plan_chain(self, tau, new_pairs, steps) -> list[Clause]:
+    def _plan_chain(self, rows, new_pairs, steps) -> list[Clause]:
         """Clause sequence of a replacement chain, leaf first, guards ignored.
 
-        `tau` is the branch's rows, to which the chain's leaf adds
-        `new_pairs`.  Guard literals added later only ever duplicate branch
-        literals, so classification contexts computed from these base
-        clauses are exact.
+        `rows` is the branch's order, to which the chain's leaf adds
+        `new_pairs`.  Those pairs join minimal vertices only, so a path out
+        of a minimal vertex takes new pairs first and then the branch's
+        own: the rows of the branch's literals and those of its order give
+        the leaf the same associated order.  Guard literals added later
+        only ever duplicate branch literals, so classification contexts
+        computed from these base clauses are exact.
         """
-        sub_tau = list(tau)
+        rows = list(rows)
         for a, b in new_pairs:
-            sub_tau[a] |= 1 << b
-        leaf = bpo_clause(associated_bpo(self.n, sub_tau))
+            rows[a] |= 1 << b
+        leaf = bpo_clause(associated_bpo(self.n, rows))
         seq = [leaf]
         trans = self.trans
         for tri, piv in steps:

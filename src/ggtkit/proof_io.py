@@ -15,7 +15,7 @@ traces) are ignored.  The root is the last node.
 
 from __future__ import annotations
 
-from ggtkit.literals import clause_key
+from ggtkit.literals import LiteralTokens, clause_key
 from ggtkit.proofs import (
     AXIOM,
     DAG,
@@ -85,40 +85,25 @@ def _parse_lits(parts: list[str], line_no: int) -> tuple[int, ...]:
     return lits
 
 
-def _clause(parts: list[str], line_no: int, lit_of: dict[str, int]) -> tuple[int, ...]:
+def _clause(parts: list[str], line_no: int, lit_of) -> tuple[int, ...]:
     """The clause of a line's literal tokens, in clause_key order.
 
-    `lit_of` maps each literal token met so far in the proof to its value;
-    a proof repeats few distinct tokens, so most are looked up, not
-    converted.  With no variable repeated, one sort by variable is
-    clause_key order.  Anything else (a repeat, a clash, a malformed token)
-    takes `_parse_lits`, which raises the error, and then `clause_key`.
+    `lit_of` reads the proof's `LiteralTokens`; a proof repeats few
+    distinct tokens, so most are looked up, not converted.  With no
+    variable repeated, one sort by variable is clause_key order.  Anything
+    else (a `0`, a repeat, a clash, a malformed token) takes `_parse_lits`,
+    which raises the error, and then `clause_key`.
     """
     if parts and parts[-1] == "0":
-        tokens = parts[:-1]
         try:
-            lits = list(map(lit_of.__getitem__, tokens))
-        except KeyError:
-            lits = _new_literals(tokens, lit_of)
-        if lits is not None and len(set(map(abs, lits))) == len(lits):
-            lits.sort(key=abs)
-            return tuple(lits)
+            lits = list(map(lit_of, parts[:-1]))
+        except ValueError:
+            pass  # a malformed token, which `_parse_lits` reports
+        else:
+            if 0 not in lits and len(set(map(abs, lits))) == len(lits):
+                lits.sort(key=abs)
+                return tuple(lits)
     return clause_key(_parse_lits(parts, line_no))
-
-
-def _new_literals(tokens: list[str], lit_of: dict[str, int]) -> list[int] | None:
-    """Add the new tokens to `lit_of` and return the values of all of them;
-    None, adding nothing more, at a token that is not a nonzero integer."""
-    for tok in tokens:
-        if tok not in lit_of:
-            try:
-                lit = int(tok)
-            except ValueError:
-                return None
-            if not lit:
-                return None
-            lit_of[tok] = lit
-    return list(map(lit_of.__getitem__, tokens))
 
 
 def _int(text: str, line_no: int, what: str) -> int:
@@ -144,7 +129,7 @@ def _parse(text: str) -> Derivation:
     # per line without a node, the count of nodes before it, which gives each
     # node's line; a list of those would keep one int per node (1.5 MB at 42k)
     skipped: list[int] = []
-    lit_of: dict[str, int] = {}
+    lit_of = LiteralTokens().__getitem__
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:

@@ -7,7 +7,8 @@ visit either finds the other watch true, moves the false watch to a
 literal that is not false, forces the other watch, or reports the
 clause falsified.
 
-A `ClauseIndex` keeps its watches across calls, with no undo between
+`unit_propagate` and `replay_conflict` read the clauses through a
+`ClauseIndex`, which keeps its watches across calls, with no undo between
 them.  Each call queues every literal of its assignment, so every clause
 watching a literal false under that assignment is visited, whatever pair
 an earlier call left it watching.  Any pair of distinct literals of a
@@ -72,18 +73,15 @@ class ClauseIndex:
             self.watches[lits[1]].append(idx)
 
 
-def unit_propagate(clauses, assignment) -> PropagationResult:
+def unit_propagate(index: ClauseIndex, assignment) -> PropagationResult:
     """Propagate to fixpoint; report a falsified clause if any.
 
-    `clauses` is a ClauseIndex or an indexable of literal collections
-    (indexed afresh on each call); `assignment` an iterable of true
-    literals.  The conflict is an index into `clauses` (into its
-    `.clauses` list for a ClauseIndex).  The implication record lists
-    every forced literal with the clause that forced it, in the order they
-    were forced, which is enough to replay an input derivation of the
-    conflict (see replay_conflict).
+    `assignment` is an iterable of true literals.  The conflict is an
+    index into `index.clauses`.  The implication record lists every forced
+    literal with the clause that forced it, in the order they were forced,
+    which is enough to replay an input derivation of the conflict (see
+    replay_conflict).
     """
-    index = clauses if isinstance(clauses, ClauseIndex) else ClauseIndex(clauses)
     store, watches = index.clauses, index.watches
     truth = set(assignment)
     for lit in truth:
@@ -136,20 +134,18 @@ def unit_propagate(clauses, assignment) -> PropagationResult:
     return PropagationResult(truth, None, implications)
 
 
-def replay_conflict(clauses, result: PropagationResult) -> tuple[Clause, list[tuple[int, int]]]:
+def replay_conflict(index: ClauseIndex, result: PropagationResult) -> tuple[Clause, list[tuple[int, int]]]:
     """Resolve the conflict clause against its reasons, last forced first.
 
-    `clauses` is what `result` came from: a ClauseIndex, whose `.clauses`
-    are read, or an indexable of literal collections.  Returns the final
-    clause (over literals false under the *initial* assignment) and the
-    chain [(clause index, pivot literal), ...]; the chain is an input
+    `index` is what `result` came from.  Returns the final clause (over
+    literals false under the *initial* assignment) and the chain
+    [(clause index, pivot literal), ...]; the chain is an input
     derivation: each step resolves the running clause with one formula
     clause.
     """
     if result.conflict is None:
         raise ValueError("no conflict to replay")
-    if isinstance(clauses, ClauseIndex):
-        clauses = clauses.clauses
+    clauses = index.clauses
     current = frozenset(clauses[result.conflict])
     chain: list[tuple[int, int]] = []
     for lit, idx in reversed(result.implications):

@@ -26,10 +26,11 @@ popped.  Every flip carries the clause derived from the conflict that
 caused it, so the final level-zero conflict replays to the empty clause
 and the whole run serializes as a checkable dag derivation.
 
-Each clause fact has one store, by clause index: `_as_set` holds the
-literals (the input clauses, then the learned ones, which are returned as
-a slice) and `node_of` the trace node, -1 until an input clause is first
-used.  An index names one clause because no instance holds a clause twice.
+Each clause fact has one store, by clause index: `clauses` holds the
+literals (the input clauses, then the learned ones, each in watch order)
+and `node_of` the trace node, -1 until an input clause is first used.
+The learned clauses are copied out as sets once, when the search ends.
+An index names one clause because no instance holds a clause twice.
 A conflict is handled on one path: the unwind flips the last decision its
 running clause holds, then stores the clause it learned on the way.  The
 flip never leaves that clause falsified: were all its literals below the
@@ -133,13 +134,10 @@ class Solver:
         if tie_seed:
             random.Random(tie_seed).shuffle(self._vertex_order)
         self.clauses: list[list[int]] = [list(clause_key(c)) for c in f.clauses]
-        self._as_set = [frozenset(c) for c in f.clauses]  # clause index -> its literals
         self.n_original = len(self.clauses)
         size = 2 * f.nvars + 1  # literal-indexed lists; lit < 0 counts from the end
         self.watches: list[list[int]] = [[] for _ in range(size)]
         self.lv: list[bool | None] = [None] * size
-        # per variable: the trail depth of its assignment, 0 while unassigned
-        self._stamp = [0] * (f.nvars + 1)
         self.pair = pair_table(f.n)  # lit -> decode_lit(lit)
         # vertex adjacency bitmasks for the order the trail currently asserts
         self._succ = [0] * f.n
@@ -176,9 +174,7 @@ class Solver:
         lv = self.lv
         lv[lit] = True
         lv[-lit] = False
-        trail = self.trail
-        trail.append((lit, reason))
-        self._stamp[lit if lit > 0 else -lit] = len(trail)
+        self.trail.append((lit, reason))
         i, j = self.pair[lit]
         self._succ[i] |= 1 << j
         self._adj[i] |= 1 << j
@@ -187,7 +183,6 @@ class Solver:
     def _unassign(self, lit: int) -> None:
         lv = self.lv
         lv[lit] = lv[-lit] = None
-        self._stamp[lit if lit > 0 else -lit] = 0
         i, j = self.pair[lit]
         self._succ[i] &= ~(1 << j)
         self._adj[i] &= ~(1 << j)
@@ -197,8 +192,9 @@ class Solver:
         """Install watches for a clause; returns the index if it is falsified.
 
         When fewer than two literals are non-false, the second watch goes
-        to the most recently falsified literal, so no unit propagation can
-        be missed after backtracking past it.
+        to the literal falsified last, found by reading the trail from its
+        end, so no unit propagation can be missed after backtracking past
+        it.
         """
         clause = self.clauses[cidx]
         if len(clause) == 1:
@@ -218,8 +214,7 @@ class Solver:
             w0, w1 = free[0], free[1]
         else:
             w0 = free[0]
-            stamp = self._stamp
-            w1 = max((l for l in clause if l != w0), key=lambda l: stamp[abs(l)])
+            w1 = next(-lit for lit, _ in reversed(self.trail) if -lit in clause)
             if lv[w0] is None:
                 self._assign(w0, cidx)
                 self.stats.propagations += 1
@@ -295,18 +290,18 @@ class Solver:
             return reason.node
         nid = self.node_of[reason]
         if nid < 0:  # an input clause, first used: emit it as an axiom
-            nid = self.node_of[reason] = self._emit(AXIOM, clause_key(self._as_set[reason]))
+            nid = self.node_of[reason] = self._emit(AXIOM, clause_key(self.clauses[reason]))
         return nid
 
     def _handle_conflict(self, conf_idx: int) -> bool:
         """Unwind the trail; returns False when the search space is exhausted."""
         self.stats.conflicts += 1
-        k = set(self._as_set[conf_idx])  # the running clause, frozen only when kept
+        k = set(self.clauses[conf_idx])  # the running clause, frozen only when kept
         tracing = self.tracing
         node = self._reason_node(conf_idx) if tracing else -1
         learn = None
         guarded = self.f.guard_map is not None
-        as_set = self._as_set
+        clauses = self.clauses
         trail = self.trail
         unassign = self._unassign
         while trail:
@@ -324,7 +319,7 @@ class Solver:
                     self._learn(*learn)
                 return True
             # lit is true and k is false here, so k lacks lit and the reason lacks -lit
-            k.update(reason.clause if isinstance(reason, FlipReason) else as_set[reason])
+            k.update(reason.clause if isinstance(reason, FlipReason) else clauses[reason])
             k.discard(lit)
             k.discard(-lit)
             if tracing:
@@ -338,7 +333,7 @@ class Solver:
                 clause = frozenset(k)
                 tri = triangle_of(clause, self.n)
                 if tri is not None and tri not in self.learned_tris:
-                    learn = (clause, node)
+                    learn = (clause, tri, node)
         if k:
             raise SolverContractError(f"trail exhausted with nonempty clause {sorted(k)}")
         self.qhead = 0
@@ -347,13 +342,13 @@ class Solver:
             self._learn(*learn)
         return False
 
-    def _learn(self, clause: frozenset, node: int) -> None:
-        """Store a transitivity clause derived by the unwind, at trace node `node`."""
+    def _learn(self, clause: frozenset, tri: tuple[int, int, int], node: int) -> None:
+        """Store the clause of triangle `tri`, derived by the unwind, at trace
+        node `node`."""
         self.stats.learned += 1
-        self.learned_tris.add(triangle_of(clause, self.n))
+        self.learned_tris.add(tri)
         cidx = len(self.clauses)
         self.clauses.append(list(clause_key(clause)))
-        self._as_set.append(clause)
         self.node_of.append(node)
         if self._attach(cidx) is not None:
             raise SolverContractError(f"learned clause {sorted(clause)} is falsified")
@@ -494,7 +489,7 @@ class Solver:
         return SolveResult(
             status="UNSAT",
             stats=self.stats,
-            learned_clauses=self._as_set[self.n_original:],
+            learned_clauses=[frozenset(c) for c in self.clauses[self.n_original:]],
             trace=trace,
             decision_markers=self.markers,
         )

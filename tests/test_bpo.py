@@ -60,6 +60,16 @@ def test_associated_bpo_idempotent():
             assert again.pairs == pi.pairs
 
 
+def test_text_form_reads_back_to_the_order():
+    rng = random.Random(8)
+    for n in range(4, 41):
+        assert Bpo.parse(n, Bpo.empty(n).text) == Bpo.empty(n)
+        for _ in range(6):
+            pi = random_order(n, rng, rng.randrange(1, 2 * n))
+            assert Bpo.parse(n, pi.text) == pi
+    assert Bpo.empty(4).text == "" and Bpo.of(5, [(1, 4), (0, 3)]).text == "0:3,1:4"
+
+
 def test_minimals_contain_isolated_points():
     pi = Bpo.of(6, [(0, 4)])
     assert frozenset(bits(pi.minimal)) == frozenset({0, 1, 2, 3, 5})

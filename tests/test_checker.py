@@ -31,7 +31,7 @@ from ggtkit.proofs import (
     check_postorder,
 )
 from ggtkit.proof_io import ProofParseError, parse_proof, serialize_proof
-from ggtkit.propagation import unit_propagate
+from ggtkit.propagation import ClauseIndex, unit_propagate
 
 
 def tiny_refutation():
@@ -369,7 +369,7 @@ def test_greedy_condition_matches_input_derivability():
             gamma = rng.sample(clauses, rng.randrange(2, len(clauses)))
             ctx_vars = rng.sample(range(1, nv + 1), rng.randrange(0, nv))
             cplus = frozenset(v if rng.random() < 0.5 else -v for v in ctx_vars)
-            result = unit_propagate(gamma, {-l for l in cplus})
+            result = unit_propagate(ClauseIndex(gamma), {-l for l in cplus})
             up_says = result.conflict is not None
             oracle_says = input_derivable(gamma, cplus, nv)
             assert up_says == oracle_says, (n, sorted(cplus), up_says, oracle_says)

@@ -331,12 +331,19 @@ def test_check_rejects_a_malformed_lemma_target(tmp_path, capsys):
                  f"line {at + 1}: bad lemma target 'x{target}'")
 
 
-@pytest.mark.parametrize("pi, item", [("1-3", "1-3"), ("a:b", "a:b"), ("0:3,1:2:4", "1:2:4")])
+@pytest.mark.parametrize("pi, item", [("1-3", "1-3"), ("a:b", "a:b"), ("0:3,1:2:4", "1:2:4"),
+                                      ("0:x", "0:x"), ("0:1,,1:2", "")])
 def test_gen_rejects_a_malformed_pi(tmp_path, capsys, pi, item):
+    # one codec, `Bpo.parse`, reads the option and a gtpi header's pi, so
+    # both reject each text and name the same item
     cnf = tmp_path / "f.cnf"
     _usage_error(capsys, ["gen", "--family", "gtpi", "--n", "4", "--pi", pi, "-o", str(cnf)],
-                 f"malformed --pi pair {item!r}; expected a:b")
+                 f"malformed pair {item!r}; expected a:b")
     assert not cnf.exists()
+    assert main(["gen", "--family", "gtpi", "--n", "4", "--pi", "0:3", "-o", str(cnf)]) == 0
+    cnf.write_text(cnf.read_text().replace(" pi=0:3", f" pi={pi}", 1))
+    _usage_error(capsys, ["check", "-f", str(cnf), "-p", str(tmp_path / "p")],
+                 f"line 1: malformed pi in header: malformed pair {item!r}; expected a:b")
 
 
 @pytest.mark.parametrize("pi, message", [

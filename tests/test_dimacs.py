@@ -203,7 +203,7 @@ _GTPI4 = write_dimacs(gen_gt_pi(4, Bpo.of(4, [(0, 3)])))
     ("c family=gt n=3\nc\np cnf 1 1\n1 0\n", "line 3: n=3 implies 3 vars, header says 1"),
     ("c n=2\nc family=xyz\np cnf 1 1\n1 0\n", "line 2: missing or unknown family in header: 'xyz'"),
     (_GTPI4.replace(" pi=0:3", "\nc pi=0:x", 1),
-     "line 2: malformed pi in header: invalid literal for int() with base 10: 'x'"),
+     "line 2: malformed pi in header: malformed pair '0:x'; expected a:b"),
     # a well-formed pair outside the vertex range is rejected before it is used
     (_GTPI4.replace(" pi=0:3", "\nc pi=-1:2", 1),
      "line 2: malformed pi in header: pair (-1,2) invalid over [4]"),

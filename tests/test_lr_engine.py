@@ -8,8 +8,8 @@ from ggtkit.checker import POOL, REGULAR, VALID, check_proof
 from ggtkit.formulas import FormulaInstance, GGT, gen_ggt, cyclic_classes
 from ggtkit.gtproofs import Skeleton, build_pn, build_ppi_dag
 from ggtkit import gtproofs, lr_engine
-from ggtkit.bpo import Bpo
-from ggtkit.literals import encode_lit, trans_clause, make_clause
+from ggtkit.bpo import Bpo, associated_bpo
+from ggtkit.literals import encode_lit, pair_table, trans_clause, make_clause
 from ggtkit.lr_engine import (
     INPUT_MODE,
     POOL_MODE,
@@ -184,6 +184,58 @@ def test_available_nodes_are_exactly_those_left_of_the_next_leaf():
     assert checks > right > 0  # some learned nodes did lie right of the next leaf
 
 
+@pytest.mark.parametrize("mode", [POOL_MODE, INPUT_MODE])
+def test_every_learned_node_is_input_derived(mode):
+    # `_derive` resolves two axioms, and `_unfold` learns only input-derived
+    # inferences, so a lemma `_available` offers is an input lemma
+    learned = 0
+    for n in range(4, 10):
+        for seed in range(4):
+            eng = _Engine(gen_ggt(n, seed), mode, None)
+            eng.run()
+            nodes = [node for nodes in eng.learned.values() for node in nodes]
+            assert all(node.inp for node in nodes), (n, seed)
+            learned += len(nodes)
+    assert learned > 100
+
+
+@pytest.mark.parametrize("mode", [POOL_MODE, INPUT_MODE])
+def test_chain_plans_read_the_leaf_order(monkeypatch, mode):
+    # a chain's new pairs P join pi-minimal vertices, so a path out of a
+    # minimal vertex in tau + P takes P edges first and tau edges after:
+    # the branch's rows tau, rebuilt from its literals, and its order's
+    # rows pi give tau + P and pi + P the same associated order
+    case_branch, plan_chain = _Engine._case_branch, _Engine._plan_chain
+    leaf, plans = [], []
+
+    def branching(engine, rec, trig_kind, tclause):
+        leaf[:] = [rec]
+        return case_branch(engine, rec, trig_kind, tclause)
+
+    def planned(engine, rows, new_pairs, steps):
+        n, rec = engine.n, leaf[0]
+        assert rows == rec.pi.rows
+        pair = pair_table(n)
+        tau = [0] * n
+        for lit in rec.cplus:
+            a, b = pair[-lit]
+            tau[a] |= 1 << b
+        with_pi = list(rows)
+        for a, b in new_pairs:
+            tau[a] |= 1 << b
+            with_pi[a] |= 1 << b
+        assert associated_bpo(n, tau) == associated_bpo(n, with_pi), (n, sorted(rec.cplus))
+        plans.append(new_pairs)
+        return plan_chain(engine, rows, new_pairs, steps)
+
+    monkeypatch.setattr(_Engine, "_case_branch", branching)
+    monkeypatch.setattr(_Engine, "_plan_chain", planned)
+    for n in range(4, 11):
+        for seed in range(4):
+            _Engine(gen_ggt(n, seed), mode, None).run()
+    assert len(plans) > 500
+
+
 @pytest.mark.parametrize("build", [build_pool_with_stats, build_regrti_with_stats])
 def test_only_expanding_stages_derive_clauses(monkeypatch, build):
     # a branching stage classifies its axioms from their kinds and unfolds
@@ -228,9 +280,9 @@ def test_each_expanding_stage_derives_its_clauses_once(monkeypatch, build):
         derived.append(tclause)
         return derive(engine, tclause, glit)
 
-    def planned(engine, tau, new_pairs, chain_steps):
+    def planned(engine, rows, new_pairs, chain_steps):
         steps.append(len(chain_steps))
-        return plan_chain(engine, tau, new_pairs, chain_steps)
+        return plan_chain(engine, rows, new_pairs, chain_steps)
 
     resolve_on_var, derive, plan_chain = lr_engine.resolve_on_var, _Engine._derive, _Engine._plan_chain
     monkeypatch.setattr(lr_engine, "resolve_on_var", counted)

@@ -11,14 +11,14 @@ from tests.oracles import OracleScaleError, semantic_entails
 
 def test_gt2_conflicts_immediately():
     f = gen_gt(2)
-    result = unit_propagate(list(f.clauses), ())
+    result = unit_propagate(ClauseIndex(f.clauses), ())
     assert result.conflict is not None
 
 
 def test_ggt4_no_forced_literals():
     f = gen_ggt(4, 0)
     assert all(len(c) >= 2 for c in f.clauses)
-    result = unit_propagate(list(f.clauses), ())
+    result = unit_propagate(ClauseIndex(f.clauses), ())
     assert result.conflict is None and not result.implications
 
 
@@ -28,7 +28,7 @@ def test_two_step_guard_propagation():
     g = encode_lit(3, 4, n)
     clauses = [t | {g}, t | {-g}]
     assignment = {-l for l in t}  # falsify the transitivity part
-    result = unit_propagate(clauses, assignment)
+    result = unit_propagate(ClauseIndex(clauses), assignment)
     assert result.conflict is not None
     assert len(result.implications) == 1  # the guard literal was forced first
 
@@ -37,12 +37,11 @@ def test_replay_builds_input_derivation_of_transitivity():
     n = 5
     t = trans_clause(0, 1, 2, n)
     g = encode_lit(3, 4, n)
-    clauses = [t | {g}, t | {-g}]
-    for store in (clauses, ClauseIndex(clauses)):
-        result = unit_propagate(store, {-l for l in t})
-        clause, chain = replay_conflict(store, result)
-        assert clause == t
-        assert len(chain) == 1
+    index = ClauseIndex([t | {g}, t | {-g}])
+    result = unit_propagate(index, {-l for l in t})
+    clause, chain = replay_conflict(index, result)
+    assert clause == t
+    assert len(chain) == 1
 
 
 @pytest.mark.parametrize(
@@ -61,18 +60,17 @@ def test_a_clause_with_a_repeated_literal_propagates_as_its_set(clauses, assignm
     assert want.implications  # each case forces a literal
     for got in (
         scan_unit_propagate(clauses, assignment),
-        unit_propagate(clauses, assignment),
         unit_propagate(ClauseIndex(clauses), assignment),
     ):
         assert (got.conflict is None) == (want.conflict is None)
         assert got.assignment == want.assignment
-    assert unit_propagate([(3, 3, 4)], {-4}).assignment == {3, -4}
-    assert unit_propagate([(3, 3, 4), (-3, 5), (-3, -5)], {-4}).conflict is not None
+    assert unit_propagate(ClauseIndex([(3, 3, 4)]), {-4}).assignment == {3, -4}
+    assert unit_propagate(ClauseIndex([(3, 3, 4), (-3, 5), (-3, -5)]), {-4}).conflict is not None
 
 
 def test_inconsistent_assignment_rejected():
     with pytest.raises(InconsistentAssignment):
-        unit_propagate([frozenset({1})], {2, -2})
+        unit_propagate(ClauseIndex([frozenset({1})]), {2, -2})
 
 
 def test_semantic_entailment_examples():
@@ -114,19 +112,19 @@ def test_unit_propagate_matches_scan_reference():
         clauses = _random_clauses(rng, nvars, rng.randrange(0, 3 * nvars))
         vs = rng.sample(range(1, nvars + 1), rng.randrange(0, nvars // 2 + 1))
         assignment = {v if rng.random() < 0.5 else -v for v in vs}
-        for store in (clauses, ClauseIndex(clauses)):
-            got = unit_propagate(store, assignment)
-            ref = scan_unit_propagate(clauses, assignment)
-            assert (got.conflict is None) == (ref.conflict is None), trial
-            if got.conflict is None:
-                assert got.assignment == ref.assignment, trial
-                continue
-            # the reported clause is falsified, and replaying its reasons
-            # refutes a part of the initial assignment
-            assert all(-lit in got.assignment for lit in clauses[got.conflict]), trial
-            learned, _ = replay_conflict(clauses, got)
-            assert all(-lit in assignment for lit in learned), trial
+        index = ClauseIndex(clauses)
+        got = unit_propagate(index, assignment)
+        ref = scan_unit_propagate(clauses, assignment)
+        assert (got.conflict is None) == (ref.conflict is None), trial
         conflicts += got.conflict is not None
+        if got.conflict is None:
+            assert got.assignment == ref.assignment, trial
+            continue
+        # the reported clause is falsified, and replaying its reasons
+        # refutes a part of the initial assignment
+        assert all(-lit in got.assignment for lit in clauses[got.conflict]), trial
+        learned, _ = replay_conflict(index, got)
+        assert all(-lit in assignment for lit in learned), trial
     assert 100 < conflicts < 500
 
 

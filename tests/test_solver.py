@@ -10,7 +10,7 @@ from ggtkit.checker import VALID, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
 from ggtkit.bpo import Bpo
 from ggtkit.literals import decode_lit, encode_lit, min_first, num_vars, pair_table, triangle_of
-from ggtkit.propagation import unit_propagate
+from ggtkit.propagation import ClauseIndex, unit_propagate
 from ggtkit.proofs import BudgetExceeded, TimeBudgetExceeded
 from ggtkit.solver import (
     DECISION,
@@ -97,8 +97,7 @@ class _GreedyAudit(Solver):
     while unit propagation of the current trail already conflicts."""
 
     def _pick_decision(self):
-        clauses = [frozenset(c) for c in self.clauses]
-        state = unit_propagate(clauses, {lit for lit, _ in self.trail})
+        state = unit_propagate(ClauseIndex(self.clauses), {lit for lit, _ in self.trail})
         assert state.conflict is None, "decision attempted with a pending conflict"
         return super()._pick_decision()
 
@@ -137,7 +136,7 @@ def test_closure_decision_provokes_then_flips():
     assert conf is not None  # the triangle conflicts through the guarded pair
     assert s._handle_conflict(conf)
     assert s.learned_tris == {(0, 1, 2)}  # T{0,1,2} was learned
-    assert s._as_set[s.n_original:] == [trans_clause(0, 1, 2, n)]
+    assert [frozenset(c) for c in s.clauses[s.n_original:]] == [trans_clause(0, 1, 2, n)]
     assert s.lv[encode_lit(0, 2, n)] is True  # the flip follows the closure
 
 
@@ -150,7 +149,7 @@ def test_learning_a_falsified_clause_breaks_the_contract():
     for a, b in ((0, 1), (1, 2), (2, 0)):
         s._assign(encode_lit(a, b, n), DECISION)
     with pytest.raises(SolverContractError, match="is falsified"):
-        s._learn(trans_clause(0, 1, 2, n), -1)
+        s._learn(trans_clause(0, 1, 2, n), (0, 1, 2), -1)
 
 
 def test_first_decision_is_base_derivation_root_pivot():
