@@ -10,7 +10,9 @@ reproduce the instance; comments after it carry no metadata:
 The seed is provenance only: a GGT instance's guards are read off its
 guarded clause copies, and the `guards` key is not read back.  A ggt
 file must then hold exactly the GGT(n) clauses under those guards (GT(n)'s
-for n < 4); the first line that holds another clause is named.
+for n < 4), and a gt file exactly GT(n)'s, both compared with
+`formulas.ggt_clauses`; the first line that holds another clause is
+named.  A gtpi file's clauses are not compared.
 
 Clause order is canonical (minimality clauses by vertex, then transitivity
 clauses by canonical triple) so identical parameters give byte-identical
@@ -142,14 +144,20 @@ def read_dimacs(text: str) -> FormulaInstance:
         # no guarded copy: the triangle is missing from the clauses the problem line opens
         line_no = problem_line if exc.index is None else clause_lines[exc.index]
         raise DimacsError(line_no, str(exc)) from None
-    if family == GGT:
-        if instance.guard_map is None and n >= 4:
-            raise DimacsError(problem_line, f"GGT({n}) has guarded clauses; the file has none")
-        want = set(ggt_clauses(n, instance.guard_map))
-        if seen != want:
+    if family != GT_PI:
+        if family == GGT:
+            if instance.guard_map is None and n >= 4:
+                raise DimacsError(problem_line, f"GGT({n}) has guarded clauses; the file has none")
+            name, where = f"GGT({n})", " under the guards read off the file"
+        else:
+            name, where = f"GT({n})", ""
+        want = ggt_clauses(n, instance.guard_map)  # GT(n)'s when there is no guard map
+        # neither side repeats a clause, so this is set equality
+        if len(seen) != len(want) or not seen.issuperset(want):
+            want = set(want)
             for clause, line_no in zip(clauses, clause_lines):
                 if clause not in want:
-                    raise DimacsError(line_no, f"not a clause of GGT({n}) under the guards read off the file")
+                    raise DimacsError(line_no, f"not a clause of {name}{where}")
             raise DimacsError(problem_line, f"the file lacks {len(want) - len(seen)} of the "
-                                            f"{len(want)} clauses of GGT({n})")
+                                            f"{len(want)} clauses of {name}")
     return instance

@@ -26,13 +26,16 @@ against the order's clause.  The pool construction (`lr_engine`) reads
 only the skeleton's structure: it derives each expanding stage's clauses
 itself, once, with the stage's guard literals in place.  The solver
 walks skeletons built straight from its trail's rows, without clauses.
+Both read what a transitivity axiom is off the skeleton: its min-first
+triangle (`Skeleton.tri`, derived on first use) and the case-(iv) test
+(`Skeleton.blocked`: is its guard variable resolved below it?).
 
 Facts that depend on n alone come from the per-n tables of `literals`:
 build_skeleton reads each pivot literal from `lit_table`, and
-`Skeleton.clauses` makes each transitivity axiom from three literals of
-it, so a GT derivation at n = 40 builds no 8 MB triangle table it would
-use once.  `trans_postorder` lists the transitivity axioms in one
-pre-order pass.
+`Skeleton.clauses` makes each transitivity axiom with `trans_clause`,
+which reads three literals of it, so a GT derivation at n = 40 builds no
+8 MB triangle table it would use once.  `trans_postorder` lists the
+transitivity axioms in one pre-order pass.
 
 build_pn and build_ppi build as the other producers do: under
 `proofs.collector_paused`, since a derivation makes no reference cycles
@@ -46,6 +49,7 @@ and the axioms are the instance's clauses), so that sort is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from ggtkit.bpo import Bpo, bpo_clause
@@ -55,11 +59,14 @@ from ggtkit.literals import (
     alpha_clause,
     bits,
     lit_table,
+    min_first,
+    trans_clause,
 )
 from ggtkit.proofs import (
     AXIOM,
     DAG,
     RESOLVE,
+    ConstructionError,
     Derivation,
     ProofNode,
     below_pivot_masks,
@@ -79,8 +86,7 @@ class Skeleton:
     axiom T[i, j, k], and ("beta", triple) with the triple rotated min-first.
     Every transitivity axiom is the premise of exactly one inference.
     Clauses are not stored; `clauses` derives them, making each
-    transitivity axiom from the three literals `literals.lit_table`
-    gives its triangle's pairs.
+    transitivity axiom with `literals.trans_clause`.
     """
 
     n: int
@@ -97,7 +103,6 @@ class Skeleton:
         their last consumer."""
         n = self.n
         premises = self.premises
-        lit = lit_table(n)
         last = [-1] * len(premises)  # the last inference using each node
         for nid, prem in enumerate(premises):
             for p in prem:
@@ -114,15 +119,25 @@ class Skeleton:
             elif kind[0] == "alpha":
                 clause = alpha_clause(kind[1], n)
             else:
-                i, j, k = kind[1]
-                clause = frozenset((-lit[i][j], -lit[j][k], -lit[k][i]))
+                clause = trans_clause(*kind[1], n)
             if last[nid] >= 0:
                 held[nid] = clause
             yield clause
 
-    def masks(self) -> list[int]:
-        """Per node, the variables resolved on some path toward the root."""
-        return below_pivot_masks(self.premises, self.pivot)
+    @cached_property
+    def tri(self) -> list[tuple[int, int, int] | None]:
+        """Per node, the min-first triangle of a transitivity axiom, else None
+        (a beta triple is already min-first); `build_pn`/`build_ppi` never ask."""
+        return [None if kind is None or kind[0] == "alpha"
+                else kind[1] if kind[0] == "beta" else min_first(*kind[1]) for kind in self.kind]
+
+    def blocked(self, guard_map) -> list[int]:
+        """The transitivity axioms, in node-id order, whose guard variable
+        (`guard_map[tri]`) is resolved on some path toward the root: the
+        paper's case (iv), where splicing a guarded copy breaks regularity."""
+        masks = below_pivot_masks(self.premises, self.pivot)
+        return [nid for nid, tri in enumerate(self.tri)
+                if tri is not None and masks[nid] >> abs(guard_map[tri]) & 1]
 
     def trans_postorder(self) -> list[int]:
         """Transitivity axiom node ids in depth-first postorder from the root.
@@ -229,7 +244,7 @@ def build_ppi_dag(n: int, pi: Bpo) -> Skeleton:
 def _check_root(root_clause: Clause, pi: Bpo) -> None:
     expected = bpo_clause(pi)
     if root_clause != expected:
-        raise AssertionError(
+        raise ConstructionError(
             f"derivation root {sorted(root_clause)} differs from the pi clause {sorted(expected)}"
         )
 

@@ -11,9 +11,10 @@ tables per n, built once from `encode_lit` and `trans_clause` alone.  The
 forward tables are their mirrors: `lit_table` gives each vertex pair's
 literal, and `trans_table` each min-first triangle's transitivity clause,
 the very frozensets `triangle_table` holds, so a hot loop reads a clause
-instead of building one.  Each table is built on first use for its n: a
-caller that never asks for a transitivity table (say `build_pn(40)`, whose
-tables would hold 8 MB) never pays for one.
+instead of building one.  `trans_clause`, the one constructor of a
+transitivity clause, reads its literals from `lit_table`.  Each table is
+built on first use for its n: a caller that never asks for a transitivity
+table (say `build_pn(40)`, whose tables would hold 8 MB) never pays for one.
 
 Text goes the other way through `LiteralTokens`, the one memo of literal
 tokens that both parsers, `dimacs` and `proof_io`, read clauses through.
@@ -113,11 +114,11 @@ def clause_key(clause: Iterable[int]) -> tuple[int, ...]:
 
 
 def trans_clause(i: int, j: int, k: int, n: int) -> Clause:
-    """The transitivity clause T[i,j,k] = -x[i,j] | -x[j,k] | -x[k,i]."""
-    c = make_clause((-encode_lit(i, j, n), -encode_lit(j, k, n), -encode_lit(k, i, n)))
-    if len(c) != 3:
-        raise PairError(f"degenerate transitivity triple ({i},{j},{k})")
-    return c
+    """The transitivity clause T[i,j,k] = -x[i,j] | -x[j,k] | -x[k,i], read from `lit_table`."""
+    if not (0 <= i < n and 0 <= j < n and 0 <= k < n) or i == j or j == k or k == i:
+        raise PairError(f"degenerate or out-of-range transitivity triple ({i},{j},{k}) for n={n}")
+    lit = lit_table(n)
+    return frozenset((-lit[i][j], -lit[j][k], -lit[k][i]))
 
 
 def alpha_clause(i: int, n: int) -> Clause:

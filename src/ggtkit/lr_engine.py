@@ -19,12 +19,15 @@ axiom that derivation needs is classified:
            each adjusted back to a bipartite-order clause by a chain of
            literal replacements.
 
-Classification reads each axiom's clause by its triangle from the per-n
-table `literals.trans_table`, which the instance's guard map has already
-built; replacement chains read their axioms from the same table.  Only a
-stage that expands derives its order derivation's clauses, each once, with
-guard literals riding down through resolution itself; its root must hold
-the leaf's clause and, beyond it, only the stage's guard literals.
+Classification reads each axiom's min-first triangle off the skeleton
+(`Skeleton.tri`) and its clause from the per-n table `literals.trans_table`,
+which the instance's guard map has already built; the case-(iv) test is
+`Skeleton.blocked`, which the solver shares.  A replacement chain names
+each step's triangle min-first once, as it lists the step, and reads its
+axioms from the same table.  Only a stage that expands derives its order
+derivation's clauses, each once, with guard literals riding down through
+resolution itself; its root must hold the leaf's clause and, beyond it,
+only the stage's guard literals.
 
 Both modes splice the derivation through one depth-first unfold, and a
 repeated clause becomes a lemma reference to an earlier node deriving it.
@@ -80,6 +83,7 @@ from ggtkit.proofs import (
     RESOLVE,
     TREE,
     BudgetExceeded,
+    ConstructionError,
     Derivation,
     ProofNode,
     RuleError,
@@ -91,10 +95,6 @@ from ggtkit.proofs import (
 
 POOL_MODE = "pool"
 INPUT_MODE = "input"
-
-
-class ConstructionError(RuntimeError):
-    """An internal invariant of the staged construction failed."""
 
 
 class NodeBudgetExceeded(BudgetExceeded):
@@ -227,14 +227,14 @@ class _Engine:
                 return node
         return None
 
-    def _classify(self, tclause: Clause, tri, ctx, below: int):
+    def _classify(self, tri, ctx, blocked: bool):
         """How the axiom T[tri] enters an expansion on a branch with literals `ctx`.
 
-        `tri` is min-first.  `below` is the mask of variables resolved below
-        the axiom.  Returns ("lem", node), ("guard", lit), ("derive", glit),
-        or None when the guard variable is resolved below the axiom.
+        `tri` is min-first, and `blocked` says whether the guard variable is
+        resolved below the axiom (`Skeleton.blocked`).  Returns ("lem", node),
+        ("guard", lit), ("derive", glit), or None for a blocked axiom.
         """
-        hit = self._available(tclause)
+        hit = self._available(self.trans[tri])
         if hit is not None:
             return ("lem", hit)
         glit = self.glits[tri]
@@ -243,21 +243,20 @@ class _Engine:
         for lit in (glit, -glit):
             if lit in ctx:
                 return ("guard", lit)
-        if below >> abs(glit) & 1:
+        if blocked:
             return None
         return ("derive", glit)
 
     def _axiom_tnode(self, clause, dec, stage_learned) -> TNode:
         """The node for an axiom classified `dec`; None is a minimality axiom.
 
-        An axiom derived earlier in the stage is referenced through
+        A guarded axiom's `clause` already holds its guard literal.  An
+        axiom derived earlier in the stage is referenced through
         `stage_learned`.
         """
-        if dec is None:
+        if dec is None or dec[0] == "guard":
             return self._mk(clause, AXIOM)
         what, arg = dec
-        if what == "guard":
-            return self._mk(clause | {arg}, AXIOM)
         if what == "lem":
             return self._lemma_ref(arg, clause)
         hit = stage_learned.get(clause)
@@ -300,14 +299,11 @@ class _Engine:
         rec = self.leaves.pop(self.walk[-1][0])
         self.stats.stages += 1
         skel = build_ppi_dag(self.n, rec.pi)
-        masks = skel.masks()
+        blocked = set(skel.blocked(self.glits))
         decisions: dict[int, tuple] = {}
         trigger = None
-        trans, kind = self.trans, skel.kind
         for nid in skel.trans_postorder():
-            tri = min_first(*kind[nid][1])
-            tclause = trans[tri]
-            dec = self._classify(tclause, tri, rec.cplus, masks[nid])
+            dec = self._classify(skel.tri[nid], rec.cplus, nid in blocked)
             if dec is None:
                 trigger = nid
                 break
@@ -317,7 +313,7 @@ class _Engine:
             leaf_paths: list[list[TNode]] = []
             case = "expand"
         else:
-            newroot, leaf_paths = self._case_branch(rec, skel.kind[trigger], tclause)
+            newroot, leaf_paths = self._case_branch(rec, skel, trigger)
             case = "branch"
         self._splice(rec, newroot)
         for path in leaf_paths:
@@ -396,7 +392,7 @@ class _Engine:
             if kind[0] == "alpha":
                 clauses.append(alpha_clause(kind[1], self.n))
                 continue
-            clause = self.trans[min_first(*kind[1])]
+            clause = self.trans[skel.tri[nid]]
             dec = decisions.get(nid)
             clauses.append(clause | {dec[1]} if dec is not None and dec[0] == "guard" else clause)
         before = self.node_count
@@ -438,27 +434,28 @@ class _Engine:
 
     # -- case (iv): branch and learn -----------------------------------------
 
-    def _case_branch(self, rec, trig_kind, tclause):
+    def _case_branch(self, rec, skel: Skeleton, trigger: int):
         """Learn the trigger axiom T and resolve it with two (gamma) or three
         (beta) replacement chains back to the leaf clause.
 
-        Returns the subproof root and, per chain, the path from its new
-        unfinished leaf up to that root: the chain, leaf first, and then
-        the joins from that chain on.
+        `trigger` is T's node in `skel`, and each chain step is listed with
+        its triangle min-first.  Returns the subproof root and, per chain,
+        the path from its new unfinished leaf up to that root: the chain,
+        leaf first, and then the joins from that chain on.
         """
         self.stats.case_iv += 1
         pi = rec.pi
         above = pi.rows
-        kind, (i, j, k) = trig_kind
+        kind, (i, j, k) = skel.kind[trigger]
         lit = lit_table(self.n)
         var = lambda a, b: abs(lit[a][b])
         # per chain: the pairs its leaf adds, its steps, and the pivot joining
         # it; both kinds close with the chain that puts j below i
-        swap = ([(j, i)], [((j, i, l), var(j, l)) for l in bits(above[i])
+        swap = ([(j, i)], [(min_first(j, i, l), var(j, l)) for l in bits(above[i])
                            if not above[j] >> l & 1], var(i, j))
         if kind == "gamma":
             self.stats.case_iv_gamma += 1
-            steps = [((i, j, l), var(i, l)) for l in bits(above[j])
+            steps = [(min_first(i, j, l), var(i, l)) for l in bits(above[j])
                      if l != k and not above[i] >> l & 1]
             plans = [([(i, j)], steps, var(i, k)), swap]
         else:
@@ -468,20 +465,21 @@ class _Engine:
                 if above[i] >> l & 1:
                     continue
                 partner = j if above[j] >> l & 1 else k
-                steps_a.append(((i, partner, l), var(i, l)))
+                steps_a.append((min_first(i, partner, l), var(i, l)))
             steps_b = []
             for l in bits(above[j]):
                 if not above[k] >> l & 1:
-                    steps_b.append(((k, j, l), var(k, l)))
+                    steps_b.append((min_first(k, j, l), var(k, l)))
                 if not above[i] >> l & 1:
-                    steps_b.append(((i, j, l), var(i, l)))
+                    steps_b.append((min_first(i, j, l), var(i, l)))
             plans = [([(i, j), (j, k), (i, k)], steps_a, var(i, k)),
                      ([(i, j), (k, j)], steps_b, var(j, k)), swap]
-        node = self._derive(tclause, self.glits[min_first(i, j, k)])
+        tri = skel.tri[trigger]
+        node = self._derive(self.trans[tri], self.glits[tri])
 
         bases = [self._plan_chain(above, pairs, steps) for pairs, steps, _ in plans]
         joined = []  # the clause after each chain is resolved in, guards ignored
-        cur = tclause
+        cur = self.trans[tri]
         for base, (_, _, piv) in zip(bases, plans):
             cur = resolve_on_var(RESOLVE, cur, base[-1], piv)
             joined.append(cur)
@@ -513,7 +511,7 @@ class _Engine:
         seq = [leaf]
         trans = self.trans
         for tri, piv in steps:
-            seq.append(resolve_on_var(RESOLVE, trans[min_first(*tri)], seq[-1], piv))
+            seq.append(resolve_on_var(RESOLVE, trans[tri], seq[-1], piv))
         return seq
 
     def _build_chain(self, rec, base_seq, steps, below_lits) -> list[TNode]:
@@ -527,9 +525,9 @@ class _Engine:
             ctx = set(rec.cplus) | below_lits
             for clause in base_seq[t:]:
                 ctx |= clause
-            tri = min_first(*tri)
+            dec = self._classify(tri, ctx, False)
             tclause = self.trans[tri]
-            tsub = self._axiom_tnode(tclause, self._classify(tclause, tri, ctx, 0), {})
+            tsub = self._axiom_tnode(tclause | {dec[1]} if dec[0] == "guard" else tclause, dec, {})
             chain.append(self._resolve(tsub, chain[-1], piv))
         return chain
 

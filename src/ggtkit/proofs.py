@@ -40,6 +40,10 @@ class ProofStructureError(ValueError):
         self.node = node
 
 
+class ConstructionError(RuntimeError):
+    """An internal invariant of a proof builder (`gtproofs`, `lr_engine`) failed."""
+
+
 class BudgetExceeded(RuntimeError):
     """A producer ran past a resource budget its caller set."""
 

@@ -17,9 +17,9 @@ premises and first-premise literals in compact arrays, and the axioms
 whose guard is resolved below them, which depends on the order alone.
 It is keyed by the order as `bpo.minimal_rows` gives it: the minimal
 mask and the bitmask rows of the minimal vertices.  The cache never
-evicts, so each miss is the first visit of an order; a miss reads each
-axiom's min-first triangle and guard variable from one per-instance
-table keyed by every rotation of a triangle.
+evicts, so each miss is the first visit of an order; a miss asks the
+skeleton which axioms are blocked (`Skeleton.blocked`, the case-(iv)
+test the pool construction runs) and reads their triangles off it.
 
 There are no restarts: the decision stack is only pushed, flipped, or
 popped.  Every flip carries the clause derived from the conflict that
@@ -50,8 +50,8 @@ Assignments are stored by literal, as in MiniSat (Een & Sorensson 2003):
 or None, and a negative literal indexes from the end, so `lv[lit]` and
 `lv[-lit]` are the two polarities of one variable.  Watch lists are
 indexed the same way.  `pair` is `literals.pair_table(n)`, and each
-triangle's guard is read from the per-instance table built from the
-instance's `guard_map`.  A triangle is learned once, and only on a
+triangle's guard is read from the instance's `guard_map`, keyed by
+min-first triangle.  A triangle is learned once, and only on a
 guarded instance: on any other, every transitivity clause is an input.
 The search allocates only acyclic objects (trail tuples, sets, trace
 nodes), so `Solver.solve` runs under `proofs.collector_paused`: the
@@ -147,15 +147,6 @@ class Solver:
         self.stats = SolveStats()
         self.learned_tris: set[tuple[int, int, int]] = set()
         self._pi_cache: dict[tuple, tuple] = {}  # order -> _walk_tools entry
-        # each rotation of a guarded triangle -> (the min-first triangle, its
-        # guard variable), read on walk-cache misses; None on an unguarded
-        # instance, which learns nothing
-        glits = f.guard_map
-        self._guard_of = None if glits is None else {
-            rot: (tri, abs(g))
-            for tri, g in glits.items()
-            for rot in (tri, tri[1:] + tri[:1], tri[2:] + tri[:2])
-        }
         self.deadline = deadline  # a time.monotonic() value
         self.max_conflicts = max_conflicts
         # the trace: nodes, decision markers by the node they precede, the
@@ -386,24 +377,18 @@ class Solver:
         `prem[2 * nid]` and `prem[2 * nid + 1]` are its premises, all in
         compact arrays.  `blockers` lists, in node-id order, each
         transitivity axiom whose guard variable is resolved below it, a
-        property of the order alone, as (min-first triangle, guard
-        variable, kind).
+        property of the order alone (`Skeleton.blocked`), as (min-first
+        triangle, guard variable, kind).
         """
         key = minimal_rows(self.n, self._succ)
         walk = self._pi_cache.get(key)
         if walk is None:
             skel = build_skeleton(self.n, *key)
-            blockers = []
-            guard_of = self._guard_of
-            if guard_of is not None:
-                masks = skel.masks()
-                for nid, kind in enumerate(skel.kind):
-                    if kind is not None and kind[0] != "alpha":
-                        tri, gvar = guard_of[kind[1]]
-                        if masks[nid] >> gvar & 1:
-                            blockers.append((tri, gvar, kind))
+            glits = self.f.guard_map
+            blockers = () if glits is None else tuple(
+                (skel.tri[nid], abs(glits[skel.tri[nid]]), skel.kind[nid]) for nid in skel.blocked(glits))
             prem = array("i", [p for pair in skel.premises for p in (pair or (0, 0))])
-            walk = (array("i", skel.lit0), prem, skel.root, tuple(blockers))
+            walk = (array("i", skel.lit0), prem, skel.root, blockers)
             self._pi_cache[key] = walk
         return walk
 

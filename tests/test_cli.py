@@ -233,6 +233,18 @@ def test_a_changed_minimality_clause_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "p").exists()
 
 
+def test_a_changed_gt_minimality_clause_is_a_usage_error(tmp_path, capsys):
+    # the same edit of GT(5): the file is no longer GT(5)
+    cnf = tmp_path / "f.cnf"
+    main(["gen", "--family", "gt", "--n", "5", "-o", str(cnf)])
+    cnf.write_text(cnf.read_text().replace("\n1 -5 -6 -7 0\n", "\n1 5 -6 -7 0\n", 1))
+    assert cnf.read_text().splitlines()[3] == "1 5 -6 -7 0"
+    for args in (["refute", "--mode", "pn", "-i", str(cnf), "-o", str(tmp_path / "p")],
+                 ["solve", "-i", str(cnf)]):
+        _usage_error(capsys, args, "line 4: not a clause of GT(5)")
+    assert not (tmp_path / "p").exists()
+
+
 def test_refute_ignores_metadata_after_the_problem_line(tmp_path, capsys):
     # a trailing seed=3 comment would otherwise swap in another guard map
     cnf = tmp_path / "f.cnf"

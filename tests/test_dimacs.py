@@ -195,6 +195,25 @@ def test_a_ggt_file_holds_exactly_the_ggt_clauses_of_its_guards(text, message):
     assert str(info.value) == message
 
 
+_GT5 = write_dimacs(gen_gt(5))
+
+
+@pytest.mark.parametrize("text, message", [
+    # vertex 1's minimality clause with a literal flipped
+    (_GT5.replace("\n1 -5 -6 -7 0\n", "\n1 5 -6 -7 0\n", 1), "line 4: not a clause of GT(5)"),
+    # vertex 1's minimality clause dropped: the problem line
+    (_GT5.replace("\n1 -5 -6 -7 0\n", "\n", 1).replace("p cnf 10 25", "p cnf 10 24", 1),
+     "line 2: the file lacks 1 of the 25 clauses of GT(5)"),
+    # GGT(5)'s clauses under a gt header: the first guarded copy
+    (write_dimacs(gen_ggt(5, 0)).replace("family=ggt", "family=gt", 1),
+     "line 8: not a clause of GT(5)"),
+])
+def test_a_gt_file_holds_exactly_the_gt_clauses(text, message):
+    with pytest.raises(DimacsError) as info:
+        read_dimacs(text)
+    assert str(info.value) == message
+
+
 _GTPI4 = write_dimacs(gen_gt_pi(4, Bpo.of(4, [(0, 3)])))
 
 

@@ -187,7 +187,7 @@ def test_forward_tables_are_shared_and_read_only():
 
 def test_gt_derivations_at_n40_build_no_triangle_table():
     # at n = 40 the tables would hold 8 MB; build_pn and build_ppi make
-    # their axioms with trans_clause instead
+    # their axioms with trans_clause, which reads lit_table alone
     misses = triangle_table.cache_info().misses
     build_pn(40)
     build_ppi(40, associated_bpo(40, oracles.spec_rows(40, [(0, 5), (3, 5), (7, 30), (30, 39)])))

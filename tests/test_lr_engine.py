@@ -20,7 +20,7 @@ from ggtkit.lr_engine import (
     build_pool_with_stats,
     build_regrti_with_stats,
 )
-from ggtkit.proofs import LEMMA, RESOLVE, TREE, resolve_on_var
+from ggtkit.proofs import LEMMA, RESOLVE, TREE, below_pivot_masks, resolve_on_var
 from tests import oracles
 from tests.postorder_reference import postorder
 
@@ -83,7 +83,7 @@ def _avoiding_guards(n: int) -> tuple[dict[tuple[int, int, int], int], int]:
 
     skel = build_ppi_dag(n, Bpo.empty(n))
     clauses = list(skel.clauses())
-    masks = skel.masks()
+    masks = below_pivot_masks(skel.premises, skel.pivot)
     cones = {}
     for nid in skel.trans_postorder():
         cones[clauses[nid]] = masks[nid]
@@ -208,9 +208,9 @@ def test_chain_plans_read_the_leaf_order(monkeypatch, mode):
     case_branch, plan_chain = _Engine._case_branch, _Engine._plan_chain
     leaf, plans = [], []
 
-    def branching(engine, rec, trig_kind, tclause):
+    def branching(engine, rec, skel, trigger):
         leaf[:] = [rec]
-        return case_branch(engine, rec, trig_kind, tclause)
+        return case_branch(engine, rec, skel, trigger)
 
     def planned(engine, rows, new_pairs, steps):
         n, rec = engine.n, leaf[0]
@@ -340,23 +340,25 @@ def test_guarded_clauses_key_the_stage_table(monkeypatch, build):
     assert len(stages) > 500 and derives > 500
 
 
-def _clashing_guard(classify):
-    """`_Engine._classify`, except that an axiom of an order derivation
+def _clashing_guard(unfold):
+    """`_Engine._unfold`, except that an axiom of an order derivation
     with a literal no inference below it resolves on is given that
     literal's negation as its guard literal: resolved into the axiom's
     consumer, the guard meets the literal."""
-    def clash(engine, tclause, tri, ctx, below):
-        free = [lit for lit in tclause if not below >> abs(lit) & 1]
-        if below and free:
-            return ("guard", -free[0])
-        return classify(engine, tclause, tri, ctx, below)
+    def clash(engine, skel, decisions):
+        masks = below_pivot_masks(skel.premises, skel.pivot)
+        for nid in decisions:
+            free = [lit for lit in engine.trans[skel.tri[nid]] if not masks[nid] >> abs(lit) & 1]
+            if free:
+                decisions[nid] = ("guard", -free[0])
+        return unfold(engine, skel, decisions)
 
     return clash
 
 
 @pytest.mark.parametrize("build", [build_pool_with_stats, build_regrti_with_stats])
 def test_a_guard_literal_meeting_its_negation_raises(monkeypatch, build):
-    monkeypatch.setattr(_Engine, "_classify", _clashing_guard(_Engine._classify))
+    monkeypatch.setattr(_Engine, "_unfold", _clashing_guard(_Engine._unfold))
     with pytest.raises(ConstructionError, match="guard literal meets its negation on the way down"):
         build(6, 0)
 
@@ -383,7 +385,7 @@ def _wrong_unfolded_root(unfold):
      ConstructionError),
     (partial(build_regrti_with_stats, 6, 0), _Engine, "_unfold", _wrong_unfolded_root,
      ConstructionError),
-    (partial(build_pn, 6), Skeleton, "clauses", _wrong_skeleton_root, AssertionError),
+    (partial(build_pn, 6), Skeleton, "clauses", _wrong_skeleton_root, ConstructionError),
 ], ids=["pool", "regrti", "pn"])
 def test_a_wrong_derivation_root_raises(monkeypatch, build, owner, attr, wrong, error):
     # the pool builds check the root each expanding stage unfolds, and

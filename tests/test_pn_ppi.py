@@ -2,8 +2,10 @@ import random
 
 from ggtkit.bpo import Bpo, bpo_clause
 from ggtkit.checker import REGULAR, VALID, check_proof
-from ggtkit.formulas import gen_gt, gen_gt_pi
-from ggtkit.gtproofs import build_pn, build_ppi
+from ggtkit.formulas import gen_gt, gen_gt_pi, guards
+from ggtkit.gtproofs import build_pn, build_ppi, build_ppi_dag
+from ggtkit.literals import min_first
+from ggtkit.proofs import below_pivot_masks
 from tests.oracles import allowed_pivot_vars, random_order, semantic_entails
 
 
@@ -80,3 +82,36 @@ def test_ppi_total_bpo():
     d = build_ppi(n, pi)
     assert d.root_clause == bpo_clause(pi)
     assert check_proof(d, gen_gt_pi(n, pi), (VALID, REGULAR)).ok
+
+
+def _seeded_skeletons():
+    """The skeletons of seeded orders at n = 4..13, each with a guard map
+    drawn for it."""
+    rng = random.Random(23)
+    for n in range(4, 14):
+        for _ in range(6):
+            pi = random_order(n, rng, rng.randrange(0, 2 * n))
+            yield build_ppi_dag(n, pi), guards(n, rng.randrange(1000))
+
+
+def test_each_transitivity_axiom_carries_its_min_first_triangle():
+    for skel, _ in _seeded_skeletons():
+        for nid, kind in enumerate(skel.kind):
+            if kind is None or kind[0] == "alpha":
+                assert skel.tri[nid] is None
+            else:
+                assert skel.tri[nid] == min_first(*kind[1])
+
+
+def test_blocked_axioms_have_their_guard_variable_resolved_below():
+    # the per-node test `Skeleton.blocked` replaces: the variables resolved
+    # on some path toward the root, plus the axiom's guard variable
+    blocked = 0
+    for skel, gmap in _seeded_skeletons():
+        masks = below_pivot_masks(skel.premises, skel.pivot)
+        want = [nid for nid, kind in enumerate(skel.kind)
+                if kind is not None and kind[0] != "alpha"
+                and masks[nid] >> abs(gmap[min_first(*kind[1])]) & 1]
+        assert skel.blocked(gmap) == want
+        blocked += len(want)
+    assert blocked > 100
