@@ -105,7 +105,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = read_dimacs(_read_text(args.input))
-    result = solve(inst, trace=args.trace is not None, tie_seed=args.tie_seed)
+    result = solve(inst, trace=args.trace is not None)
     st = result.stats
     print(result.status)
     print(
@@ -186,8 +186,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the clause-learning solver")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--trace", help="write a replayable trace to this file")
-    p.add_argument("--tie-seed", type=int, default=0,
-                   help="shuffle the decision tie-break order")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bench", help="sweep sizes and write a CSV report")

@@ -12,7 +12,9 @@ guarded clause copies, and the `guards` key is not read back.  A ggt
 file must then hold exactly the GGT(n) clauses under those guards (GT(n)'s
 for n < 4), and a gt file exactly GT(n)'s, both compared with
 `formulas.ggt_clauses`; the first line that holds another clause is
-named.  A gtpi file's clauses are not compared.
+named.  A gt or ggt file with fewer clauses than GT(n) is rejected at
+its problem line before any per-n table is built, so a header `n` the
+file cannot hold costs nothing.  A gtpi file's clauses are not compared.
 
 Clause order is canonical (minimality clauses by vertex, then transitivity
 clauses by canonical triple) so identical parameters give byte-identical
@@ -131,6 +133,15 @@ def read_dimacs(text: str) -> FormulaInstance:
     n = meta["n"]
     if num_vars(n) != nvars:
         raise DimacsError(problem_line, f"n={n} implies {num_vars(n)} vars, header says {nvars}")
+    if family != GT_PI:
+        name = f"GGT({n})" if family == GGT else f"GT({n})"
+        triangles = n * (n - 1) * (n - 2) // 3  # both orientations of each triple
+        full = n + (2 * triangles if family == GGT and n >= 4 else triangles)
+        lacks = f"the file lacks {full - len(clauses)} of the {full} clauses of {name}"
+        # GT(n) is the smallest gt/ggt clause set for its n; a file with fewer
+        # clauses is rejected before any table for n is built from it
+        if len(clauses) < n + triangles:
+            raise DimacsError(problem_line, lacks)
     pi = None
     if family == GT_PI:
         try:
@@ -148,9 +159,9 @@ def read_dimacs(text: str) -> FormulaInstance:
         if family == GGT:
             if instance.guard_map is None and n >= 4:
                 raise DimacsError(problem_line, f"GGT({n}) has guarded clauses; the file has none")
-            name, where = f"GGT({n})", " under the guards read off the file"
+            where = " under the guards read off the file"
         else:
-            name, where = f"GT({n})", ""
+            where = ""
         want = ggt_clauses(n, instance.guard_map)  # GT(n)'s when there is no guard map
         # neither side repeats a clause, so this is set equality
         if len(seen) != len(want) or not seen.issuperset(want):
@@ -158,6 +169,5 @@ def read_dimacs(text: str) -> FormulaInstance:
             for clause, line_no in zip(clauses, clause_lines):
                 if clause not in want:
                     raise DimacsError(line_no, f"not a clause of {name}{where}")
-            raise DimacsError(problem_line, f"the file lacks {len(want) - len(seen)} of the "
-                                            f"{len(want)} clauses of {name}")
+            raise DimacsError(problem_line, lacks)  # want holds `full` clauses
     return instance

@@ -23,7 +23,7 @@ tokens that both parsers, `dimacs` and `proof_io`, read clauses through.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, permutations
+from itertools import permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -152,8 +152,10 @@ def cyclic_classes(n: int) -> list[tuple[int, int, int]]:
 
     Each unordered triple {i,j,k} yields two classes (the two orientations
     of the triangle); the representative rotates the smallest vertex first.
+    The classes are the triples (i, x, y) with i < x, i < y and x != y,
+    generated here in sorted order.
     """
-    return sorted(t for i, j, k in combinations(range(n), 3) for t in ((i, j, k), (i, k, j)))
+    return [(i, x, y) for i in range(n) for x in range(i + 1, n) for y in range(i + 1, n) if x != y]
 
 
 @cache

@@ -6,15 +6,17 @@ conflict resolves to (when it does) and backtrack by flipping the last
 relevant decision; (2) if the transitive closure of the order decided so
 far assigns a variable the trail has not, decide it with the polarity
 that contradicts the closure, so the conflict/learn/flip sequence records
-the closure pair; (3) otherwise walk the order derivation for the current
-bipartite partial order, deciding its pivots root-first along falsified
-premises; the walk is the gtproofs skeleton that the pool construction
-splices, built without clauses; (4) if a transitivity axiom of that
-derivation is blocked (its guard is resolved deeper in the derivation),
-branch on the axiom's triangle directly, which learns it.  Each order's
-walk is cached, keeping only what steps (3) and (4) read: the
-premises and first-premise literals in compact arrays, and the axioms
-whose guard is resolved below them, which depends on the order alone.
+the closure pair (vertices are scanned in index order, and a pair is
+assigned when either of its bits is set in the trail's bitmask rows);
+(3) otherwise walk the order derivation for the current bipartite
+partial order, deciding its pivots root-first along falsified premises;
+the walk is the gtproofs skeleton that the pool construction splices,
+built without clauses; (4) if a transitivity axiom of that derivation is
+blocked (its guard is resolved deeper in the derivation), branch on the
+axiom's triangle directly, which learns it.  Each order's walk is cached,
+keeping only what steps (3) and (4) read: the premises and first-premise
+literals in compact arrays, and the axioms whose guard is resolved below
+them, which depends on the order alone.
 It is keyed by the order as `bpo.minimal_rows` gives it: the minimal
 mask and the bitmask rows of the minimal vertices.  The cache never
 evicts, so each miss is the first visit of an order; a miss asks the
@@ -62,7 +64,6 @@ the search returns or raises.
 
 from __future__ import annotations
 
-import random
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -123,25 +124,21 @@ class SolveResult:
 
 
 class Solver:
-    def __init__(self, f: FormulaInstance, trace: bool = False, tie_seed: int = 0,
+    def __init__(self, f: FormulaInstance, trace: bool = False,
                  deadline: float | None = None, max_conflicts: int | None = None):
         if f.family not in (GT, GGT):
             raise UnsupportedFamilyError(f"solver handles gt/ggt instances, not {f.family!r}")
         self.f = f
         self.n = f.n
-        # tie break for the closure scan: which vertex is examined first
-        self._vertex_order = list(range(f.n))
-        if tie_seed:
-            random.Random(tie_seed).shuffle(self._vertex_order)
         self.clauses: list[list[int]] = [list(clause_key(c)) for c in f.clauses]
         self.n_original = len(self.clauses)
         size = 2 * f.nvars + 1  # literal-indexed lists; lit < 0 counts from the end
         self.watches: list[list[int]] = [[] for _ in range(size)]
         self.lv: list[bool | None] = [None] * size
         self.pair = pair_table(f.n)  # lit -> decode_lit(lit)
-        # vertex adjacency bitmasks for the order the trail currently asserts
+        # the order the trail asserts, as bitmask rows: bit j of _succ[i] is set
+        # when x[i,j] is true, so {i, j} is assigned when that bit or bit i of _succ[j] is
         self._succ = [0] * f.n
-        self._adj = [0] * f.n  # assigned pair variables, per endpoint
         self.trail: list[tuple[int, object]] = []  # (true literal, reason)
         self.qhead = 0
         self.stats = SolveStats()
@@ -168,16 +165,12 @@ class Solver:
         self.trail.append((lit, reason))
         i, j = self.pair[lit]
         self._succ[i] |= 1 << j
-        self._adj[i] |= 1 << j
-        self._adj[j] |= 1 << i
 
     def _unassign(self, lit: int) -> None:
         lv = self.lv
         lv[lit] = lv[-lit] = None
         i, j = self.pair[lit]
         self._succ[i] &= ~(1 << j)
-        self._adj[i] &= ~(1 << j)
-        self._adj[j] &= ~(1 << i)
 
     def _attach(self, cidx: int):
         """Install watches for a clause; returns the index if it is falsified.
@@ -347,9 +340,10 @@ class Solver:
     # -- decision cascade -------------------------------------------------------
 
     def _closure_decision(self) -> int | None:
+        """The literal x[c,a] for an unassigned pair a -> c that a -> b -> c
+        implies, at the lowest a and then the lowest c; None if there is none."""
         succ = self._succ
-        for a in self._vertex_order:
-            row = succ[a]
+        for a, row in enumerate(succ):
             if not row:
                 continue
             two_step = 0
@@ -358,10 +352,12 @@ class Solver:
                 b = (m & -m).bit_length() - 1
                 m &= m - 1
                 two_step |= succ[b]
-            cand = two_step & ~self._adj[a] & ~(1 << a)
-            if cand:
+            cand = two_step & ~row & ~(1 << a)
+            while cand:
                 c = (cand & -cand).bit_length() - 1
-                return encode_lit(c, a, self.n)  # contradict the closure first
+                if not succ[c] >> a & 1:
+                    return encode_lit(c, a, self.n)  # contradict the closure first
+                cand &= cand - 1
         return None
 
     def _walk_tools(self) -> tuple:
@@ -480,7 +476,7 @@ class Solver:
         )
 
 
-def solve(f: FormulaInstance, trace: bool = False, tie_seed: int = 0,
+def solve(f: FormulaInstance, trace: bool = False,
           deadline: float | None = None, max_conflicts: int | None = None) -> SolveResult:
     """Refute a GT/GGT instance; returns UNSAT with statistics (and a trace).
 
@@ -489,5 +485,4 @@ def solve(f: FormulaInstance, trace: bool = False, tie_seed: int = 0,
     `time.monotonic()` value) raises TimeBudgetExceeded.  Both are
     `BudgetExceeded`, checked at each conflict boundary.
     """
-    return Solver(f, trace=trace, tie_seed=tie_seed, deadline=deadline,
-                  max_conflicts=max_conflicts).solve()
+    return Solver(f, trace=trace, deadline=deadline, max_conflicts=max_conflicts).solve()

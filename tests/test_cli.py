@@ -100,6 +100,13 @@ def test_solve_gt(tmp_path, capsys):
     assert "UNSAT" in capsys.readouterr().out
 
 
+def test_solve_rejects_a_header_n_the_file_cannot_hold(tmp_path, capsys, no_tables_for_n):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("c family=gt n=3000\np cnf 4498500 1\n1 2 0\n")
+    _usage_error(capsys, ["solve", "-i", str(cnf)],
+                 "line 2: the file lacks 8991004999 of the 8991005000 clauses of GT(3000)")
+
+
 def test_gtpi_gen(tmp_path):
     cnf = tmp_path / "f.cnf"
     assert main(["gen", "--family", "gtpi", "--n", "5", "--pi", "0:3,1:4", "-o", str(cnf)]) == 0

@@ -237,3 +237,18 @@ def test_whole_file_errors_name_the_line_of_their_cause(text, message):
     with pytest.raises(DimacsError) as info:
         read_dimacs(text)
     assert str(info.value) == message
+
+
+# GT(3000) would hold about 9e9 clauses, far more than these files
+_GT3000 = "c family=gt n=3000\np cnf 4498500 1\n1 2 0\n"
+_GGT3000 = "c family=ggt n=3000 seed=0\np cnf 4498500 2\n1 2 3 0\n-1 2 3 0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_GT3000, "line 2: the file lacks 8991004999 of the 8991005000 clauses of GT(3000)"),
+    (_GGT3000, "line 2: the file lacks 17982006998 of the 17982007000 clauses of GGT(3000)"),
+], ids=["gt", "ggt"])
+def test_a_file_too_small_for_its_n_builds_no_table_for_it(text, message, no_tables_for_n):
+    with pytest.raises(DimacsError) as info:
+        read_dimacs(text)
+    assert str(info.value) == message

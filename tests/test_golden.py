@@ -17,7 +17,7 @@ from ggtkit.bench import ARTIFACTS, bench_run, to_csv
 from ggtkit.bpo import Bpo
 from ggtkit.cli import main
 from ggtkit.dimacs import write_dimacs
-from ggtkit.formulas import gen_ggt, gen_gt_pi
+from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
 from ggtkit.gtproofs import build_pn, build_ppi
 from ggtkit.literals import clause_key
 from ggtkit.lr_engine import build_pool_with_stats, build_regrti_with_stats
@@ -30,6 +30,8 @@ LR_SIZES = range(4, 10)
 LR_LARGE_SIZES = range(10, 14)  # up to the benchmark's GGT(13), seed 0 only
 SOLVE_SIZES = range(4, 11)
 SOLVE_LARGE_SIZES = (11, 12)
+SOLVE_GT_SIZES = range(2, 13)
+SOLVE_UNGUARDED_GGT_SIZES = (2, 3)
 LEARNED_SIZES = range(4, 13)
 SEEDS = range(3)
 
@@ -79,8 +81,8 @@ def learned_digest(n: int, seed: int) -> int:
     return _crc("\n".join(" ".join(map(str, clause_key(c))) for c in learned))
 
 
-def solve_digest(n: int, seed: int) -> int:
-    result = solve(gen_ggt(n, seed), trace=True)
+def solve_digest(f) -> int:
+    result = solve(f, trace=True)
     text = serialize_proof(result.trace, result.decision_markers)
     return _crc(text + result.status + repr(dataclasses.astuple(result.stats)))
 
@@ -128,6 +130,17 @@ SOLVE = {
 SOLVE_LARGE = {
     (11, 0): 2792695501, (11, 1): 1785615566, (11, 2): 2112060917,
     (12, 0): 784605312, (12, 1): 729852753, (12, 2): 2070853552,
+}
+# GT(n), which has no seed, and GGT(2..3), seeds 0-2: unguarded instances,
+# searched with no blockers and no learning
+SOLVE_GT = {
+    2: 1421443617, 3: 1677073633, 4: 2028832283, 5: 4254096468,
+    6: 1850187094, 7: 850965518, 8: 2960069467, 9: 1104532485,
+    10: 4203152044, 11: 3134531112, 12: 3111201158,
+}
+SOLVE_UNGUARDED_GGT = {
+    (2, 0): 1505057851, (2, 1): 3598741934, (2, 2): 2628649296,
+    (3, 0): 218393021, (3, 1): 1672544047, (3, 2): 3496821913,
 }
 # the learned clauses of the untraced solver, in learn order
 LEARNED = {
@@ -202,13 +215,19 @@ def test_pool_and_regrti_bytes_larger_sizes():
 
 
 def test_solver_trace_markers_and_stats():
-    got = {(n, s): solve_digest(n, s) for n in SOLVE_SIZES for s in SEEDS}
+    got = {(n, s): solve_digest(gen_ggt(n, s)) for n in SOLVE_SIZES for s in SEEDS}
     assert got == SOLVE
 
 
 def test_solver_trace_larger_sizes():
-    got = {(n, s): solve_digest(n, s) for n in SOLVE_LARGE_SIZES for s in SEEDS}
+    got = {(n, s): solve_digest(gen_ggt(n, s)) for n in SOLVE_LARGE_SIZES for s in SEEDS}
     assert got == SOLVE_LARGE
+
+
+def test_solver_trace_unguarded_instances():
+    assert {n: solve_digest(gen_gt(n)) for n in SOLVE_GT_SIZES} == SOLVE_GT
+    got = {(n, s): solve_digest(gen_ggt(n, s)) for n in SOLVE_UNGUARDED_GGT_SIZES for s in SEEDS}
+    assert got == SOLVE_UNGUARDED_GGT
 
 
 def test_solver_learned_clauses():

@@ -51,14 +51,6 @@ def test_learned_clauses_are_transitivity_patterns():
         assert result.stats.conflicts > result.stats.learned
 
 
-def test_tie_seed_changes_search_not_verdict():
-    f = gen_ggt(6, 0)
-    base = solve(f)
-    shuffled = solve(f, tie_seed=5)
-    assert base.status == shuffled.status == "UNSAT"
-    assert solve(f, tie_seed=5).stats == shuffled.stats  # still deterministic
-
-
 def test_no_restarts_and_no_skipped_decisions_on_family():
     for n in (4, 6, 8):
         for seed in (0, 1):
@@ -114,6 +106,51 @@ def test_determinism():
     b = solve(gen_ggt(7, 2))
     assert a.stats == b.stats
     assert a.learned_clauses == b.learned_clauses
+
+
+class _ClosureAgainstPairMasks(Solver):
+    """A solver that recomputes each closure decision with the rule the scan
+    replaced: per-endpoint masks of the pairs on the trail, and the lowest
+    candidate c of the lowest vertex a."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.checked = self.decided = 0
+
+    def _closure_decision(self):
+        got = super()._closure_decision()
+        n = self.n
+        succ, assigned = [0] * n, [0] * n
+        for lit, _ in self.trail:
+            i, j = decode_lit(lit, n)
+            succ[i] |= 1 << j
+            assigned[i] |= 1 << j
+            assigned[j] |= 1 << i
+        want = None
+        for a in range(n):
+            two_step = 0
+            for b in range(n):
+                if succ[a] >> b & 1:
+                    two_step |= succ[b]
+            cand = two_step & ~assigned[a] & ~(1 << a)
+            if cand:
+                want = encode_lit((cand & -cand).bit_length() - 1, a, n)
+                break
+        assert got == want, (self.f.family, n, self.f.seed, len(self.trail))
+        self.checked += 1
+        self.decided += want is not None
+        return got
+
+
+def test_closure_scan_picks_what_the_pair_masks_picked():
+    checked = decided = 0
+    for n in range(4, 11):
+        for f in [gen_gt(n)] + [gen_ggt(n, seed) for seed in range(3)]:
+            s = _ClosureAgainstPairMasks(f)
+            assert s.solve().status == "UNSAT"
+            checked += s.checked
+            decided += s.decided
+    assert decided > 0 and checked > decided
 
 
 def test_closure_decision_provokes_then_flips():
