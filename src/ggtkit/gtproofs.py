@@ -25,9 +25,10 @@ no list of all the clauses is kept beside the proof, and check the root
 against the order's clause.  The pool construction (`lr_engine`) reads
 only the skeleton's structure: it derives each expanding stage's clauses
 itself, once, with the stage's guard literals in place.  The solver
-walks skeletons built straight from its trail's rows, without clauses.
-Both read what a transitivity axiom is off the skeleton: its min-first
-triangle (`Skeleton.tri`, derived on first use) and the case-(iv) test
+builds skeletons straight from its trail's rows, without clauses, to
+find the blocked axioms of a guarded instance.  Both read what a
+transitivity axiom is off the skeleton: its min-first triangle
+(`Skeleton.tri`, derived on first use) and the case-(iv) test
 (`Skeleton.blocked`: is its guard variable resolved below it?).
 
 Facts that depend on n alone come from the per-n tables of `literals`:
@@ -80,8 +81,7 @@ class Skeleton:
     """The derivation of one bipartite order, as arrays indexed by node id.
 
     Per node: its premises (empty for an axiom, otherwise two smaller ids),
-    its pivot variable and the pivot literal as it occurs in the first
-    premise (both 0 for an axiom), and the axiom kind, None for an
+    its pivot variable (0 for an axiom), and the axiom kind, None for an
     inference.  Kinds are ("alpha", i), ("gamma", (i, j, k)) for the mixed
     axiom T[i, j, k], and ("beta", triple) with the triple rotated min-first.
     Every transitivity axiom is the premise of exactly one inference.
@@ -92,7 +92,6 @@ class Skeleton:
     n: int
     premises: list[tuple[int, ...]]
     pivot: list[int]
-    lit0: list[int]
     kind: list[tuple | None]
     root: int
 
@@ -173,14 +172,12 @@ def build_skeleton(n: int, minimal: int, above) -> Skeleton:
     lit = lit_table(n)
     premises: list[tuple[int, ...]] = []
     pivot: list[int] = []
-    lit0: list[int] = []
     kinds: list[tuple | None] = []
 
     def resolve(a: int, b: int, lit: int) -> int:
         """Resolve premise a, which holds literal lit, against premise b."""
         premises.append((a, b))
         pivot.append(abs(lit))
-        lit0.append(lit)
         kinds.append(None)
         return len(kinds) - 1
 
@@ -189,7 +186,6 @@ def build_skeleton(n: int, minimal: int, above) -> Skeleton:
         a = len(kinds)
         premises.extend(((), (a, node)))
         pivot.extend((0, abs(lit)))
-        lit0.extend((0, lit))
         kinds.extend((kind, None))
         return a + 1
 
@@ -205,7 +201,6 @@ def build_skeleton(n: int, minimal: int, above) -> Skeleton:
         node = len(kinds)
         premises.append(())
         pivot.append(0)
-        lit0.append(0)
         kinds.append(("alpha", i))
         for k in range(n):
             if (minimal | above[i]) >> k & 1:
@@ -229,7 +224,7 @@ def build_skeleton(n: int, minimal: int, above) -> Skeleton:
                 beta = (vt, top, vi) if vt < vi else (vi, vt, top)
                 node = against(("beta", beta), node, -lit[vt][top])
             cur[i] = resolve(node, cur[i], lit[vi][top])
-    return Skeleton(n, premises, pivot, lit0, kinds, cur[0])
+    return Skeleton(n, premises, pivot, kinds, cur[0])
 
 
 def build_ppi_dag(n: int, pi: Bpo) -> Skeleton:

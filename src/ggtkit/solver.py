@@ -8,20 +8,21 @@ far assigns a variable the trail has not, decide it with the polarity
 that contradicts the closure, so the conflict/learn/flip sequence records
 the closure pair (vertices are scanned in index order, and a pair is
 assigned when either of its bits is set in the trail's bitmask rows);
-(3) otherwise walk the order derivation for the current bipartite
-partial order, deciding its pivots root-first along falsified premises;
-the walk is the gtproofs skeleton that the pool construction splices,
-built without clauses; (4) if a transitivity axiom of that derivation is
-blocked (its guard is resolved deeper in the derivation), branch on the
-axiom's triangle directly, which learns it.  Each order's walk is cached,
-keeping only what steps (3) and (4) read: the premises and first-premise
-literals in compact arrays, and the axioms whose guard is resolved below
-them, which depends on the order alone.
-It is keyed by the order as `bpo.minimal_rows` gives it: the minimal
-mask and the bitmask rows of the minimal vertices.  The cache never
-evicts, so each miss is the first visit of an order; a miss asks the
-skeleton which axioms are blocked (`Skeleton.blocked`, the case-(iv)
-test the pool construction runs) and reads their triangles off it.
+(3) otherwise, if a transitivity axiom of the order derivation for the
+current bipartite partial order (the gtproofs skeleton that the pool
+construction splices) is blocked (its guard is resolved deeper in the
+derivation), branch on the axiom's triangle directly, which learns it;
+(4) otherwise decide x[m1,m0] for the two lowest minimal vertices
+m0 < m1, the negation of the derivation root's pivot as its first
+premise holds it.  A vertex is minimal only if no assigned pair points
+into it, so that pair is never assigned.
+On a guarded instance, each order's blocked axioms are cached, keyed by
+the order as `bpo.minimal_rows` gives it: the minimal mask and the
+bitmask rows of the minimal vertices.  The cache never evicts, so each
+miss is the first visit of an order; a miss builds the order's skeleton,
+asks it which axioms are blocked (`Skeleton.blocked`, the case-(iv) test
+the pool construction runs) and reads their triangles off it.  On an
+unguarded instance no axiom is blocked and no skeleton is built.
 
 There are no restarts: the decision stack is only pushed, flipped, or
 popped.  Every flip carries the clause derived from the conflict that
@@ -65,7 +66,6 @@ the search returns or raises.
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass, field
 
 from ggtkit.bpo import minimal_rows
@@ -143,7 +143,7 @@ class Solver:
         self.qhead = 0
         self.stats = SolveStats()
         self.learned_tris: set[tuple[int, int, int]] = set()
-        self._pi_cache: dict[tuple, tuple] = {}  # order -> _walk_tools entry
+        self._pi_cache: dict[tuple, tuple] = {}  # order -> _blockers entry
         self.deadline = deadline  # a time.monotonic() value
         self.max_conflicts = max_conflicts
         # the trace: nodes, decision markers by the node they precede, the
@@ -360,33 +360,27 @@ class Solver:
                 cand &= cand - 1
         return None
 
-    def _walk_tools(self) -> tuple:
-        """The decision walk for the trail's bipartite order, and its blockers.
+    def _blockers(self, key: tuple) -> tuple:
+        """The blocked transitivity axioms of the order `key`, cached.
 
-        Once the closure step is exhausted, the assigned pairs are closed
-        under composition, so `bpo.minimal_rows` reads the bipartite order,
-        its minimal mask and their rows, off the trail's rows with no
-        closure of its own.  Its skeleton is built and cached, keeping only
-        what `_pick_decision` reads:
-        `(lit0, prem, root, blockers)`.  `lit0[nid]` is the pivot literal
-        as it occurs in node nid's first premise, 0 at an axiom, and
-        `prem[2 * nid]` and `prem[2 * nid + 1]` are its premises, all in
-        compact arrays.  `blockers` lists, in node-id order, each
-        transitivity axiom whose guard variable is resolved below it, a
+        `key` is the trail's bipartite order as `bpo.minimal_rows` reads
+        it: once the closure step is exhausted, the assigned pairs are
+        closed under composition, so it needs no closure of its own.  The
+        entry lists, in node-id order, each transitivity axiom of the
+        order's skeleton whose guard variable is resolved below it, a
         property of the order alone (`Skeleton.blocked`), as (min-first
-        triangle, guard variable, kind).
+        triangle, guard variable, kind).  An unguarded instance has none.
         """
-        key = minimal_rows(self.n, self._succ)
-        walk = self._pi_cache.get(key)
-        if walk is None:
+        glits = self.f.guard_map
+        if glits is None:
+            return ()
+        blockers = self._pi_cache.get(key)
+        if blockers is None:
             skel = build_skeleton(self.n, *key)
-            glits = self.f.guard_map
-            blockers = () if glits is None else tuple(
-                (skel.tri[nid], abs(glits[skel.tri[nid]]), skel.kind[nid]) for nid in skel.blocked(glits))
-            prem = array("i", [p for pair in skel.premises for p in (pair or (0, 0))])
-            walk = (array("i", skel.lit0), prem, skel.root, blockers)
-            self._pi_cache[key] = walk
-        return walk
+            blockers = tuple((skel.tri[nid], abs(glits[skel.tri[nid]]), skel.kind[nid])
+                             for nid in skel.blocked(glits))
+            self._pi_cache[key] = blockers
+        return blockers
 
     def _blocking_axiom(self, blockers) -> tuple | None:
         """The first of `blockers` whose guard is unassigned and whose
@@ -402,8 +396,8 @@ class Solver:
         lit = self._closure_decision()
         if lit is not None:
             return lit
-        lit0, prem, nid, blockers = self._walk_tools()
-        blocker = self._blocking_axiom(blockers)
+        key = minimal_rows(self.n, self._succ)
+        blocker = self._blocking_axiom(self._blockers(key))
         if blocker is not None:
             _, (i, j, k) = blocker
             for a, b in ((i, j), (j, k), (k, i)):
@@ -411,16 +405,14 @@ class Solver:
                 if self.lv[lit] is None:
                     return lit  # falsify the axiom's literal
             raise SolverContractError("blocking axiom fully assigned without conflict")
-        # walk the order derivation from the root along falsified premises
-        lv = self.lv
-        l0 = lit0[nid]
-        while l0:
-            v = lv[l0]
-            if v is None:
-                return -l0  # explore the first premise first
-            nid = prem[2 * nid + v]
-            l0 = lit0[nid]
-        raise SolverContractError("decision walk reached a falsified axiom")
+        # the root's pivot x[m0,m1], decided false
+        minimal = key[0]
+        rest = minimal & (minimal - 1)  # the minimal vertices but m0
+        if not rest:
+            raise SolverContractError("fewer than two minimal vertices and no conflict")
+        m0 = (minimal ^ rest).bit_length() - 1
+        m1 = (rest & -rest).bit_length() - 1
+        return encode_lit(m1, m0, self.n)
 
     # -- main loop -----------------------------------------------------------------
 

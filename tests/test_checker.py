@@ -236,6 +236,17 @@ def test_lemma_targets_compare_postorder_places_not_ids():
     assert [(v.profile, v.node) for v in report.violations] == [(POOL, 1)]
 
 
+def test_nonempty_root_clause_fails_pool():
+    # a valid, regular tree deriving {2}: a derivation, not a refutation
+    f = FormulaInstance(family="gt", n=3, clauses=(frozenset({1, 2}), frozenset({-1})))
+    nodes = (ProofNode(0, AXIOM, (1, 2)), ProofNode(1, AXIOM, (-1,)),
+             ProofNode(2, RESOLVE, (2,), (0, 1), 1))
+    d = Derivation(nodes, root=2, shape=TREE, family="gt", n=3)
+    assert check_proof(d, f, (VALID, POOL)).lines() == [
+        "valid: PASS", "regular: PASS", "pool: FAIL (1)", "[pool] node 2: root clause is not empty",
+    ]
+
+
 def test_unused_node_fails_pool():
     # the GT2 refutation after an axiom that no inference uses
     _, f = tiny_refutation()

@@ -154,6 +154,51 @@ def test_refute_mode_mismatch(tmp_path):
     assert main(["refute", "--mode", "pool", "-i", str(cnf), "-o", str(tmp_path / "p")]) == 2
 
 
+def test_refute_pn_rejects_a_ggt_file(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    prf = tmp_path / "p.prf"
+    main(["gen", "--family", "ggt", "--n", "5", "--seed", "0", "-o", str(cnf)])
+    capsys.readouterr()
+    assert main(["refute", "--mode", "pn", "-i", str(cnf), "-o", str(prf)]) == 2
+    assert capsys.readouterr() == ("", "mode pn needs a gt instance, got ggt\n")
+    assert not prf.exists()
+
+
+def test_check_rejects_an_unknown_profile(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    prf = tmp_path / "p.prf"
+    main(["gen", "--family", "gt", "--n", "4", "-o", str(cnf)])
+    main(["refute", "--mode", "pn", "-i", str(cnf), "-o", str(prf)])
+    capsys.readouterr()
+    assert main(["check", "-f", str(cnf), "-p", str(prf), "--profiles", "valid,bogus"]) == 2
+    assert capsys.readouterr() == (
+        "", f"unknown profile 'bogus'; choose from {','.join(ALL_PROFILES)}\n")
+
+
+def test_bench_rejects_an_unknown_artifact(tmp_path, capsys):
+    out = tmp_path / "h.csv"
+    capsys.readouterr()
+    assert main(["bench", "--artifacts", "pool,bogus", "--n-min", "4", "--n-max", "4",
+                 "--no-wall", "-o", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"unknown artifact 'bogus'; choose from {','.join(ARTIFACTS)}\n")
+    assert not out.exists()
+
+
+def test_a_blank_line_after_the_problem_line_is_skipped(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    main(["gen", "--family", "gt", "--n", "5", "-o", str(cnf)])
+    capsys.readouterr()
+    assert main(["solve", "-i", str(cnf)]) == 0
+    plain = capsys.readouterr()
+    lines = cnf.read_text().splitlines(keepends=True)
+    at = next(idx for idx, line in enumerate(lines) if line.startswith("p cnf"))
+    lines[at + 1:at + 1] = ["\n", "   \n"]
+    cnf.write_text("".join(lines))
+    assert main(["solve", "-i", str(cnf)]) == 0
+    assert capsys.readouterr() == plain
+
+
 def _gen_ggt(directory, n, seed, edit=lambda text: text):
     """A generated GGT(n) file in a new directory, its text edited."""
     directory.mkdir()

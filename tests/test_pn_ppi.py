@@ -4,7 +4,7 @@ from ggtkit.bpo import Bpo, bpo_clause
 from ggtkit.checker import REGULAR, VALID, check_proof
 from ggtkit.formulas import gen_gt, gen_gt_pi, guards
 from ggtkit.gtproofs import build_pn, build_ppi, build_ppi_dag
-from ggtkit.literals import min_first
+from ggtkit.literals import bits, encode_lit, min_first
 from ggtkit.proofs import below_pivot_masks
 from tests.oracles import allowed_pivot_vars, random_order, semantic_entails
 
@@ -115,3 +115,26 @@ def test_blocked_axioms_have_their_guard_variable_resolved_below():
         assert skel.blocked(gmap) == want
         blocked += len(want)
     assert blocked > 100
+
+
+def test_root_resolves_the_two_lowest_minimal_vertices():
+    # the solver's last decision step relies on it: with minimal vertices
+    # m0 < m1 < ..., the root resolves on the pair {m0, m1}; with one
+    # minimal vertex it is that vertex's minimality clause
+    rng = random.Random(29)
+    several = single = 0
+    for n in range(2, 41):
+        for _ in range(5):
+            pi = random_order(n, rng, rng.randrange(0, n * min(n, 8)))
+            skel = build_ppi_dag(n, pi)
+            minimal = list(bits(pi.minimal))
+            root = skel.root
+            if len(minimal) >= 2:
+                several += 1
+                assert skel.premises[root], (n, pi.text)
+                assert skel.pivot[root] == encode_lit(minimal[0], minimal[1], n), (n, pi.text)
+            else:
+                single += 1
+                assert skel.premises[root] == (), (n, pi.text)
+                assert skel.kind[root] == ("alpha", minimal[0]), (n, pi.text)
+    assert several > 100 and single > 40, (several, single)

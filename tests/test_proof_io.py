@@ -93,6 +93,25 @@ def test_malformed_lemma_target_rejected():
     assert str(info.value) == "line 3: bad lemma target 'x0'"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("0 L", "lemma line needs exactly a target id"),
+    ("0 R 1 0 0", "inference line too short"),
+    ("0 R 0 0 0 0", "pivot must be a positive variable, got 0"),
+], ids=["lemma", "short", "pivot"])
+def test_malformed_node_line_rejected(line, message):
+    text = f"p proof gt n=2 shape=dag\nc a comment\n{line}\n"
+    with pytest.raises(ProofParseError) as info:
+        parse_proof(text)
+    assert str(info.value) == f"line 3: {message}"
+
+
+def test_malformed_proof_header_rejected():
+    text = "c a comment\np prof gt n=2 shape=tree\n0 A 1 0\n"
+    with pytest.raises(ProofParseError) as info:
+        parse_proof(text)
+    assert str(info.value) == "line 2: malformed proof header 'p prof gt n=2 shape=tree'"
+
+
 def test_second_header_rejected():
     # a header after node 9 would otherwise switch the shape to dag, and with
     # it off the postorder check, and replace n and the seed

@@ -6,10 +6,20 @@ import pytest
 
 from tests.oracles import is_satisfiable
 from ggtkit import lr_engine
+from ggtkit import solver as solver_module
 from ggtkit.checker import VALID, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
-from ggtkit.bpo import Bpo
-from ggtkit.literals import decode_lit, encode_lit, min_first, num_vars, pair_table, triangle_of
+from ggtkit.bpo import Bpo, minimal_rows
+from ggtkit.gtproofs import build_skeleton
+from ggtkit.literals import (
+    decode_lit,
+    encode_lit,
+    min_first,
+    num_vars,
+    pair_table,
+    trans_clause,
+    triangle_of,
+)
 from ggtkit.propagation import ClauseIndex, unit_propagate
 from ggtkit.proofs import BudgetExceeded, TimeBudgetExceeded
 from ggtkit.solver import (
@@ -190,7 +200,7 @@ def test_learning_a_falsified_clause_breaks_the_contract():
 
 
 def test_first_decision_is_base_derivation_root_pivot():
-    # empty trail, nothing blocked: the walk starts at the derivation root.
+    # empty trail, nothing blocked: the last step decides the root's pivot.
     # An unguarded instance has no blocked axioms by construction.
     from ggtkit.gtproofs import build_pn
 
@@ -202,6 +212,97 @@ def test_first_decision_is_base_derivation_root_pivot():
         lit = s._pick_decision()
         d = build_pn(n)
         assert abs(lit) == d.nodes[d.root].pivot
+
+
+class _RootAgainstWalk(Solver):
+    """A solver that checks each decision the closure and blocker steps
+    leave to the last step against the walk it replaced, whose first test
+    always decided: the root pivot's literal, as the root's first premise
+    holds it, must be unassigned, and the decision is its negation."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.checked = 0
+        self._blocked = True  # the closure step decided
+
+    def _blocking_axiom(self, blockers):
+        self._blocked = super()._blocking_axiom(blockers)
+        return self._blocked
+
+    def _pick_decision(self):
+        self._blocked = True
+        lit = super()._pick_decision()
+        if self._blocked is None:
+            skel = build_skeleton(self.n, *minimal_rows(self.n, self._succ))
+            root = skel.root
+            first = list(skel.clauses())[skel.premises[root][0]]
+            (want,) = (l for l in first if abs(l) == skel.pivot[root])
+            assert self.lv[want] is None, (self.f.family, self.n, self.f.seed, len(self.trail))
+            assert lit == -want, (self.f.family, self.n, self.f.seed, len(self.trail))
+            self.checked += 1
+        return lit
+
+
+def test_last_decision_step_is_the_walks_first_test():
+    checked = decided = 0
+    for n in range(4, 11):
+        for f in [gen_gt(n)] + [gen_ggt(n, seed) for seed in range(3)]:
+            s = _RootAgainstWalk(f)
+            assert s.solve().status == "UNSAT"
+            checked += s.checked
+            decided += s.stats.decisions
+    assert decided > checked > 0, (decided, checked)
+
+
+def test_an_unguarded_solve_builds_no_skeleton(monkeypatch):
+    # no axiom of GT(n) is blocked, so its search needs no order derivation
+    def refuse(*args):
+        raise AssertionError("skeleton built for an unguarded instance")
+
+    monkeypatch.setattr(solver_module, "build_skeleton", refuse)
+    for n in range(4, 11):
+        assert solve(gen_gt(n)).status == "UNSAT"
+
+
+def test_a_guarded_solve_builds_one_skeleton_per_order(monkeypatch):
+    built = []
+
+    def counted(n, minimal, above):
+        built.append((minimal, above))
+        return build_skeleton(n, minimal, above)
+
+    monkeypatch.setattr(solver_module, "build_skeleton", counted)
+    s = Solver(gen_ggt(8, 0))
+    assert s.solve().status == "UNSAT"
+    assert len(built) == len(set(built)) == len(s._pi_cache) > 1
+
+
+def test_last_decision_step_needs_two_minimal_vertices():
+    # x01, x02 and x03 leave one minimal vertex, whose minimality clause is
+    # the derivation's root and falsified; left unpropagated, the trail
+    # reaches the step, which has no pair to decide
+    n = 4
+    s = Solver(gen_gt(n))
+    for j in (1, 2, 3):
+        s._assign(encode_lit(0, j, n), DECISION)
+    with pytest.raises(SolverContractError, match="fewer than two minimal vertices"):
+        s._pick_decision()
+
+
+def test_closure_decision_skips_a_pair_of_a_cycle():
+    # GT(4) without T[0,1,2] holds the cycle 0 -> 1 -> 2 -> 0 with no
+    # conflict; each closure candidate is the cycle's reversed pair, which
+    # is already assigned, so none is decided
+    n = 4
+    f = gen_gt(n)
+    cyclic = dataclasses.replace(f, clauses=tuple(c for c in f.clauses if c != trans_clause(0, 1, 2, n)))
+    s = Solver(cyclic)
+    for cidx in range(len(s.clauses)):
+        assert s._attach(cidx) is None
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        s._assign(encode_lit(a, b, n), DECISION)
+    assert s._propagate() is None
+    assert s._closure_decision() is None
 
 
 class _BlockerAudit(Solver):
@@ -219,7 +320,7 @@ class _BlockerAudit(Solver):
 
 
 def test_blocking_axioms_get_learned():
-    # step (4): branching on a blocked axiom's triangle learns it, unless a
+    # step (3): branching on a blocked axiom's triangle learns it, unless a
     # closure decision redirects the branch first; most blocked triangles
     # must end up in the learned store
     for seed in (0, 1, 2):
