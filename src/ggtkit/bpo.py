@@ -9,6 +9,9 @@ minimal set is everything outside the range.  Pairs appear only at the
 I/O edge: `Bpo.of` reads them, after checking them, and `Bpo.pairs`
 lists them.  Their text form `a:b,c:d` has one codec, `Bpo.parse` and
 `Bpo.text`, which both `ggt gen --pi` and a gtpi file's header use.
+`minimal_rows` makes the `Bpo` of closed rows, and `Bpo.of`,
+`associated_bpo` and the solver's trail get their orders from it, so no
+order travels as a bare (minimal, rows) pair.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ class BpoError(ValueError):
     """Raised when a pair set is not a valid bipartite partial order."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bpo:
     """A bipartite partial order: domain and range disjoint.
 
     `minimal` is the mask of the minimal vertices, and `rows[i]` the mask
     of the vertices above minimal vertex i, 0 for any other vertex.
+    Slotted: the solver keeps one per visited order as a cache key.
     """
 
     n: int
@@ -57,7 +61,7 @@ class Bpo:
         rows = [0] * n
         for a, b in pairs:
             rows[a] |= 1 << b
-        return Bpo(n, *minimal_rows(n, rows))
+        return minimal_rows(n, rows)
 
     @staticmethod
     def parse(n: int, text: str) -> "Bpo":
@@ -83,16 +87,16 @@ class Bpo:
         return ",".join(f"{a}:{b}" for a, b in sorted(self.pairs))
 
 
-def minimal_rows(n: int, rows) -> tuple[int, tuple[int, ...]]:
-    """The minimal-vertex mask of closed rows over n vertices, and the rows
-    of the minimal vertices, 0 for any other vertex."""
+def minimal_rows(n: int, rows) -> Bpo:
+    """The order of closed rows over n vertices: the minimal-vertex mask, and
+    the rows of the minimal vertices, 0 for any other vertex."""
     incoming = 0
     for row in rows:
         incoming |= row
     rows = list(rows)
     for v in bits(incoming):
         rows[v] = 0
-    return ~incoming & ((1 << n) - 1), tuple(rows)
+    return Bpo(n, ~incoming & ((1 << n) - 1), tuple(rows))
 
 
 def associated_bpo(n: int, rows) -> Bpo:
@@ -117,7 +121,7 @@ def associated_bpo(n: int, rows) -> Bpo:
             # the others were composed through before, so k is above itself
             if rows[k] & bit:
                 raise CyclicOrderError("pair set has a cycle; not a partial specification")
-    return Bpo(n, *minimal_rows(n, rows))
+    return minimal_rows(n, rows)
 
 
 def bpo_clause(pi: Bpo) -> Clause:

@@ -18,21 +18,21 @@ in arrays, with clauses derived only on demand.  `Skeleton.clauses` is
 the one derivation routine of build_pn and build_ppi: it yields each
 node's clause in node order and holds a clause only until its last use
 as a premise, the rule `checker._check_valid` applies to its masks.
-build_ppi_dag builds the skeleton of an order, handing its minimal mask
-and bitmask rows (see `bpo.Bpo`) to build_skeleton as they are.
+build_ppi_dag(pi) is the one constructor of a skeleton: it reads the
+order's size, minimal mask and bitmask rows (see `bpo.Bpo`) off pi.
 build_pn and build_ppi make each proof line as its clause is yielded, so
 no list of all the clauses is kept beside the proof, and check the root
 against the order's clause.  The pool construction (`lr_engine`) reads
 only the skeleton's structure: it derives each expanding stage's clauses
 itself, once, with the stage's guard literals in place.  The solver
-builds skeletons straight from its trail's rows, without clauses, to
-find the blocked axioms of a guarded instance.  Both read what a
-transitivity axiom is off the skeleton: its min-first triangle
-(`Skeleton.tri`, derived on first use) and the case-(iv) test
-(`Skeleton.blocked`: is its guard variable resolved below it?).
+builds skeletons of its trail's orders, without clauses, to find the
+blocked axioms of a guarded instance.  Both read what a transitivity
+axiom is off the skeleton: its min-first triangle (`Skeleton.tri`,
+derived on first use) and the case-(iv) test (`Skeleton.blocked`: is its
+guard variable resolved below it?).
 
 Facts that depend on n alone come from the per-n tables of `literals`:
-build_skeleton reads each pivot literal from `lit_table`, and
+build_ppi_dag reads each pivot literal from `lit_table`, and
 `Skeleton.clauses` makes each transitivity axiom with `trans_clause`,
 which reads three literals of it, so a GT derivation at n = 40 builds no
 8 MB triangle table it would use once.  `trans_postorder` lists the
@@ -163,12 +163,12 @@ class Skeleton:
         return order
 
 
-def build_skeleton(n: int, minimal: int, above) -> Skeleton:
-    """The derivation skeleton of a bipartite order.
-
-    `minimal` is the mask of the minimal vertices, and `above[i]` the
-    mask of the vertices above minimal vertex i.
-    """
+def build_ppi_dag(pi: Bpo) -> Skeleton:
+    """The skeleton of the derivation of order pi, built from its minimal
+    mask and bitmask rows; `Skeleton.clauses` derives its clauses."""
+    n, minimal, above = pi.n, pi.minimal, pi.rows
+    if n < 2:
+        raise SizeError(f"derivation needs n >= 2, got {n}")
     lit = lit_table(n)
     premises: list[tuple[int, ...]] = []
     pivot: list[int] = []
@@ -227,15 +227,6 @@ def build_skeleton(n: int, minimal: int, above) -> Skeleton:
     return Skeleton(n, premises, pivot, kinds, cur[0])
 
 
-def build_ppi_dag(n: int, pi: Bpo) -> Skeleton:
-    """The skeleton of the pi derivation; `Skeleton.clauses` derives its clauses."""
-    if n < 2:
-        raise SizeError(f"derivation needs n >= 2, got {n}")
-    if pi.n != n:
-        raise ValueError(f"pi is over {pi.n} vertices, wanted {n}")
-    return build_skeleton(n, pi.minimal, pi.rows)
-
-
 def _check_root(root_clause: Clause, pi: Bpo) -> None:
     expected = bpo_clause(pi)
     if root_clause != expected:
@@ -244,11 +235,11 @@ def _check_root(root_clause: Clause, pi: Bpo) -> None:
         )
 
 
-def _derivation(n: int, pi: Bpo, family: str) -> Derivation:
+def _derivation(pi: Bpo, family: str) -> Derivation:
     """The proof of `pi`'s derivation, each line made as its clause is
     derived; the root is checked against pi."""
     with collector_paused():
-        skel = build_ppi_dag(n, pi)
+        skel = build_ppi_dag(pi)
         pivot, root = skel.pivot, skel.root
         nodes = []
         for nid, (prem, clause) in enumerate(zip(skel.premises, skel.clauses())):
@@ -260,14 +251,16 @@ def _derivation(n: int, pi: Bpo, family: str) -> Derivation:
                 nodes.append(ProofNode(nid, RESOLVE, line, prem, pivot[nid]))
             else:
                 nodes.append(ProofNode(nid, AXIOM, line))
-        return Derivation(tuple(nodes), root=root, shape=DAG, family=family, n=n)
+        return Derivation(tuple(nodes), root=root, shape=DAG, family=family, n=pi.n)
 
 
 def build_ppi(n: int, pi: Bpo) -> Derivation:
     """Regular derivation of the pi-negation clause from GT_pi(n)."""
-    return _derivation(n, pi, GT_PI if any(pi.rows) else GT)
+    if pi.n != n:
+        raise ValueError(f"pi is over {pi.n} vertices, wanted {n}")
+    return _derivation(pi, GT_PI if any(pi.rows) else GT)
 
 
 def build_pn(n: int) -> Derivation:
     """Regular refutation of GT(n) with O(n^3) nodes."""
-    return _derivation(n, Bpo.empty(n), GT)
+    return _derivation(Bpo.empty(n), GT)

@@ -17,11 +17,11 @@ m0 < m1, the negation of the derivation root's pivot as its first
 premise holds it.  A vertex is minimal only if no assigned pair points
 into it, so that pair is never assigned.
 On a guarded instance, each order's blocked axioms are cached, keyed by
-the order as `bpo.minimal_rows` gives it: the minimal mask and the
-bitmask rows of the minimal vertices.  The cache never evicts, so each
-miss is the first visit of an order; a miss builds the order's skeleton,
-asks it which axioms are blocked (`Skeleton.blocked`, the case-(iv) test
-the pool construction runs) and reads their triangles off it.  On an
+the `Bpo` that `bpo.minimal_rows` reads off the trail.  The cache never
+evicts, so each miss is the first visit of an order; a miss builds the
+order's skeleton with `gtproofs.build_ppi_dag`, as the pool construction
+does, asks it which axioms are blocked (`Skeleton.blocked`, the case-(iv)
+test the pool construction runs) and reads their triangles off it.  On an
 unguarded instance no axiom is blocked and no skeleton is built.
 
 There are no restarts: the decision stack is only pushed, flipped, or
@@ -68,9 +68,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ggtkit.bpo import minimal_rows
+from ggtkit.bpo import Bpo, minimal_rows
 from ggtkit.formulas import GGT, GT, FormulaInstance
-from ggtkit.gtproofs import build_skeleton
+from ggtkit.gtproofs import build_ppi_dag
 from ggtkit.literals import clause_key, encode_lit, pair_table, triangle_of
 from ggtkit.proofs import (
     AXIOM,
@@ -143,7 +143,7 @@ class Solver:
         self.qhead = 0
         self.stats = SolveStats()
         self.learned_tris: set[tuple[int, int, int]] = set()
-        self._pi_cache: dict[tuple, tuple] = {}  # order -> _blockers entry
+        self._pi_cache: dict[Bpo, tuple] = {}  # order -> _blockers entry
         self.deadline = deadline  # a time.monotonic() value
         self.max_conflicts = max_conflicts
         # the trace: nodes, decision markers by the node they precede, the
@@ -360,10 +360,10 @@ class Solver:
                 cand &= cand - 1
         return None
 
-    def _blockers(self, key: tuple) -> tuple:
-        """The blocked transitivity axioms of the order `key`, cached.
+    def _blockers(self, pi: Bpo) -> tuple:
+        """The blocked transitivity axioms of the order `pi`, cached.
 
-        `key` is the trail's bipartite order as `bpo.minimal_rows` reads
+        `pi` is the trail's bipartite order as `bpo.minimal_rows` reads
         it: once the closure step is exhausted, the assigned pairs are
         closed under composition, so it needs no closure of its own.  The
         entry lists, in node-id order, each transitivity axiom of the
@@ -374,12 +374,12 @@ class Solver:
         glits = self.f.guard_map
         if glits is None:
             return ()
-        blockers = self._pi_cache.get(key)
+        blockers = self._pi_cache.get(pi)
         if blockers is None:
-            skel = build_skeleton(self.n, *key)
+            skel = build_ppi_dag(pi)
             blockers = tuple((skel.tri[nid], abs(glits[skel.tri[nid]]), skel.kind[nid])
                              for nid in skel.blocked(glits))
-            self._pi_cache[key] = blockers
+            self._pi_cache[pi] = blockers
         return blockers
 
     def _blocking_axiom(self, blockers) -> tuple | None:
@@ -396,8 +396,8 @@ class Solver:
         lit = self._closure_decision()
         if lit is not None:
             return lit
-        key = minimal_rows(self.n, self._succ)
-        blocker = self._blocking_axiom(self._blockers(key))
+        pi = minimal_rows(self.n, self._succ)
+        blocker = self._blocking_axiom(self._blockers(pi))
         if blocker is not None:
             _, (i, j, k) = blocker
             for a, b in ((i, j), (j, k), (k, i)):
@@ -406,7 +406,7 @@ class Solver:
                     return lit  # falsify the axiom's literal
             raise SolverContractError("blocking axiom fully assigned without conflict")
         # the root's pivot x[m0,m1], decided false
-        minimal = key[0]
+        minimal = pi.minimal
         rest = minimal & (minimal - 1)  # the minimal vertices but m0
         if not rest:
             raise SolverContractError("fewer than two minimal vertices and no conflict")

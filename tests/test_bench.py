@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
-from ggtkit import lr_engine, solver
-from ggtkit.bench import BenchRecord, bench_run, fit_slope, run_one, summarize, to_csv
+from ggtkit import bench, lr_engine, solver
+from ggtkit.bench import BenchError, BenchRecord, bench_run, fit_slope, run_one, summarize, to_csv
+from ggtkit.proofs import RESOLVE
 
 
 def test_pn_slope_on_spec_sizes():
@@ -63,6 +66,28 @@ def test_a_cap_stops_a_dpll_search_at_the_first_conflict_boundary(monkeypatch, c
     records, _ = bench_run([12], [0], ("dpll",), wall=False, **cap)
     assert len(conflicts) == 1  # GGT(12), seed 0, takes 1 579 conflicts uncapped
     assert to_csv(records).splitlines()[1] == "ggt,12,0,dpll,0,0,0,0,0,0,0,TIMEOUT"
+
+
+def test_run_one_rejects_an_unknown_artifact():
+    with pytest.raises(BenchError, match="unknown artifact 'bogus'"):
+        run_one("bogus", 4, 0)
+
+
+def test_run_one_raises_when_a_proof_fails_its_self_check(monkeypatch):
+    build = bench.build_pn
+
+    def corrupted(n):
+        # one inference's pivot moved to another variable: its premises
+        # clash on one variable only, so the step no longer resolves
+        d = build(n)
+        nodes = list(d.nodes)
+        nd = next(nd for nd in nodes if nd.rule == RESOLVE)
+        nodes[nd.nid] = dataclasses.replace(nd, pivot=nd.pivot + 1)
+        return dataclasses.replace(d, nodes=tuple(nodes))
+
+    monkeypatch.setattr(bench, "build_pn", corrupted)
+    with pytest.raises(BenchError, match="pn self-check failed"):
+        run_one("pn", 5, 0)
 
 
 def test_timeout_rows_excluded_from_slopes():

@@ -51,6 +51,12 @@ def test_tiny_refutation_passes_all_profiles():
     assert report.ok, report.lines()
 
 
+def test_check_proof_rejects_an_unknown_profile():
+    d, f = tiny_refutation()
+    with pytest.raises(ValueError, match="unknown profile 'bogus'"):
+        check_proof(d, f, (VALID, "bogus"))
+
+
 def test_axiom_not_in_formula_fails_valid():
     d, f = tiny_refutation()
     nodes = list(d.nodes)

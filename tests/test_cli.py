@@ -93,6 +93,25 @@ def test_solve_trace_self_check_blocks_corrupted_trace(tmp_path, monkeypatch, ca
     assert "self-check FAILED" in capsys.readouterr().err
 
 
+def test_refute_self_check_blocks_a_corrupted_proof(tmp_path, monkeypatch, capsys):
+    build = ggtkit.cli.build_pn
+
+    def corrupted(n):
+        d = build(n)
+        nodes = list(d.nodes)
+        nd = next(nd for nd in nodes if nd.rule == RESOLVE)
+        nodes[nd.nid] = dataclasses.replace(nd, pivot=nd.pivot + 1)
+        return dataclasses.replace(d, nodes=tuple(nodes))
+
+    cnf = tmp_path / "f.cnf"
+    prf = tmp_path / "p.prf"
+    main(["gen", "--family", "gt", "--n", "5", "-o", str(cnf)])
+    monkeypatch.setattr(ggtkit.cli, "build_pn", corrupted)
+    assert main(["refute", "--mode", "pn", "-i", str(cnf), "-o", str(prf)]) == 1
+    assert not prf.exists()
+    assert "self-check FAILED" in capsys.readouterr().err
+
+
 def test_solve_gt(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     main(["gen", "--family", "gt", "--n", "5", "-o", str(cnf)])
@@ -125,6 +144,15 @@ def test_bench_csv_deterministic(tmp_path):
     header = out1.read_text().splitlines()[0]
     assert header == ("family,n,seed,artifact,lines,maxWidth,stages,caseIvCount,"
                       "conflicts,decisions,wallMillis,status")
+
+
+def test_bench_prints_the_slopes_of_its_sweep(tmp_path, capsys):
+    out = tmp_path / "pn.csv"
+    assert main(["bench", "--artifacts", "pn", "--n-min", "6", "--n-max", "8",
+                 "--no-wall", "-o", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"wrote 3 rows to {out}"
+    assert [line.split(":")[0] for line in lines[1:]] == ["slope pn lines", "slope pn maxWidth"]
 
 
 @pytest.mark.parametrize("change, message", [

@@ -19,7 +19,9 @@ from ggtkit.formulas import (
     guards,
     read_guards,
 )
-from ggtkit.literals import bits, clause_key, decode_lit, encode_lit, make_clause, min_first, trans_clause
+from ggtkit.literals import (
+    PairError, bits, clause_key, decode_lit, encode_lit, make_clause, min_first, trans_clause,
+)
 from tests.oracles import all_assignments, is_satisfiable, random_order, satisfies
 
 
@@ -243,3 +245,7 @@ def test_size_errors():
         gen_gt(1)
     with pytest.raises(SizeError):
         gen_ggt(1, 0)
+    with pytest.raises(SizeError, match="gtpi needs n >= 2, got 1"):
+        gen_gt_pi(1, Bpo.empty(1))
+    with pytest.raises(PairError, match="pi is over 4 vertices, formula wants 5"):
+        gen_gt_pi(5, Bpo.empty(4))

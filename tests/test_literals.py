@@ -93,6 +93,13 @@ def test_make_clause_rejects_tautology():
         make_clause([1, -1, 2])
 
 
+def test_make_clause_and_trans_clause_reject_bad_input():
+    with pytest.raises(PairError, match="literal 0 is not allowed"):
+        make_clause([1, 0])
+    with pytest.raises(PairError, match=r"degenerate or out-of-range transitivity triple \(0,0,1\)"):
+        trans_clause(0, 0, 1, 4)
+
+
 def test_clause_key_deterministic():
     assert clause_key([3, -1, 2, -2]) == (-1, 2, -2, 3)
 

@@ -81,7 +81,7 @@ def _avoiding_guards(n: int) -> tuple[dict[tuple[int, int, int], int], int]:
     """
     from ggtkit.formulas import _admissible_guards
 
-    skel = build_ppi_dag(n, Bpo.empty(n))
+    skel = build_ppi_dag(Bpo.empty(n))
     clauses = list(skel.clauses())
     masks = below_pivot_masks(skel.premises, skel.pivot)
     cones = {}
@@ -272,8 +272,8 @@ def test_each_expanding_stage_derives_its_clauses_once(monkeypatch, build):
         calls.append(args)
         return resolve_on_var(*args)
 
-    def kept(n, pi):
-        skeletons.append(build_ppi_dag(n, pi))
+    def kept(pi):
+        skeletons.append(build_ppi_dag(pi))
         return skeletons[-1]
 
     def learned(engine, tclause, glit):
@@ -400,8 +400,8 @@ def test_trans_postorder_matches_the_two_visit_reference(monkeypatch):
     skeletons = []
     build = lr_engine.build_ppi_dag
 
-    def kept(n, pi):
-        skeletons.append(build(n, pi))
+    def kept(pi):
+        skeletons.append(build(pi))
         return skeletons[-1]
 
     monkeypatch.setattr(lr_engine, "build_ppi_dag", kept)
@@ -412,7 +412,7 @@ def test_trans_postorder_matches_the_two_visit_reference(monkeypatch):
     monkeypatch.undo()
     assert len(skeletons) > 1000
     rng = random.Random(13)
-    skeletons.extend(build_ppi_dag(13, oracles.random_order(13, rng, rng.randrange(0, 26)))
+    skeletons.extend(build_ppi_dag(oracles.random_order(13, rng, rng.randrange(0, 26)))
                      for _ in range(100))
     for skel in skeletons:
         assert skel.trans_postorder() == oracles.trans_postorder(skel)

@@ -1,8 +1,10 @@
 import random
 
+import pytest
+
 from ggtkit.bpo import Bpo, bpo_clause
 from ggtkit.checker import REGULAR, VALID, check_proof
-from ggtkit.formulas import gen_gt, gen_gt_pi, guards
+from ggtkit.formulas import SizeError, gen_gt, gen_gt_pi, guards
 from ggtkit.gtproofs import build_pn, build_ppi, build_ppi_dag
 from ggtkit.literals import bits, encode_lit, min_first
 from ggtkit.proofs import below_pivot_masks
@@ -91,7 +93,7 @@ def _seeded_skeletons():
     for n in range(4, 14):
         for _ in range(6):
             pi = random_order(n, rng, rng.randrange(0, 2 * n))
-            yield build_ppi_dag(n, pi), guards(n, rng.randrange(1000))
+            yield build_ppi_dag(pi), guards(n, rng.randrange(1000))
 
 
 def test_each_transitivity_axiom_carries_its_min_first_triangle():
@@ -126,7 +128,7 @@ def test_root_resolves_the_two_lowest_minimal_vertices():
     for n in range(2, 41):
         for _ in range(5):
             pi = random_order(n, rng, rng.randrange(0, n * min(n, 8)))
-            skel = build_ppi_dag(n, pi)
+            skel = build_ppi_dag(pi)
             minimal = list(bits(pi.minimal))
             root = skel.root
             if len(minimal) >= 2:
@@ -138,3 +140,10 @@ def test_root_resolves_the_two_lowest_minimal_vertices():
                 assert skel.premises[root] == (), (n, pi.text)
                 assert skel.kind[root] == ("alpha", minimal[0]), (n, pi.text)
     assert several > 100 and single > 40, (several, single)
+
+
+def test_derivations_reject_a_size_or_an_order_of_another_size():
+    with pytest.raises(SizeError, match="derivation needs n >= 2, got 1"):
+        build_ppi_dag(Bpo.empty(1))
+    with pytest.raises(ValueError, match="pi is over 4 vertices, wanted 5"):
+        build_ppi(5, Bpo.empty(4))

@@ -22,6 +22,12 @@ def test_ggt4_no_forced_literals():
     assert result.conflict is None and not result.implications
 
 
+def test_replay_needs_a_conflict():
+    index = ClauseIndex(gen_ggt(4, 0).clauses)
+    with pytest.raises(ValueError, match="no conflict to replay"):
+        replay_conflict(index, unit_propagate(index, ()))
+
+
 def test_two_step_guard_propagation():
     n = 5
     t = trans_clause(0, 1, 2, n)

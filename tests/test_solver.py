@@ -10,7 +10,7 @@ from ggtkit import solver as solver_module
 from ggtkit.checker import VALID, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
 from ggtkit.bpo import Bpo, minimal_rows
-from ggtkit.gtproofs import build_skeleton
+from ggtkit.gtproofs import build_ppi_dag
 from ggtkit.literals import (
     decode_lit,
     encode_lit,
@@ -67,6 +67,36 @@ def test_no_restarts_and_no_skipped_decisions_on_family():
             result = solve(gen_ggt(n, seed))
             assert result.stats.restarts == 0
             assert result.stats.skipped_decisions == 0
+
+
+class _RandomDecisions(Solver):
+    """A solver that, with probability 0.3, decides a random unassigned
+    literal of a seeded generator instead of the cascade's choice."""
+
+    def __init__(self, f, rng):
+        super().__init__(f, trace=True)
+        self.rng = rng
+
+    def _pick_decision(self):
+        if self.rng.random() < 0.3:
+            free = [v for v in range(1, self.f.nvars + 1) if self.lv[v] is None]
+            var = self.rng.choice(free)
+            return var if self.rng.random() < 0.5 else -var
+        return super()._pick_decision()
+
+
+@pytest.mark.parametrize("f, seed", [
+    (gen_gt(5), 1), (gen_gt(6), 11), (gen_ggt(6, 0), 14), (gen_ggt(6, 0), 20),
+], ids=["gt5", "gt6", "ggt6-14", "ggt6-20"])
+def test_an_unwind_skips_a_decision_its_clause_does_not_hold(f, seed):
+    # the cascade never makes such a decision; random ones do, and the
+    # unwind pops them unflipped while the trace stays a valid refutation
+    result = _RandomDecisions(f, random.Random(seed)).solve()
+    assert result.status == "UNSAT"
+    assert result.stats.skipped_decisions > 0
+    report = check_proof(result.trace, f, (VALID,))
+    assert report.ok, report.lines()[:4]
+    assert result.trace.root_clause == frozenset()
 
 
 def test_trace_replays_as_valid_derivation():
@@ -187,6 +217,19 @@ def test_closure_decision_provokes_then_flips():
     assert s.lv[encode_lit(0, 2, n)] is True  # the flip follows the closure
 
 
+def test_attach_forces_the_last_free_literal_of_a_clause():
+    # with the unit {1} on the trail, {-1, 2} has one free literal left:
+    # _attach assigns it and watches the literal the trail falsified last
+    s = Solver(gen_gt(4))
+    unit = len(s.clauses)
+    s.clauses.extend([[1], [-1, 2]])
+    assert s._attach(unit) is None
+    assert s._attach(unit + 1) is None
+    assert s.trail == [(1, unit), (2, unit + 1)]
+    assert s.clauses[unit + 1] == [2, -1]
+    assert unit + 1 in s.watches[2] and unit + 1 in s.watches[-1]
+
+
 def test_learning_a_falsified_clause_breaks_the_contract():
     # an unwind never learns a clause its flip leaves falsified; _learn checks
     from ggtkit.literals import encode_lit, trans_clause
@@ -233,7 +276,7 @@ class _RootAgainstWalk(Solver):
         self._blocked = True
         lit = super()._pick_decision()
         if self._blocked is None:
-            skel = build_skeleton(self.n, *minimal_rows(self.n, self._succ))
+            skel = build_ppi_dag(minimal_rows(self.n, self._succ))
             root = skel.root
             first = list(skel.clauses())[skel.premises[root][0]]
             (want,) = (l for l in first if abs(l) == skel.pivot[root])
@@ -259,7 +302,7 @@ def test_an_unguarded_solve_builds_no_skeleton(monkeypatch):
     def refuse(*args):
         raise AssertionError("skeleton built for an unguarded instance")
 
-    monkeypatch.setattr(solver_module, "build_skeleton", refuse)
+    monkeypatch.setattr(solver_module, "build_ppi_dag", refuse)
     for n in range(4, 11):
         assert solve(gen_gt(n)).status == "UNSAT"
 
@@ -267,11 +310,11 @@ def test_an_unguarded_solve_builds_no_skeleton(monkeypatch):
 def test_a_guarded_solve_builds_one_skeleton_per_order(monkeypatch):
     built = []
 
-    def counted(n, minimal, above):
-        built.append((minimal, above))
-        return build_skeleton(n, minimal, above)
+    def counted(pi):
+        built.append(pi)
+        return build_ppi_dag(pi)
 
-    monkeypatch.setattr(solver_module, "build_skeleton", counted)
+    monkeypatch.setattr(solver_module, "build_ppi_dag", counted)
     s = Solver(gen_ggt(8, 0))
     assert s.solve().status == "UNSAT"
     assert len(built) == len(set(built)) == len(s._pi_cache) > 1
