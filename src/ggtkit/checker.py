@@ -51,7 +51,8 @@ filled in beforehand, their bits numbering the proof's variables in
 increasing order through regular's `_dense`; the available learned
 clauses (the input-derived inference clauses with smaller ids) go into
 one append-only ClauseIndex after each node is checked, whose watched
-literals persist from node to node with no undo (see `propagation`).
+literals persist from node to node with no undo; `unit_propagate` runs
+the watched-literal loop the solver runs (see `propagation`).
 Only whether a conflict exists enters the verdict, so which falsified
 clause a call reports does not matter.  Unit propagation runs only at
 nodes whose context is consistent and which are not input-derived nodes
@@ -60,7 +61,8 @@ not depend on the propagation: an inconsistent context is flagged
 without it, and an input node resolving on no path variable passes
 whether or not propagation refutes its context.  Every leaf is such a
 node.  A pivot that is not a positive variable, which valid reports,
-adds no pivot bit and no phantom literal.
+adds no pivot bit and no phantom literal, and the literal 0, which
+valid reports too, adds no variable bit.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from ggtkit.proofs import (
     below_pivot_masks,
     collector_paused,
     input_step,
+    last_uses,
     resolve_on_var,
 )
 from ggtkit.propagation import ClauseIndex, unit_propagate
@@ -149,13 +152,8 @@ def _literal_bits(nvars: int) -> dict[int, int]:
 def _check_valid(d: Derivation, f: FormulaInstance, report: CheckReport) -> None:
     fset = f.clause_set()
     nodes = d.nodes
-    # the id of the last inference using each node as a premise: a node's
-    # mask is kept until then, and not at all if nothing uses it
-    last = [-1] * len(nodes)
-    for nd in nodes:
-        if nd.premises:
-            p0, p1 = nd.premises
-            last[p0] = last[p1] = nd.nid
+    # a node's mask is kept until its last use, and not at all if nothing uses it
+    last = last_uses([nd.premises for nd in nodes])
     bit = _literal_bits(f.nvars)
     lit_bit = bit.__getitem__
     even = (4 ** (f.nvars + 1) - 1) // 3  # bits 0, 2, 4, ...: the positive literals
@@ -270,11 +268,7 @@ def _check_pool(d: Derivation, report: CheckReport) -> None:
     first = d.root
     while nodes[first].premises:
         first = nodes[first].premises[0]
-    used = [False] * len(nodes)
-    for nd in nodes:
-        if nd.premises:
-            p0, p1 = nd.premises
-            used[p0] = used[p1] = True
+    last = last_uses([nd.premises for nd in nodes])
     for nd in nodes:
         # a lemma off the root's tree gets no order check: the top of its
         # component is reported as unused
@@ -282,7 +276,7 @@ def _check_pool(d: Derivation, report: CheckReport) -> None:
             report.violations.append(
                 Violation(POOL, nd.nid, f"lemma target {nd.target} not earlier in postorder")
             )
-        if not used[nd.nid] and nd.nid != d.root:
+        if last[nd.nid] < 0 and nd.nid != d.root:
             report.violations.append(Violation(POOL, nd.nid, "no inference uses this node"))
 
 
@@ -332,9 +326,9 @@ def _check_greedy_up(d: Derivation, f: FormulaInstance, is_input: list[bool], re
         report.violations.append(Violation(GREEDY_UP, d.root, "profile needs a tree proof"))
         return
     nodes = d.nodes
-    # variable var[i] is bit i; a pivot that is not a variable (valid
-    # reports it) gets no bit and no phantom literal
-    var, place = _dense([abs(lit) for nd in nodes for lit in nd.clause]
+    # variable var[i] is bit i; the literal 0 and a pivot that is not a
+    # variable (valid reports both) get no bit and no phantom literal
+    var, place = _dense([abs(lit) for nd in nodes for lit in nd.clause if lit]
                         + [nd.pivot for nd in nodes if nd.premises and nd.pivot > 0])
     bit = {v: 1 << i for v, i in place.items()}
     # bottom-up: the pivot variables of each subtree, and whether every
@@ -358,7 +352,7 @@ def _check_greedy_up(d: Derivation, f: FormulaInstance, is_input: list[bool], re
         for lit in nd.clause:
             if lit > 0:
                 p |= bit[lit]
-            else:
+            elif lit:
                 q |= bit[-lit]
         pos[nid], neg[nid] = p, q
         for slot, child in enumerate(nd.premises):

@@ -72,6 +72,7 @@ from ggtkit.proofs import (
     ProofNode,
     below_pivot_masks,
     collector_paused,
+    last_uses,
     resolve_on_var,
 )
 
@@ -102,10 +103,7 @@ class Skeleton:
         their last consumer."""
         n = self.n
         premises = self.premises
-        last = [-1] * len(premises)  # the last inference using each node
-        for nid, prem in enumerate(premises):
-            for p in prem:
-                last[p] = nid
+        last = last_uses(premises)
         held: list[Clause | None] = [None] * len(premises)
         for nid, (prem, piv, kind) in enumerate(zip(premises, self.pivot, self.kind)):
             if prem:

@@ -218,6 +218,18 @@ def check_postorder(nodes) -> None:
             size[nid] = 1 + size[p0] + size[p1]
 
 
+def last_uses(premises) -> list[int]:
+    """Per node, the id of the last inference using it as a premise, or -1
+    when none does.  `premises` is indexed by node id: () for a leaf, and
+    an inference's two premises, at smaller ids."""
+    last = [-1] * len(premises)
+    for nid, prem in enumerate(premises):
+        if prem:
+            p0, p1 = prem
+            last[p0] = last[p1] = nid
+    return last
+
+
 def below_pivot_masks(premises, pivots) -> list[int]:
     """Per node, the bitmask of variables resolved strictly below it.
 

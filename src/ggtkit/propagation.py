@@ -1,20 +1,23 @@
 """Unit propagation and conflict replay.
 
-Propagation uses two watched literals per clause (Eén & Sörensson 2003),
-as `Solver._propagate` does.  A clause of two or more literals watches
-its first two; it is visited only when one of them is false, and the
-visit either finds the other watch true, moves the false watch to a
-literal that is not false, forces the other watch, or reports the
-clause falsified.
+`propagate` is the one watched-literal loop (Eén & Sörensson 2003), and
+it has two callers: `Solver._propagate` runs it on the solver's trail,
+and `unit_propagate` on a trail built from an assignment.  Both hold an
+assignment the same way: a set of true literals, a trail of (literal,
+reason) pairs in the order they became true, and watch lists keyed by
+literal.  A clause of two or more literals watches its first two; it is
+visited only when one of them is false, and the visit either finds the
+other watch true, moves the false watch to a literal that is not false,
+forces the other watch, or reports the clause falsified.  A call that
+stops on a conflict compacts the watch list it was walking in place, so
+every clause still sits in exactly the lists of its two watched literals.
 
 `unit_propagate` and `replay_conflict` read the clauses through a
 `ClauseIndex`, which keeps its watches across calls, with no undo between
 them.  Each call queues every literal of its assignment, so every clause
 watching a literal false under that assignment is visited, whatever pair
 an earlier call left it watching.  Any pair of distinct literals of a
-clause is therefore a valid start for any later call.  A call that stops
-on a conflict compacts the watch list it was walking in place, so every
-clause still sits in exactly the lists of its two watched literals.
+clause is therefore a valid start for any later call.
 
 Whether a conflict exists, and the propagated assignment when none does,
 are what a scan to fixpoint gives.  Which falsified clause is reported,
@@ -73,40 +76,27 @@ class ClauseIndex:
             self.watches[lits[1]].append(idx)
 
 
-def unit_propagate(index: ClauseIndex, assignment) -> PropagationResult:
-    """Propagate to fixpoint; report a falsified clause if any.
+def propagate(clauses, watches, truth, trail, qhead):
+    """Propagate the trail from `qhead` to fixpoint.
 
-    `assignment` is an iterable of true literals.  The conflict is an
-    index into `index.clauses`.  The implication record lists every forced
-    literal with the clause that forced it, in the order they were forced,
-    which is enough to replay an input derivation of the conflict (see
-    replay_conflict).
+    `clauses[i]` lists clause i's literals, its two watched ones first,
+    and `watches[lit]` the ids of the clauses watching `lit` (a
+    `defaultdict(list)`).  `truth` is the set of true literals and `trail`
+    lists them as (literal, reason) pairs; those from `qhead` on are not
+    propagated yet.  A forced literal joins both, its reason the index of
+    the clause that forced it.  Returns a falsified clause's index (or
+    None) and the new queue head.
     """
-    store, watches = index.clauses, index.watches
-    truth = set(assignment)
-    for lit in truth:
-        if -lit in truth:
-            raise InconsistentAssignment(f"assignment has {lit} and {-lit}")
-    implications: list[tuple[int, int]] = []
-    queue = list(truth)
-    for idx in index.short:  # the clauses no false literal will reach
-        lits = store[idx]
-        if not lits or -lits[0] in truth:
-            return PropagationResult(truth, idx, implications)
-        if lits[0] not in truth:
-            truth.add(lits[0])
-            implications.append((lits[0], idx))
-            queue.append(lits[0])
-    for true_lit in queue:  # grows as literals are forced
-        falsified = -true_lit
-        watchlist = watches.get(falsified)
-        if not watchlist:
-            continue
+    while qhead < len(trail):
+        falsified = -trail[qhead][0]
+        qhead += 1
+        watchlist = watches[falsified]
         # compact in place: the clauses still watching `falsified` keep
         # their order at the front, and the others are dropped at the end
         kept = 0
-        for pos, idx in enumerate(watchlist):
-            lits = store[idx]
+        visiting = iter(watchlist)
+        for idx in visiting:
+            lits = clauses[idx]
             other = lits[0]
             if other == falsified:
                 other = lits[1]
@@ -125,13 +115,40 @@ def unit_propagate(index: ClauseIndex, assignment) -> PropagationResult:
                 watchlist[kept] = idx
                 kept += 1
                 if -other in truth:
-                    del watchlist[kept : pos + 1]
-                    return PropagationResult(truth, idx, implications)
+                    # the unvisited rest, read out before the list changes, moves up
+                    watchlist[kept:] = visiting
+                    return idx, qhead
                 truth.add(other)
-                implications.append((other, idx))
-                queue.append(other)
+                trail.append((other, idx))
         del watchlist[kept:]
-    return PropagationResult(truth, None, implications)
+    return None, qhead
+
+
+def unit_propagate(index: ClauseIndex, assignment) -> PropagationResult:
+    """Propagate to fixpoint; report a falsified clause if any.
+
+    `assignment` is an iterable of true literals.  The conflict is an
+    index into `index.clauses`.  The implication record lists every forced
+    literal with the clause that forced it, in the order they were forced,
+    which is enough to replay an input derivation of the conflict (see
+    replay_conflict).
+    """
+    store = index.clauses
+    truth = set(assignment)
+    for lit in truth:
+        if -lit in truth:
+            raise InconsistentAssignment(f"assignment has {lit} and {-lit}")
+    trail = [(lit, None) for lit in truth]
+    start = len(trail)
+    for idx in index.short:  # the clauses no false literal will reach
+        lits = store[idx]
+        if not lits or -lits[0] in truth:
+            return PropagationResult(truth, idx, trail[start:])
+        if lits[0] not in truth:
+            truth.add(lits[0])
+            trail.append((lits[0], idx))
+    conflict, _ = propagate(store, index.watches, truth, trail, 0)
+    return PropagationResult(truth, conflict, trail[start:])
 
 
 def replay_conflict(index: ClauseIndex, result: PropagationResult) -> tuple[Clause, list[tuple[int, int]]]:

@@ -48,11 +48,11 @@ at each conflict boundary, after the unwind, and a spent one raises a
 `proofs.BudgetExceeded` (`TimeBudgetExceeded`, `ConflictBudgetExceeded`),
 so a capped search stops within one conflict of its cap.
 
-Assignments are stored by literal, as in MiniSat (Een & Sorensson 2003):
-`lv` is one list of length 2*nvars + 1 in which `lv[lit]` is True, False
-or None, and a negative literal indexes from the end, so `lv[lit]` and
-`lv[-lit]` are the two polarities of one variable.  Watch lists are
-indexed the same way.  `pair` is `literals.pair_table(n)`, and each
+Propagation is `propagation.propagate`, the watched-literal loop the
+checker's `unit_propagate` runs too, on its representation: `truth` is
+the set of the trail's literals and `watches` a dict of watch lists.
+The loop appends each forced literal to the trail; `_propagate` then
+sets its pair in `_succ`.  `pair` is `literals.pair_table(n)`, and each
 triangle's guard is read from the instance's `guard_map`, keyed by
 min-first triangle.  A triangle is learned once, and only on a
 guarded instance: on any other, every transitivity clause is an input.
@@ -66,6 +66,7 @@ the search returns or raises.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ggtkit.bpo import Bpo, minimal_rows
@@ -82,6 +83,7 @@ from ggtkit.proofs import (
     TimeBudgetExceeded,
     collector_paused,
 )
+from ggtkit.propagation import propagate
 
 DECISION = -1
 
@@ -132,9 +134,8 @@ class Solver:
         self.n = f.n
         self.clauses: list[list[int]] = [list(clause_key(c)) for c in f.clauses]
         self.n_original = len(self.clauses)
-        size = 2 * f.nvars + 1  # literal-indexed lists; lit < 0 counts from the end
-        self.watches: list[list[int]] = [[] for _ in range(size)]
-        self.lv: list[bool | None] = [None] * size
+        self.watches: defaultdict[int, list[int]] = defaultdict(list)
+        self.truth: set[int] = set()  # the literals on the trail
         self.pair = pair_table(f.n)  # lit -> decode_lit(lit)
         # the order the trail asserts, as bitmask rows: bit j of _succ[i] is set
         # when x[i,j] is true, so {i, j} is assigned when that bit or bit i of _succ[j] is
@@ -159,16 +160,13 @@ class Solver:
     # -- assignment and propagation -----------------------------------------
 
     def _assign(self, lit: int, reason) -> None:
-        lv = self.lv
-        lv[lit] = True
-        lv[-lit] = False
+        self.truth.add(lit)
         self.trail.append((lit, reason))
         i, j = self.pair[lit]
         self._succ[i] |= 1 << j
 
     def _unassign(self, lit: int) -> None:
-        lv = self.lv
-        lv[lit] = lv[-lit] = None
+        self.truth.remove(lit)
         i, j = self.pair[lit]
         self._succ[i] &= ~(1 << j)
 
@@ -181,17 +179,16 @@ class Solver:
         it.
         """
         clause = self.clauses[cidx]
+        truth = self.truth
         if len(clause) == 1:
             lit = clause[0]
-            val = self.lv[lit]
-            if val is False:
+            if -lit in truth:
                 return cidx
-            if val is None:
+            if lit not in truth:
                 self._assign(lit, cidx)
                 self.stats.propagations += 1
             return None
-        lv = self.lv
-        free = [l for l in clause if lv[l] is not False]
+        free = [l for l in clause if -l not in truth]
         if not free:
             return cidx
         if len(free) >= 2:
@@ -199,7 +196,7 @@ class Solver:
         else:
             w0 = free[0]
             w1 = next(-lit for lit, _ in reversed(self.trail) if -lit in clause)
-            if lv[w0] is None:
+            if w0 not in truth:
                 self._assign(w0, cidx)
                 self.stats.propagations += 1
         rest = [l for l in clause if l != w0 and l != w1]
@@ -209,54 +206,17 @@ class Solver:
         return None
 
     def _propagate(self):
-        """Watched-literal propagation; returns a falsified clause index or None.
-
-        Each watch list is compacted in place: the clauses that keep
-        watching the falsified literal stay in their order, and those whose
-        watch moved are appended, in visiting order, to their new literal's
-        list.
-        """
-        lv = self.lv
-        clauses = self.clauses
-        watches = self.watches
+        """Run `propagation.propagate` on the trail; returns a falsified
+        clause index or None.  The pairs it forced go into `_succ` after it."""
         trail = self.trail
-        assign = self._assign
-        qhead = self.qhead
-        conflict = None
-        propagations = 0
-        while conflict is None and qhead < len(trail):
-            falsified = -trail[qhead][0]
-            qhead += 1
-            watchlist = watches[falsified]
-            kept = 0
-            end = len(watchlist)
-            for idx, cidx in enumerate(watchlist, 1):
-                clause = clauses[cidx]
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
-                head = lv[clause[0]]
-                if head is not True:
-                    for pos in range(2, len(clause)):
-                        other = clause[pos]
-                        if lv[other] is not False:
-                            clause[1], clause[pos] = other, clause[1]
-                            watches[other].append(cidx)
-                            break
-                    else:
-                        watchlist[kept] = cidx
-                        kept += 1
-                        if head is False:
-                            conflict = cidx
-                            end = idx
-                            break
-                        assign(clause[0], cidx)
-                        propagations += 1
-                    continue
-                watchlist[kept] = cidx
-                kept += 1
-            del watchlist[kept:end]
-        self.qhead = qhead
-        self.stats.propagations += propagations
+        start = len(trail)
+        conflict, self.qhead = propagate(self.clauses, self.watches, self.truth, trail, self.qhead)
+        succ = self._succ
+        pair = self.pair
+        for lit, _ in trail[start:]:
+            i, j = pair[lit]
+            succ[i] |= 1 << j
+        self.stats.propagations += len(trail) - start
         return conflict
 
     # -- conflict handling ----------------------------------------------------
@@ -385,10 +345,10 @@ class Solver:
     def _blocking_axiom(self, blockers) -> tuple | None:
         """The first of `blockers` whose guard is unassigned and whose
         triangle is not learned yet: its kind."""
-        lv = self.lv
+        truth = self.truth
         tris = self.learned_tris
         for tri, gvar, kind in blockers:
-            if lv[gvar] is None and tri not in tris:
+            if gvar not in truth and -gvar not in truth and tri not in tris:
                 return kind
         return None
 
@@ -400,9 +360,10 @@ class Solver:
         blocker = self._blocking_axiom(self._blockers(pi))
         if blocker is not None:
             _, (i, j, k) = blocker
+            truth = self.truth
             for a, b in ((i, j), (j, k), (k, i)):
                 lit = encode_lit(a, b, self.n)
-                if self.lv[lit] is None:
+                if lit not in truth and -lit not in truth:
                     return lit  # falsify the axiom's literal
             raise SolverContractError("blocking axiom fully assigned without conflict")
         # the root's pivot x[m0,m1], decided false

@@ -117,6 +117,28 @@ def test_non_positive_pivot_is_reported_not_raised(profile, pivot, rule):
         assert f"[regular] node {nid}: pivot {pivot} is not a variable" in lines
 
 
+def test_greedy_up_gives_literal_zero_no_bit():
+    # clauses holding the literal 0, which valid reports: greedy_up must
+    # report too, not raise on an assignment holding 0 and -0
+    nodes = (
+        ProofNode(0, AXIOM, (0, 1)),
+        ProofNode(1, AXIOM, (-1, 2)),
+        ProofNode(2, RESOLVE, (0, 2), (0, 1), 1),
+        ProofNode(3, AXIOM, (-2, 3)),
+        ProofNode(4, AXIOM, (-3,)),
+        ProofNode(5, RESOLVE, (-2,), (3, 4), 3),
+        ProofNode(6, RESOLVE, (0,), (2, 5), 2),
+    )
+    d = Derivation(nodes, root=6, shape=TREE, family="gt", n=3)
+    f = gen_gt(3)
+    assert check_proof(d, f, (GREEDY_UP,)).lines() == [
+        "greedy_up: PASS",
+        "flag: node 6: derived from a composition of input proofs (multi-clause learning pattern)",
+    ]
+    valid = check_proof(d, f, (VALID,)).lines()
+    assert "[valid] node 2: tautological resolvent: contains 0 and 0" in valid
+
+
 def test_regular_reports_a_repeated_huge_pivot():
     # the masks number the distinct pivots, so no mask is as wide as a pivot
     big = 10**9

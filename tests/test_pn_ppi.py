@@ -7,7 +7,7 @@ from ggtkit.checker import REGULAR, VALID, check_proof
 from ggtkit.formulas import SizeError, gen_gt, gen_gt_pi, guards
 from ggtkit.gtproofs import build_pn, build_ppi, build_ppi_dag
 from ggtkit.literals import bits, encode_lit, min_first
-from ggtkit.proofs import below_pivot_masks
+from ggtkit.proofs import below_pivot_masks, last_uses
 from tests.oracles import allowed_pivot_vars, random_order, semantic_entails
 
 
@@ -117,6 +117,17 @@ def test_blocked_axioms_have_their_guard_variable_resolved_below():
         assert skel.blocked(gmap) == want
         blocked += len(want)
     assert blocked > 100
+
+
+def test_last_uses_name_each_nodes_last_consumer():
+    for skel, _ in _seeded_skeletons():
+        consumers: dict[int, list[int]] = {}
+        for nid, prem in enumerate(skel.premises):
+            for p in prem:
+                consumers.setdefault(p, []).append(nid)
+        want = [max(consumers.get(nid, [-1])) for nid in range(len(skel.premises))]
+        assert last_uses(skel.premises) == want
+        assert want[skel.root] == -1
 
 
 def test_root_resolves_the_two_lowest_minimal_vertices():

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from tests.greedy_reference import scan_unit_propagate
 from tests.oracles import is_satisfiable
-from ggtkit import lr_engine
+from ggtkit import lr_engine, propagation
 from ggtkit import solver as solver_module
 from ggtkit.checker import VALID, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
@@ -79,7 +80,8 @@ class _RandomDecisions(Solver):
 
     def _pick_decision(self):
         if self.rng.random() < 0.3:
-            free = [v for v in range(1, self.f.nvars + 1) if self.lv[v] is None]
+            truth = self.truth
+            free = [v for v in range(1, self.f.nvars + 1) if v not in truth and -v not in truth]
             var = self.rng.choice(free)
             return var if self.rng.random() < 0.5 else -var
         return super()._pick_decision()
@@ -97,6 +99,62 @@ def test_an_unwind_skips_a_decision_its_clause_does_not_hold(f, seed):
     report = check_proof(result.trace, f, (VALID,))
     assert report.ok, report.lines()[:4]
     assert result.trace.root_clause == frozenset()
+
+
+class _ScanAudit:
+    """Compares each propagation with a scan to fixpoint over the solver's
+    clauses, from the literals the trail held before it, and counts the
+    propagations the scan takes further than the solver."""
+
+    audited = missed = 0
+
+    def _propagate(self):
+        before = {lit for lit, _ in self.trail}
+        conflict = super()._propagate()
+        assert self.truth == {lit for lit, _ in self.trail}
+        ref = scan_unit_propagate(self.clauses, before)
+        # what the solver finds, the scan finds
+        if conflict is not None:
+            assert all(-lit in self.truth for lit in self.clauses[conflict])
+            assert ref.conflict is not None
+        elif ref.conflict is None:
+            assert self.truth <= ref.assignment
+        self.audited += 1
+        self.missed += conflict is None and (ref.conflict is not None or ref.assignment != self.truth)
+        return conflict
+
+
+class _CascadeScanAudit(_ScanAudit, Solver):
+    pass
+
+
+class _RandomScanAudit(_ScanAudit, _RandomDecisions):
+    pass
+
+
+def test_solver_propagation_matches_scan_reference():
+    # the solver runs the one watched-literal loop the checker runs, and
+    # reaches the scan's conflict or fixpoint
+    assert solver_module.propagate is propagation.propagate
+    for n in range(4, 8):
+        for f in (gen_gt(n), gen_ggt(n, n)):
+            s = _CascadeScanAudit(f)
+            assert s.solve().status == "UNSAT"
+            assert s.missed == 0 and s.audited > s.stats.conflicts > 0
+
+
+def test_random_decision_propagation_is_sound_against_scan():
+    # random decisions can leave a learned clause unit but unwatched: it
+    # was attached with its one non-false literal above a decision above
+    # the other literals' falsification, and an unwind popped that literal
+    # alone.  Every conflict and forced literal is still one the scan finds.
+    matched = 0
+    for n in range(4, 8):
+        for seed, f in enumerate((gen_gt(n), gen_ggt(n, n))):
+            s = _RandomScanAudit(f, random.Random(10 * n + seed))
+            assert s.solve().status == "UNSAT"
+            matched += s.audited - s.missed
+    assert matched > 0
 
 
 def test_trace_replays_as_valid_derivation():
@@ -214,7 +272,7 @@ def test_closure_decision_provokes_then_flips():
     assert s._handle_conflict(conf)
     assert s.learned_tris == {(0, 1, 2)}  # T{0,1,2} was learned
     assert [frozenset(c) for c in s.clauses[s.n_original:]] == [trans_clause(0, 1, 2, n)]
-    assert s.lv[encode_lit(0, 2, n)] is True  # the flip follows the closure
+    assert encode_lit(0, 2, n) in s.truth  # the flip follows the closure
 
 
 def test_attach_forces_the_last_free_literal_of_a_clause():
@@ -280,7 +338,8 @@ class _RootAgainstWalk(Solver):
             root = skel.root
             first = list(skel.clauses())[skel.premises[root][0]]
             (want,) = (l for l in first if abs(l) == skel.pivot[root])
-            assert self.lv[want] is None, (self.f.family, self.n, self.f.seed, len(self.trail))
+            assert want not in self.truth and -want not in self.truth, (
+                self.f.family, self.n, self.f.seed, len(self.trail))
             assert lit == -want, (self.f.family, self.n, self.f.seed, len(self.trail))
             self.checked += 1
         return lit
@@ -443,8 +502,8 @@ def test_literal_indexed_assignment_matches_dict_reference(n):
             ref[var] = lit > 0
         for l in lits:
             v = ref.get(abs(l))
-            assert s.lv[l] is (None if v is None else v == (l > 0))
-            assert s.lv[l] is not s.lv[-l] or s.lv[l] is None
+            assert (l in s.truth) is (v is not None and v == (l > 0))
+        assert len(s.truth) == len(ref)
         assert len(s.trail) == len(ref)
         succ = [0] * n
         for var, val in ref.items():
