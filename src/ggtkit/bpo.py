@@ -9,6 +9,8 @@ minimal set is everything outside the range.  Pairs appear only at the
 I/O edge: `Bpo.of` reads them, after checking them, and `Bpo.pairs`
 lists them.  Their text form `a:b,c:d` has one codec, `Bpo.parse` and
 `Bpo.text`, which both `ggt gen --pi` and a gtpi file's header use.
+Literals become rows in one place, `rows_of`: the solver reads its
+trail's order through it and the pool construction a branch's order.
 `minimal_rows` makes the `Bpo` of closed rows, and `Bpo.of`,
 `associated_bpo` and the solver's trail get their orders from it, so no
 order travels as a bare (minimal, rows) pair.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ggtkit.literals import Clause, bits, lit_table
+from ggtkit.literals import Clause, bits, lit_table, pair_table
 
 
 class CyclicOrderError(ValueError):
@@ -85,6 +87,17 @@ class Bpo:
     def text(self) -> str:
         """The text form `parse` reads, pairs in sorted order."""
         return ",".join(f"{a}:{b}" for a, b in sorted(self.pairs))
+
+
+def rows_of(n: int, lits) -> list[int]:
+    """The rows the true literals `lits` assert over n vertices: bit j of
+    row i is set for each x[i,j], read from `literals.pair_table`."""
+    pair = pair_table(n)
+    rows = [0] * n
+    for lit in lits:
+        i, j = pair[lit]
+        rows[i] |= 1 << j
+    return rows
 
 
 def minimal_rows(n: int, rows) -> Bpo:

@@ -55,8 +55,8 @@ learned node is cited only once numbered, and its tuple then confirms
 the match, so no learned clause is kept beside the tree.
 Each leaf record carries the leaf's order, computed and checked against
 the leaf clause once, when the leaf is made.  Orders are bitmask rows
-(see `bpo`): the branch's literals give its rows through
-`literals.pair_table`, of which only their order is kept, and a
+(see `bpo`): the branch's negated literals give its rows through
+`bpo.rows_of`, of which only their order is kept, and a
 replacement chain ORs its new pairs onto a copy of the order's rows.
 
 A build may be given a deadline; it is checked at each stage boundary,
@@ -70,12 +70,10 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from ggtkit.bpo import CyclicOrderError, Bpo, associated_bpo, bpo_clause
+from ggtkit.bpo import CyclicOrderError, Bpo, associated_bpo, bpo_clause, rows_of
 from ggtkit.formulas import FormulaInstance, SizeError, gen_ggt
 from ggtkit.gtproofs import Skeleton, build_ppi_dag
-from ggtkit.literals import (
-    Clause, alpha_clause, bits, lit_table, min_first, pair_table, trans_table,
-)
+from ggtkit.literals import Clause, alpha_clause, bits, lit_table, min_first, trans_table
 from ggtkit.proofs import (
     AXIOM,
     LEAF_RULES,
@@ -332,11 +330,7 @@ class _Engine:
         cplus = rec.cplus.union(*(w.clause for w in path))
         # a literal on the branch is falsified there, so it asserts the
         # pair of its negation
-        pair = pair_table(self.n)
-        tau = [0] * self.n
-        for lit in cplus:
-            a, b = pair[-lit]
-            tau[a] |= 1 << b
+        tau = rows_of(self.n, (-lit for lit in cplus))
         try:
             sub_pi = associated_bpo(self.n, tau)
         except CyclicOrderError as exc:

@@ -11,18 +11,20 @@ assigned when either of its bits is set in the trail's bitmask rows);
 (3) otherwise, if a transitivity axiom of the order derivation for the
 current bipartite partial order (the gtproofs skeleton that the pool
 construction splices) is blocked (its guard is resolved deeper in the
-derivation), branch on the axiom's triangle directly, which learns it;
+derivation), decide x[i,j] for the first two vertices of its kind triple
+(i, j, k), falsifying the axiom's first literal so the branch learns it;
 (4) otherwise decide x[m1,m0] for the two lowest minimal vertices
 m0 < m1, the negation of the derivation root's pivot as its first
 premise holds it.  A vertex is minimal only if no assigned pair points
-into it, so that pair is never assigned.
+into it, so a pair of two minimal vertices is never assigned: every kind
+triple starts with two, so steps (3) and (4) each have one literal.
 On a guarded instance, each order's blocked axioms are cached, keyed by
 the `Bpo` that `bpo.minimal_rows` reads off the trail.  The cache never
 evicts, so each miss is the first visit of an order; a miss builds the
 order's skeleton with `gtproofs.build_ppi_dag`, as the pool construction
 does, asks it which axioms are blocked (`Skeleton.blocked`, the case-(iv)
-test the pool construction runs) and reads their triangles off it.  On an
-unguarded instance no axiom is blocked and no skeleton is built.
+test the pool construction runs) and reads their triangles and literals
+off it.  An unguarded instance blocks no axiom and builds no skeleton.
 
 There are no restarts: the decision stack is only pushed, flipped, or
 popped.  Every flip carries the clause derived from the conflict that
@@ -51,8 +53,8 @@ so a capped search stops within one conflict of its cap.
 Propagation is `propagation.propagate`, the watched-literal loop the
 checker's `unit_propagate` runs too, on its representation: `truth` is
 the set of the trail's literals and `watches` a dict of watch lists.
-The loop appends each forced literal to the trail; `_propagate` then
-sets its pair in `_succ`.  `pair` is `literals.pair_table(n)`, and each
+The loop appends each forced literal to the trail, and each decision
+reads the order's rows off `truth` once, with `bpo.rows_of`.  Each
 triangle's guard is read from the instance's `guard_map`, keyed by
 min-first triangle.  A triangle is learned once, and only on a
 guarded instance: on any other, every transitivity clause is an input.
@@ -69,10 +71,10 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ggtkit.bpo import Bpo, minimal_rows
+from ggtkit.bpo import Bpo, minimal_rows, rows_of
 from ggtkit.formulas import GGT, GT, FormulaInstance
 from ggtkit.gtproofs import build_ppi_dag
-from ggtkit.literals import clause_key, encode_lit, pair_table, triangle_of
+from ggtkit.literals import clause_key, encode_lit, triangle_of
 from ggtkit.proofs import (
     AXIOM,
     DAG,
@@ -136,10 +138,6 @@ class Solver:
         self.n_original = len(self.clauses)
         self.watches: defaultdict[int, list[int]] = defaultdict(list)
         self.truth: set[int] = set()  # the literals on the trail
-        self.pair = pair_table(f.n)  # lit -> decode_lit(lit)
-        # the order the trail asserts, as bitmask rows: bit j of _succ[i] is set
-        # when x[i,j] is true, so {i, j} is assigned when that bit or bit i of _succ[j] is
-        self._succ = [0] * f.n
         self.trail: list[tuple[int, object]] = []  # (true literal, reason)
         self.qhead = 0
         self.stats = SolveStats()
@@ -162,21 +160,18 @@ class Solver:
     def _assign(self, lit: int, reason) -> None:
         self.truth.add(lit)
         self.trail.append((lit, reason))
-        i, j = self.pair[lit]
-        self._succ[i] |= 1 << j
-
-    def _unassign(self, lit: int) -> None:
-        self.truth.remove(lit)
-        i, j = self.pair[lit]
-        self._succ[i] &= ~(1 << j)
 
     def _attach(self, cidx: int):
         """Install watches for a clause; returns the index if it is falsified.
 
         When fewer than two literals are non-false, the second watch goes
         to the literal falsified last, found by reading the trail from its
-        end, so no unit propagation can be missed after backtracking past
-        it.
+        end.  A propagation is still missed when a decision lies between
+        the true watch and the falsified one on the trail: an unwind that
+        pops the first and flips that decision leaves the clause unit, and
+        no queued literal visits it.  Random decisions make such clauses;
+        the cascade made none on GT/GGT(4..13), seeds 0-2.  The ROADMAP
+        replay item holds the fix.
         """
         clause = self.clauses[cidx]
         truth = self.truth
@@ -207,15 +202,10 @@ class Solver:
 
     def _propagate(self):
         """Run `propagation.propagate` on the trail; returns a falsified
-        clause index or None.  The pairs it forced go into `_succ` after it."""
+        clause index or None."""
         trail = self.trail
         start = len(trail)
         conflict, self.qhead = propagate(self.clauses, self.watches, self.truth, trail, self.qhead)
-        succ = self._succ
-        pair = self.pair
-        for lit, _ in trail[start:]:
-            i, j = pair[lit]
-            succ[i] |= 1 << j
         self.stats.propagations += len(trail) - start
         return conflict
 
@@ -247,7 +237,7 @@ class Solver:
         guarded = self.f.guard_map is not None
         clauses = self.clauses
         trail = self.trail
-        unassign = self._unassign
+        unassign = self.truth.remove
         while trail:
             lit, reason = trail.pop()
             unassign(lit)
@@ -299,10 +289,10 @@ class Solver:
 
     # -- decision cascade -------------------------------------------------------
 
-    def _closure_decision(self) -> int | None:
+    def _closure_decision(self, succ: list[int]) -> int | None:
         """The literal x[c,a] for an unassigned pair a -> c that a -> b -> c
-        implies, at the lowest a and then the lowest c; None if there is none."""
-        succ = self._succ
+        implies in the trail's rows `succ`, at the lowest a and then the
+        lowest c; None if there is none."""
         for a, row in enumerate(succ):
             if not row:
                 continue
@@ -329,7 +319,8 @@ class Solver:
         entry lists, in node-id order, each transitivity axiom of the
         order's skeleton whose guard variable is resolved below it, a
         property of the order alone (`Skeleton.blocked`), as (min-first
-        triangle, guard variable, kind).  An unguarded instance has none.
+        triangle, guard variable, x[i,j] for the first two vertices i, j of
+        its kind triple, both minimal).  An unguarded instance has none.
         """
         glits = self.f.guard_map
         if glits is None:
@@ -337,35 +328,31 @@ class Solver:
         blockers = self._pi_cache.get(pi)
         if blockers is None:
             skel = build_ppi_dag(pi)
-            blockers = tuple((skel.tri[nid], abs(glits[skel.tri[nid]]), skel.kind[nid])
+            blockers = tuple((skel.tri[nid], abs(glits[skel.tri[nid]]),
+                              encode_lit(*skel.kind[nid][1][:2], self.n))
                              for nid in skel.blocked(glits))
             self._pi_cache[pi] = blockers
         return blockers
 
-    def _blocking_axiom(self, blockers) -> tuple | None:
+    def _blocking_axiom(self, blockers) -> int | None:
         """The first of `blockers` whose guard is unassigned and whose
-        triangle is not learned yet: its kind."""
+        triangle is not learned yet: its literal."""
         truth = self.truth
         tris = self.learned_tris
-        for tri, gvar, kind in blockers:
+        for tri, gvar, lit in blockers:
             if gvar not in truth and -gvar not in truth and tri not in tris:
-                return kind
+                return lit
         return None
 
     def _pick_decision(self) -> int:
-        lit = self._closure_decision()
+        rows = rows_of(self.n, self.truth)
+        lit = self._closure_decision(rows)
         if lit is not None:
             return lit
-        pi = minimal_rows(self.n, self._succ)
-        blocker = self._blocking_axiom(self._blockers(pi))
-        if blocker is not None:
-            _, (i, j, k) = blocker
-            truth = self.truth
-            for a, b in ((i, j), (j, k), (k, i)):
-                lit = encode_lit(a, b, self.n)
-                if lit not in truth and -lit not in truth:
-                    return lit  # falsify the axiom's literal
-            raise SolverContractError("blocking axiom fully assigned without conflict")
+        pi = minimal_rows(self.n, rows)
+        lit = self._blocking_axiom(self._blockers(pi))
+        if lit is not None:
+            return lit
         # the root's pivot x[m0,m1], decided false
         minimal = pi.minimal
         rest = minimal & (minimal - 1)  # the minimal vertices but m0

@@ -8,8 +8,9 @@ from ggtkit.bpo import (
     CyclicOrderError,
     associated_bpo,
     bpo_clause,
+    rows_of,
 )
-from ggtkit.literals import bits, encode_lit
+from ggtkit.literals import bits, decode_lit, encode_lit, num_vars
 from tests.oracles import random_order, reference_associated_pairs, spec_rows
 
 
@@ -94,3 +95,19 @@ def test_associated_bpo_matches_the_pair_set_closure():
             assert pi.pairs == want
             assert pi == Bpo.of(n, want)
     assert 100 < cyclic < 1100
+
+
+def test_rows_of_matches_decode_lit():
+    # seeded sets of true literals, at most one per variable, any polarity
+    rng = random.Random(0)
+    for n in range(2, 17):
+        for _ in range(20):
+            variables = rng.sample(range(1, num_vars(n) + 1), rng.randint(0, num_vars(n)))
+            lits = [v if rng.random() < 0.5 else -v for v in variables]
+            want = [0] * n
+            for lit in lits:
+                i, j = decode_lit(lit, n)
+                want[i] |= 1 << j
+            assert rows_of(n, lits) == want, (n, lits)
+            assert rows_of(n, iter(lits)) == want
+    assert rows_of(5, ()) == [0] * 5

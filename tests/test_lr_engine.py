@@ -14,8 +14,10 @@ from ggtkit.lr_engine import (
     INPUT_MODE,
     POOL_MODE,
     ConstructionError,
+    LeafRec,
     NodeBudgetExceeded,
     StageRecord,
+    TNode,
     _Engine,
     build_pool_with_stats,
     build_regrti_with_stats,
@@ -393,6 +395,21 @@ def test_a_wrong_derivation_root_raises(monkeypatch, build, owner, attr, wrong, 
     monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
     with pytest.raises(error, match="differs from the pi clause"):
         build()
+
+
+@pytest.mark.parametrize("branch,leaf,error", [
+    # the branch asserts 0 < 1 and 1 < 2, the new leaf 2 < 0
+    ([(0, 1), (1, 2)], [(2, 0)], "unfinished leaf branch is cyclic"),
+    # the branch asserts 0 < 1, whose order's clause the empty leaf lacks
+    ([(0, 1)], [], "new unfinished leaf is not labeled by its branch's bipartite order"),
+], ids=["cyclic", "unlabeled"])
+def test_a_bad_new_leaf_raises(branch, leaf, error):
+    n = 4
+    engine = _Engine(gen_ggt(n, 0), POOL_MODE, None)
+    negated = lambda pairs: frozenset(-encode_lit(a, b, n) for a, b in pairs)
+    rec = LeafRec(TNode(frozenset(), "U"), negated(branch), Bpo.empty(n))
+    with pytest.raises(ConstructionError, match=error):
+        engine._leaf_record(rec, [TNode(negated(leaf), "U")])
 
 
 def test_trans_postorder_matches_the_two_visit_reference(monkeypatch):

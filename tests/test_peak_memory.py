@@ -56,9 +56,10 @@ def test_regrti_build_peak_follows_its_proof():
 
 def test_solver_walk_cache_is_small_beside_its_trace():
     # the blocked axioms cached for GGT(12), seed 0 (681 orders): measured
-    # 0.61 MB beside a 6.32 MB result (trace, markers, learned clauses),
-    # 0.097 of it; with the decision walk's arrays the cache took 1.51 MB
-    # (0.239), and whole skeletons 13.9 MB (2.19).  Bound: 0.097 + 55 %
+    # 0.47 MB beside a 6.38 MB result (trace, markers, learned clauses),
+    # 0.073 of it; with each entry's axiom kind in place of its literal the
+    # cache took 0.61 MB (0.096), with the decision walk's arrays 1.51 MB
+    # (0.239), and whole skeletons 13.9 MB (2.19).  Bound: 0.073 + 20 %
     f = gen_ggt(12, 0)
     Solver(f, trace=True).solve()
     gc.collect()
@@ -75,4 +76,4 @@ def test_solver_walk_cache_is_small_beside_its_trace():
     finally:
         tracemalloc.stop()
     assert result.status == "UNSAT"
-    assert cache < 0.15 * held, (cache, held)
+    assert cache < 0.088 * held, (cache, held)

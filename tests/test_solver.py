@@ -10,12 +10,11 @@ from ggtkit import lr_engine, propagation
 from ggtkit import solver as solver_module
 from ggtkit.checker import VALID, check_proof
 from ggtkit.formulas import gen_ggt, gen_gt, gen_gt_pi
-from ggtkit.bpo import Bpo, minimal_rows
+from ggtkit.bpo import Bpo, minimal_rows, rows_of
 from ggtkit.gtproofs import build_ppi_dag
 from ggtkit.literals import (
     decode_lit,
     encode_lit,
-    min_first,
     num_vars,
     pair_table,
     trans_clause,
@@ -215,8 +214,8 @@ class _ClosureAgainstPairMasks(Solver):
         super().__init__(f)
         self.checked = self.decided = 0
 
-    def _closure_decision(self):
-        got = super()._closure_decision()
+    def _closure_decision(self, rows):
+        got = super()._closure_decision(rows)
         n = self.n
         succ, assigned = [0] * n, [0] * n
         for lit, _ in self.trail:
@@ -334,7 +333,7 @@ class _RootAgainstWalk(Solver):
         self._blocked = True
         lit = super()._pick_decision()
         if self._blocked is None:
-            skel = build_ppi_dag(minimal_rows(self.n, self._succ))
+            skel = build_ppi_dag(minimal_rows(self.n, rows_of(self.n, self.truth)))
             root = skel.root
             first = list(skel.clauses())[skel.premises[root][0]]
             (want,) = (l for l in first if abs(l) == skel.pivot[root])
@@ -354,6 +353,46 @@ def test_last_decision_step_is_the_walks_first_test():
             checked += s.checked
             decided += s.stats.decisions
     assert decided > checked > 0, (decided, checked)
+
+
+class _BlockerPairAudit(Solver):
+    """A solver that checks each decision the blocker step makes: both
+    vertices of the decided pair are minimal in the trail's order, read
+    off the trail with `decode_lit`, and the literal is unassigned."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.checked = 0
+        self._blocked = None
+
+    def _blocking_axiom(self, blockers):
+        self._blocked = super()._blocking_axiom(blockers)
+        return self._blocked
+
+    def _pick_decision(self):
+        self._blocked = None
+        lit = super()._pick_decision()
+        if self._blocked is not None:
+            n, where = self.n, (self.f.family, self.n, self.f.seed, len(self.trail))
+            assert lit == self._blocked, where
+            incoming = 0
+            for l in self.truth:
+                incoming |= 1 << decode_lit(l, n)[1]
+            i, j = decode_lit(lit, n)
+            assert not incoming >> i & 1 and not incoming >> j & 1, where
+            assert lit not in self.truth and -lit not in self.truth, where
+            self.checked += 1
+        return lit
+
+
+def test_blocker_step_decides_a_pair_of_minimal_vertices():
+    checked = 0
+    for n in range(4, 11):
+        for f in [gen_gt(n)] + [gen_ggt(n, seed) for seed in range(3)]:
+            s = _BlockerPairAudit(f)
+            assert s.solve().status == "UNSAT"
+            checked += s.checked
+    assert checked > 0
 
 
 def test_an_unguarded_solve_builds_no_skeleton(monkeypatch):
@@ -404,7 +443,7 @@ def test_closure_decision_skips_a_pair_of_a_cycle():
     for a, b in ((0, 1), (1, 2), (2, 0)):
         s._assign(encode_lit(a, b, n), DECISION)
     assert s._propagate() is None
-    assert s._closure_decision() is None
+    assert s._closure_decision(rows_of(n, s.truth)) is None
 
 
 class _BlockerAudit(Solver):
@@ -415,10 +454,16 @@ class _BlockerAudit(Solver):
         self.blocked = []
 
     def _blocking_axiom(self, blockers):
-        blocker = super()._blocking_axiom(blockers)
-        if blocker is not None:
-            self.blocked.append(min_first(*blocker[1]))
-        return blocker
+        lit = super()._blocking_axiom(blockers)
+        if lit is not None:
+            truth, learned = self.truth, self.learned_tris
+            # the first cache entry with its guard unassigned and its triangle unlearned
+            tri, _, first = next(entry for entry in blockers
+                                 if entry[1] not in truth and -entry[1] not in truth
+                                 and entry[0] not in learned)
+            assert first == lit
+            self.blocked.append(tri)
+        return lit
 
 
 def test_blocking_axioms_get_learned():
@@ -493,7 +538,7 @@ def test_literal_indexed_assignment_matches_dict_reference(n):
     for _ in range(400):
         if ref and (len(ref) == nvars or rng.random() < 0.45):
             lit, _ = s.trail.pop()
-            s._unassign(lit)
+            s.truth.remove(lit)
             del ref[abs(lit)]
         else:
             var = rng.choice([v for v in range(1, nvars + 1) if v not in ref])
@@ -509,15 +554,14 @@ def test_literal_indexed_assignment_matches_dict_reference(n):
         for var, val in ref.items():
             i, j = decode_lit(var if val else -var, n)
             succ[i] |= 1 << j
-        assert s._succ == succ
+        assert rows_of(n, s.truth) == succ
 
 
 def test_pair_table_matches_decode_lit():
     for n in range(2, 17):
-        s = Solver(gen_gt(n))
-        assert s.pair is pair_table(n)  # shared, not built per solver
-        assert len(s.pair) == 2 * num_vars(n) + 1
+        pair = pair_table(n)
+        assert len(pair) == 2 * num_vars(n) + 1
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    assert s.pair[encode_lit(i, j, n)] == (i, j)
+                    assert pair[encode_lit(i, j, n)] == (i, j)
